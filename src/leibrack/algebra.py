@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError
-from .report import MAX_LISTED_VIOLATIONS, ValidityReport, Violation
+from .report import Collector, ValidityReport
 
 DEFAULT_TOL = 1e-9
 
@@ -40,21 +40,6 @@ def frozen_array(values, shape=None, what="array") -> np.ndarray:
         raise StructuralError(f"{what}: entries must be finite")
     arr.flags.writeable = False
     return arr
-
-
-def _scan(law: str, residuals: np.ndarray, tol: float, sink: list) -> float:
-    """Record index tuples whose |residual| exceeds tol; return the maximum."""
-    res = np.asarray(residuals, dtype=float)
-    if res.size == 0:
-        return 0.0
-    mx = float(np.max(np.abs(res)))
-    if mx > tol:
-        room = MAX_LISTED_VIOLATIONS - len(sink)
-        if room > 0:
-            for where in np.argwhere(np.abs(res) > tol)[:room]:
-                idx = tuple(int(i) for i in where)
-                sink.append(Violation(law, idx, float(abs(res[idx]))))
-    return mx
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,25 +191,28 @@ class SubspaceBasis:
 def check_lie_algebra(alg: LieAlgebraData, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Antisymmetry and the Jacobi identity, checked on all basis tuples."""
     C = alg.structure_constants
-    sink: list = []
-    m1 = _scan("antisymmetry", C + np.swapaxes(C, 0, 1), tol, sink)
+    col = Collector(tol)
+    col.scan("antisymmetry", C + np.swapaxes(C, 0, 1))
     jac = (np.einsum("ijm,mkl->ijkl", C, C)
            + np.einsum("jkm,mil->ijkl", C, C)
            + np.einsum("kim,mjl->ijkl", C, C))
-    m2 = _scan("jacobi", jac, tol, sink)
-    mx = max(m1, m2)
-    return ValidityReport(mx <= tol, mx, tuple(sink), {"tolerance": tol})
+    col.scan("jacobi", jac)
+    return col.report()
+
+
+def homomorphism_residuals(C: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_k C[i,j,k] A_k - (A_i A_j - A_j A_i) over all index pairs (i, j)."""
+    want = np.einsum("ijk,kab->ijab", C, A)
+    have = np.einsum("iab,jbc->ijac", A, A) - np.einsum("jab,ibc->ijac", A, A)
+    return want - have
 
 
 def check_module(action: ModuleAction, tol: float = DEFAULT_TOL) -> ValidityReport:
     """A is a homomorphism: sum_k C[i,j,k] A_k = A_i A_j - A_j A_i."""
-    C = action.algebra.structure_constants
-    A = action.action_matrices
-    want = np.einsum("ijk,kab->ijab", C, A)
-    have = np.einsum("iab,jbc->ijac", A, A) - np.einsum("jab,ibc->ijac", A, A)
-    sink: list = []
-    mx = _scan("module-homomorphism", want - have, tol, sink)
-    return ValidityReport(mx <= tol, mx, tuple(sink), {"tolerance": tol})
+    col = Collector(tol)
+    col.scan("module-homomorphism", homomorphism_residuals(
+        action.algebra.structure_constants, action.action_matrices))
+    return col.report()
 
 
 def check_leibniz(leib: LeibnizAlgebraData, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -236,12 +224,11 @@ def check_leibniz(leib: LeibnizAlgebraData, tol: float = DEFAULT_TOL) -> Validit
     B = leib.bracket_tensor
     lhs = np.einsum("jkm,iml->ijkl", B, B)
     rhs = np.einsum("ijm,mkl->ijkl", B, B) + np.einsum("ikm,jml->ijkl", B, B)
-    sink: list = []
-    mx = _scan("leibniz-identity", lhs - rhs, tol, sink)
+    col = Collector(tol)
+    col.scan("leibniz-identity", lhs - rhs)
     anti = float(np.max(np.abs(B + B.swapaxes(0, 1)))) if B.size else 0.0
-    info = {"tolerance": tol, "antisymmetric": bool(anti <= tol),
-            "antisymmetry_residual": anti}
-    return ValidityReport(mx <= tol, mx, tuple(sink), info)
+    return col.report({"antisymmetric": bool(anti <= tol),
+                       "antisymmetry_residual": anti})
 
 
 def bracket_closure_check(alg: LieAlgebraData, sub: SubspaceBasis,

@@ -161,34 +161,30 @@ def rack_triple_from_doc(doc: dict) -> GroupRackTriple:
 
 def builtin_parts(name: str):
     """Named ready-made systems: ('triple', parts) or ('rack', triple)."""
+    if name == "s3-conjugation":
+        return "rack", conjugation_triple(catalog.symmetric3())
+    rep = None
     if name == "sl2-adjoint":
         alg = catalog.sl2()
         tri = build_triple(alg, alg.adjoint_action(),
                            EmbeddingTensor(np.eye(3)))
-        return "triple", {"algebra": tri.algebra, "action": tri.action,
-                          "theta": tri.theta, "rep": None, "h_basis": None,
-                          "config": {}, "morphism": None}
-    if name.startswith("scaling:"):
+    elif name.startswith("scaling:"):
         try:
             lam = float(name.split(":", 1)[1])
         except ValueError:
             raise StructuralError(f"bad scaling parameter in {name!r}") from None
         tri = scaling_triple(lam)
-        return "triple", {"algebra": tri.algebra, "action": tri.action,
-                          "theta": tri.theta, "rep": None, "h_basis": None,
-                          "config": {}, "morphism": None}
-    if name == "heisenberg-ideal":
+    elif name == "heisenberg-ideal":
         alg = catalog.heisenberg()
         tri = ideal_triple(alg, catalog.ideal_subspace("heisenberg", "plane"))
         rep = MatrixRep(alg, catalog.faithful_rep_matrices("heisenberg"))
-        return "triple", {"algebra": tri.algebra, "action": tri.action,
-                          "theta": tri.theta, "rep": rep, "h_basis": None,
-                          "config": {}, "morphism": None}
-    if name == "s3-conjugation":
-        return "rack", conjugation_triple(catalog.symmetric3())
-    raise StructuralError(
-        f"unknown builtin {name!r}; triples: {', '.join(BUILTIN_TRIPLES)}; "
-        f"racks: {', '.join(BUILTIN_RACKS)}")
+    else:
+        raise StructuralError(
+            f"unknown builtin {name!r}; triples: {', '.join(BUILTIN_TRIPLES)}; "
+            f"racks: {', '.join(BUILTIN_RACKS)}")
+    return "triple", {"algebra": tri.algebra, "action": tri.action,
+                      "theta": tri.theta, "rep": rep, "h_basis": None,
+                      "config": {}, "morphism": None}
 
 
 def _load_target(args):
@@ -341,6 +337,9 @@ def cmd_integrate(args) -> int:
     step = float(pick(args.step, "step", 1e-4))
     scheme = str(pick(args.scheme, "scheme", "central"))
     samples = int(pick(args.samples, "samples", 200))
+    if samples < 1:
+        field = "--samples" if args.samples is not None else "config.samples"
+        raise StructuralError(f"{field} must be at least 1, got {samples}")
     seed = int(pick(args.seed, "seed", 0))
     tolerance = float(pick(args.tolerance, "tolerance", 1e-4))
     radius = pick(args.radius, "radius", None)

@@ -36,7 +36,7 @@ from .errors import AxiomError, ChartError, DomainError, MembershipError, \
 from .localgroup import DiffConfig, GroupElement, MatrixRep, adjoint_rep, \
     check_rep, derivative_at_identity, group_inverse, group_mul, log_matrix, \
     mixed_second_derivative, working_rep
-from .report import ValidityReport, Violation, MAX_LISTED_VIOLATIONS
+from .report import Collector, ValidityReport
 from .triples import LieLeibnizTriple, RelaxedAugmentation, \
     check_relaxed_augmentation, equivariance_defect, max_strictness_subalgebra
 
@@ -207,6 +207,14 @@ def _coords_from_matrix(model: LocalRackModel, matrix: np.ndarray) -> np.ndarray
 # law suites
 # ---------------------------------------------------------------------------
 
+def _suite_report(col: Collector, used: int, skipped: int,
+                  **info) -> ValidityReport:
+    """A suite that used no sample fails under the law ``samples-used``."""
+    if used == 0:
+        col.add("samples-used")
+    return col.report(dict(info, samples_used=used, samples_skipped=skipped))
+
+
 def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
                                seed: int = 0,
                                tol: float = 1e-9) -> ValidityReport:
@@ -214,8 +222,7 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
     and exactness of the unit law q(e, p) = p."""
     rng = np.random.default_rng(seed)
     full = np.eye(model.triple.dim_g)
-    sink: list = []
-    mx = 0.0
+    col = Collector(tol)
     used = skipped = 0
     ident = model.rep.identity()
     for k in range(samples):
@@ -230,20 +237,15 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
             skipped += 1
             continue
         used += 1
-        r = max(float(np.max(np.abs(onestep.v - twostep.v))),
-                float(np.max(np.abs(onestep.u - twostep.u))))
-        mx = max(mx, r)
-        if r > tol and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("group-set-composition", (k,), r))
+        col.measure("group-set-composition", (k,),
+                  max(float(np.max(np.abs(onestep.v - twostep.v))),
+                      float(np.max(np.abs(onestep.u - twostep.u)))))
         fixed = local_action(model, ident, p)
         if not (np.array_equal(fixed.v, p.v) and np.array_equal(fixed.u, p.u)):
-            unit_gap = max(float(np.max(np.abs(fixed.v - p.v))),
-                           float(np.max(np.abs(fixed.u - p.u))))
-            mx = max(mx, unit_gap)
-            if len(sink) < MAX_LISTED_VIOLATIONS:
-                sink.append(Violation("unit-acts-trivially", (k,), unit_gap))
-    info = {"tolerance": tol, "samples_used": used, "samples_skipped": skipped}
-    return ValidityReport(mx <= tol, mx, tuple(sink), info)
+            col.add("unit-acts-trivially", (k,),
+                    max(float(np.max(np.abs(fixed.v - p.v))),
+                        float(np.max(np.abs(fixed.u - p.u)))))
+    return _suite_report(col, used, skipped)
 
 
 def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
@@ -257,8 +259,7 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
     the basepoint laws hold exactly in floating point and are asserted so.
     """
     rng = np.random.default_rng(seed)
-    sink: list = []
-    mx = 0.0
+    col = Collector(tol)
     used = skipped = 0
     base = model.basepoint()
     for k in range(samples):
@@ -275,34 +276,23 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
             skipped += 1
             continue
         used += 1
-        r = max(float(np.max(np.abs(lhs.v - rhs.v))),
-                float(np.max(np.abs(lhs.u - rhs.u))))
-        mx = max(mx, r)
-        if r > tol and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("self-distributivity", (k,), r))
+        col.measure("self-distributivity", (k,),
+                  max(float(np.max(np.abs(lhs.v - rhs.v))),
+                      float(np.max(np.abs(lhs.u - rhs.u)))))
 
         g = embed_point(model, x)
         undone = local_action(model, group_inverse(g, model.rep), xy)
-        ru = float(np.max(np.abs(undone.v - y.v)))
-        mx = max(mx, ru)
-        if ru > undo_tol and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("left-translation-undo", (k,), ru))
+        col.measure("left-translation-undo", (k,),
+                  np.max(np.abs(undone.v - y.v)), undo_tol)
 
         trivial = rack_product(model, base, y)
         if not np.array_equal(trivial.v, y.v):
-            gap = float(np.max(np.abs(trivial.v - y.v)))
-            mx = max(mx, gap)
-            if len(sink) < MAX_LISTED_VIOLATIONS:
-                sink.append(Violation("basepoint-acts-trivially", (k,), gap))
+            col.add("basepoint-acts-trivially", (k,),
+                    np.max(np.abs(trivial.v - y.v)))
         fixed = rack_product(model, x, base)
         if not (np.all(fixed.v == 0.0) and np.all(fixed.u == 0.0)):
-            gap = float(np.max(np.abs(fixed.v)))
-            mx = max(mx, gap)
-            if len(sink) < MAX_LISTED_VIOLATIONS:
-                sink.append(Violation("basepoint-fixed", (k,), gap))
-    info = {"tolerance": tol, "samples_used": used, "samples_skipped": skipped,
-            "undo_tolerance": undo_tol}
-    return ValidityReport(mx <= tol, mx, tuple(sink), info)
+            col.add("basepoint-fixed", (k,), np.max(np.abs(fixed.v)))
+    return _suite_report(col, used, skipped, undo_tolerance=undo_tol)
 
 
 def check_equivariance(model: LocalRackModel, samples: int = 200,
@@ -319,8 +309,7 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
     strict = model.h_basis.dim == model.triple.dim_g
     basis = model.h_basis.vectors if model.h_basis.dim else \
         np.zeros((0, model.triple.dim_g))
-    sink: list = []
-    mx = 0.0
+    col = Collector(tol)
     used = skipped = 0
     for k in range(samples):
         if basis.shape[0] == 0:
@@ -336,13 +325,10 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
             skipped += 1
             continue
         used += 1
-        r = float(np.max(np.abs(moved.coords - conj.coords)))
-        mx = max(mx, r)
-        if r > tol and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("embedding-equivariance", (k,), r))
-    info = {"tolerance": tol, "samples_used": used, "samples_skipped": skipped,
-            "strict": strict, "h_dim": int(model.h_basis.dim)}
-    return ValidityReport(mx <= tol, mx, tuple(sink), info)
+        col.measure("embedding-equivariance", (k,),
+                  np.max(np.abs(moved.coords - conj.coords)))
+    return _suite_report(col, used, skipped, strict=strict,
+                         h_dim=int(model.h_basis.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, SubspaceBasis, \
-    frozen_array, _scan
+    homomorphism_residuals
 from .errors import AxiomError, CapabilityError, ChartError, MembershipError, \
     StructuralError
-from .report import ValidityReport, Violation
+from .report import Collector, ValidityReport
 
 DEFAULT_CHART_RADIUS = 0.5
 _SERIES_THRESHOLD = 0.25
@@ -118,22 +118,17 @@ class MatrixRep:
 
 def check_rep(rep: MatrixRep, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Representation homomorphism law plus faithfulness (full-rank stack)."""
-    C = rep.algebra.structure_constants
-    R = rep.matrices
-    want = np.einsum("ijk,kab->ijab", C, R)
-    have = np.einsum("iab,jbc->ijac", R, R) - np.einsum("jab,ibc->ijac", R, R)
-    sink: list = []
-    mx = _scan("representation-homomorphism", want - have, tol, sink)
+    col = Collector(tol)
+    col.scan("representation-homomorphism", homomorphism_residuals(
+        rep.algebra.structure_constants, rep.matrices))
     s = np.linalg.svd(rep.basis_stack, compute_uv=False)
     n = rep.algebra.dim
     ratio = float(s[-1] / s[0]) if s.size == n and s[0] > 0 else 0.0
     faithful = ratio > max(rep.basis_stack.shape) * np.finfo(float).eps
     if not faithful:
-        sink.append(Violation("faithful", (), 1.0))
-        mx = max(mx, 1.0)
-    info = {"tolerance": tol, "matrix_dim": rep.matrix_dim,
-            "smallest_singular_ratio": ratio}
-    return ValidityReport(mx <= tol, mx, tuple(sink), info)
+        col.add("faithful")
+    return col.report({"matrix_dim": rep.matrix_dim,
+                       "smallest_singular_ratio": ratio})
 
 
 def adjoint_rep(algebra: LieAlgebraData,

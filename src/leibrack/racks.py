@@ -1,10 +1,11 @@
 """Finite racks, finite groups, augmented group triples, group crossed modules.
 
-Everything here is table driven and every law is checked by exhaustive
-enumeration; the catalog keeps group orders small (at most 12), so cubic
-scans finish instantly.  Discrete checks have no meaningful residual, so a
-failed instance is recorded with residual 1.0 and the report's
-``max_residual`` is either 0.0 or 1.0.
+Everything here is table driven.  Each law is one boolean table over its
+index tuple, built by numpy fancy indexing, so a cubic law on S5 (order 120,
+1.7 million triples) is checked in milliseconds.  Discrete checks have no
+meaningful residual, so a failed instance is recorded with residual 1.0 and
+the report's ``max_residual`` is either 0.0 or 1.0; violations are listed in
+row-major order of each table.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomError, StructuralError
-from .report import MAX_LISTED_VIOLATIONS, ValidityReport, Violation
+from .report import Collector, ValidityReport
 
 
 def int_table(values, shape, bound, what="table") -> np.ndarray:
@@ -33,26 +34,6 @@ def int_table(values, shape, bound, what="table") -> np.ndarray:
         raise StructuralError(f"{what}: entries must lie in [0, {bound})")
     arr.flags.writeable = False
     return arr
-
-
-class _DiscreteScan:
-    """Collects discrete law failures with the shared violation cap."""
-
-    def __init__(self):
-        self.sink: list = []
-        self.failures = 0
-
-    def record(self, law: str, where: tuple):
-        self.failures += 1
-        if len(self.sink) < MAX_LISTED_VIOLATIONS:
-            self.sink.append(Violation(law, tuple(int(i) for i in where), 1.0))
-
-    def report(self, info=None) -> ValidityReport:
-        base = {"failures": self.failures}
-        if info:
-            base.update(info)
-        ok = self.failures == 0
-        return ValidityReport(ok, 0.0 if ok else 1.0, tuple(self.sink), base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,71 +168,48 @@ class GroupCrossedModule:
             object.__setattr__(self, "n_prime", sub)
 
 
+def _conjugation_table(group: FiniteGroup) -> np.ndarray:
+    """Table over (g, x) of g x g^-1."""
+    M = group.mul_table
+    return M[M, group.inverse_table[:, None]]
+
+
 def check_group(group: FiniteGroup) -> ValidityReport:
     """Unit, associativity and inverse laws by brute force."""
-    scan = _DiscreteScan()
-    M, e = group.mul_table, group.unit
-    s = group.size
-    for g in range(s):
-        if M[e, g] != g or M[g, e] != g:
-            scan.record("unit-law", (g,))
-        gi = group.inv(g)
-        if M[g, gi] != e or M[gi, g] != e:
-            scan.record("inverse-law", (g,))
-    idx = np.arange(s)
-    lhs = M[M[:, :, None], idx[None, None, :]]
-    rhs = M[idx[:, None, None], M[None, :, :]]
-    for a, b, c in np.argwhere(lhs != rhs):
-        scan.record("associativity", (a, b, c))
-    return scan.report()
+    col = Collector()
+    M, e, inv = group.mul_table, group.unit, group.inverse_table
+    idx = np.arange(group.size)
+    col.tables(("unit-law", (M[e] != idx) | (M[:, e] != idx)),
+               ("inverse-law", (M[idx, inv] != e) | (M[inv, idx] != e)))
+    col.table("associativity", M[M[:, :, None], idx] != M[idx[:, None, None], M])
+    return col.report()
 
 
 def check_rack(rack: FiniteRack) -> ValidityReport:
     """Left translations bijective, self-distributivity, pointed laws if set."""
-    scan = _DiscreteScan()
+    col = Collector()
     T = rack.op_table
-    s = rack.size
-    full = np.arange(s)
-    for x in range(s):
-        if not np.array_equal(np.sort(T[x]), full):
-            scan.record("left-translation-bijective", (x,))
-    lhs = T[full[:, None, None], T[None, :, :]]          # x > (y > z)
+    full = np.arange(rack.size)
+    col.table("left-translation-bijective", np.any(np.sort(T, axis=1) != full, axis=1))
+    lhs = T[full[:, None, None], T]                      # x > (y > z)
     rhs = T[T[:, :, None], T[:, None, :]]                # (x > y) > (x > z)
-    for x, y, z in np.argwhere(lhs != rhs):
-        scan.record("self-distributivity", (x, y, z))
+    col.table("self-distributivity", lhs != rhs)
     if rack.basepoint is not None:
         p = rack.basepoint
-        for y in range(s):
-            if T[p, y] != y:
-                scan.record("basepoint-acts-trivially", (y,))
-        for x in range(s):
-            if T[x, p] != p:
-                scan.record("basepoint-fixed", (x,))
-    return scan.report({"pointed": rack.basepoint is not None})
+        col.table("basepoint-acts-trivially", T[p] != full)
+        col.table("basepoint-fixed", T[:, p] != p)
+    return col.report({"pointed": rack.basepoint is not None})
 
 
 def conjugation_rack(group: FiniteGroup) -> FiniteRack:
     """The conjugation rack x > y = x y x^-1, pointed at the unit."""
-    s = group.size
-    T = np.empty((s, s), dtype=np.int64)
-    for x in range(s):
-        for y in range(s):
-            T[x, y] = group.conj(x, y)
-    return FiniteRack(s, T, basepoint=group.unit)
+    return FiniteRack(group.size, _conjugation_table(group), basepoint=group.unit)
 
 
 def derived_rack(triple: GroupRackTriple) -> FiniteRack:
     """The rack structure x > y = theta(x) . y induced by the triple."""
     T = triple.action_table[triple.theta_table]
     return FiniteRack(triple.x_size, T, basepoint=triple.basepoint)
-
-
-def _conjugated_embedding(triple: GroupRackTriple) -> np.ndarray:
-    """Table over (g, x) of g theta(x) g^-1."""
-    G, th = triple.group, triple.theta_table
-    M, inv = G.mul_table, G.inverse_table
-    return M[M[np.arange(G.size)[:, None], th[None, :]],
-             inv[np.arange(G.size)][:, None]]
 
 
 def group_defect(triple: GroupRackTriple, g: int) -> np.ndarray:
@@ -261,14 +219,14 @@ def group_defect(triple: GroupRackTriple, g: int) -> np.ndarray:
     exactly when this table is constantly the unit.
     """
     G = triple.group
-    conj = _conjugated_embedding(triple)[g]
+    conj = _conjugation_table(G)[g, triple.theta_table]
     moved = triple.theta_table[triple.action_table[g]]
     return G.mul_table[conj, G.inverse_table[moved]]
 
 
 def strict_elements(triple: GroupRackTriple) -> tuple:
     """Group elements whose defect table is trivial."""
-    conj = _conjugated_embedding(triple)
+    conj = _conjugation_table(triple.group)[:, triple.theta_table]
     moved = triple.theta_table[triple.action_table]
     good = np.all(conj == moved, axis=1)
     return tuple(int(g) for g in np.where(good)[0])
@@ -283,41 +241,27 @@ def check_group_rack_triple(triple: GroupRackTriple) -> ValidityReport:
     reported under ``derived-*`` law names.  ``info`` records which group
     elements act equivariantly and whether that is all of them (strictness).
     """
-    scan = _DiscreteScan()
+    col = Collector()
     G = triple.group
-    M, inv = G.mul_table, G.inverse_table
     act, th = triple.action_table, triple.theta_table
-    gs, xs = G.size, triple.x_size
+    idg, idx = np.arange(G.size), np.arange(triple.x_size)
 
-    for x in range(xs):
-        if act[G.unit, x] != x:
-            scan.record("unit-acts-trivially", (x,))
-    idg = np.arange(gs)
-    lhs = act[M[:, :, None], np.arange(xs)[None, None, :]]
-    rhs = act[idg[:, None, None], act[None, :, :]]
-    for g, h, x in np.argwhere(lhs != rhs):
-        scan.record("group-set-composition", (g, h, x))
-
+    col.table("unit-acts-trivially", act[G.unit] != idx)
+    col.table("group-set-composition",
+              act[G.mul_table[:, :, None], idx] != act[idg[:, None, None], act])
     if th[triple.basepoint] != G.unit:
-        scan.record("basepoint-embeds-to-unit", (triple.basepoint,))
-
-    for x in range(xs):
-        for y in range(xs):
-            if th[act[th[x], y]] != M[M[th[x], th[y]], inv[th[x]]]:
-                scan.record("embedding-conjugation", (x, y))
+        col.add("basepoint-embeds-to-unit", (triple.basepoint,))
+    col.table("embedding-conjugation",
+              th[act[th]] != _conjugation_table(G)[th[:, None], th])
 
     rack_report = check_rack(derived_rack(triple))
-    for v in rack_report.violations:
-        scan.record("derived-" + v.law, v.where)
-    scan.failures += rack_report.info["failures"] - len(rack_report.violations)
-
+    col.merge(rack_report, "derived-")
     equivariant = strict_elements(triple)
-    info = {
-        "strict": len(equivariant) == gs,
+    return col.report({
+        "strict": len(equivariant) == G.size,
         "equivariant_elements": [int(g) for g in equivariant],
         "derived_rack_passed": rack_report.passed,
-    }
-    return scan.report(info)
+    })
 
 
 def check_group_crossed_module(cm: GroupCrossedModule) -> ValidityReport:
@@ -329,67 +273,42 @@ def check_group_crossed_module(cm: GroupCrossedModule) -> ValidityReport:
     (``equivariance_failures_unrestricted``), so relaxed examples can point
     at genuine violations outside the restriction without failing the check.
     """
-    scan = _DiscreteScan()
+    col = Collector()
     M, N = cm.m, cm.n
     mu, eta = cm.mu, cm.eta
-
-    for a in range(M.size):
-        for b in range(M.size):
-            if mu[M.mul(a, b)] != N.mul(mu[a], mu[b]):
-                scan.record("boundary-homomorphism", (a, b))
-
+    Mm, Nm = M.mul_table, N.mul_table
     full_m = np.arange(M.size)
-    for m in range(M.size):
-        if eta[N.unit, m] != m:
-            scan.record("action-unit", (m,))
-    comp_l = eta[N.mul_table[:, :, None], full_m[None, None, :]]
-    comp_r = eta[np.arange(N.size)[:, None, None], eta[None, :, :]]
-    for n1, n2, m in np.argwhere(comp_l != comp_r):
-        scan.record("action-composition", (n1, n2, m))
-    for n in range(N.size):
-        if not np.array_equal(np.sort(eta[n]), full_m):
-            scan.record("action-bijective", (n,))
-        for a in range(M.size):
-            for b in range(M.size):
-                if eta[n, M.mul(a, b)] != M.mul(eta[n, a], eta[n, b]):
-                    scan.record("action-by-automorphisms", (n, a, b))
 
+    col.table("boundary-homomorphism", mu[Mm] != Nm[mu[:, None], mu])
+    col.table("action-unit", eta[N.unit] != full_m)
+    col.table("action-composition",
+              eta[Nm[:, :, None], full_m] != eta[np.arange(N.size)[:, None, None], eta])
+    col.tables(("action-bijective", np.any(np.sort(eta, axis=1) != full_m, axis=1)),
+               ("action-by-automorphisms",
+                eta[:, Mm] != Mm[eta[:, :, None], eta[:, None, :]]))
+
+    in_scope = np.ones(N.size, dtype=bool)
     if cm.n_prime is not None:
-        sub = set(cm.n_prime)
-        if N.unit not in sub:
-            scan.record("restriction-subgroup", (N.unit,))
+        sub = list(set(cm.n_prime))           # listed in set iteration order
+        in_scope = np.isin(np.arange(N.size), sub)
+        if not in_scope[N.unit]:
+            col.add("restriction-subgroup", (N.unit,))
         for a in sub:
-            if N.inv(a) not in sub:
-                scan.record("restriction-subgroup", (a,))
-            for b in sub:
-                if N.mul(a, b) not in sub:
-                    scan.record("restriction-subgroup", (a, b))
-        for m in range(M.size):
-            if mu[m] not in sub:
-                scan.record("restriction-contains-image", (m,))
-        scope = sorted(sub)
-    else:
-        scope = list(range(N.size))
+            if not in_scope[N.inverse_table[a]]:
+                col.add("restriction-subgroup", (a,))
+            for b in np.array(sub)[~in_scope[Nm[a, sub]]]:
+                col.add("restriction-subgroup", (a, b))
+        col.table("restriction-contains-image", ~in_scope[mu])
 
-    unrestricted_failures = []
-    for n in range(N.size):
-        for m in range(M.size):
-            if mu[eta[n, m]] != N.conj(n, mu[m]):
-                if n in scope:
-                    scan.record("equivariance", (n, m))
-                if len(unrestricted_failures) < MAX_LISTED_VIOLATIONS:
-                    unrestricted_failures.append((int(n), int(m)))
-
-    for a in range(M.size):
-        for b in range(M.size):
-            if eta[mu[a], b] != M.conj(a, b):
-                scan.record("peiffer", (a, b))
-
-    info = {
+    outside = Collector()
+    bad = mu[eta] != _conjugation_table(N)[:, mu]
+    col.table("equivariance", bad & in_scope[:, None])
+    outside.table("equivariance", bad)
+    col.table("peiffer", eta[mu] != _conjugation_table(M))
+    return col.report({
         "restricted": cm.n_prime is not None,
-        "equivariance_failures_unrestricted": unrestricted_failures,
-    }
-    return scan.report(info)
+        "equivariance_failures_unrestricted": [v.where for v in outside.violations],
+    })
 
 
 def augmented_rack_from_crossed_module(cm: GroupCrossedModule) -> GroupRackTriple:
@@ -413,22 +332,14 @@ def augmented_rack_from_crossed_module(cm: GroupCrossedModule) -> GroupRackTripl
 
 def conjugation_triple(group: FiniteGroup) -> GroupRackTriple:
     """The strict triple (G, G, id) with G acting on itself by conjugation."""
-    s = group.size
-    act = np.empty((s, s), dtype=np.int64)
-    for g in range(s):
-        for x in range(s):
-            act[g, x] = group.conj(g, x)
-    return GroupRackTriple(group, s, act, np.arange(s), basepoint=group.unit)
+    return GroupRackTriple(group, group.size, _conjugation_table(group),
+                           np.arange(group.size), basepoint=group.unit)
 
 
 def conjugation_crossed_module(group: FiniteGroup) -> GroupCrossedModule:
     """(G, G, id) with the conjugation action; always a strict crossed module."""
-    s = group.size
-    eta = np.empty((s, s), dtype=np.int64)
-    for n in range(s):
-        for m in range(s):
-            eta[n, m] = group.conj(n, m)
-    return GroupCrossedModule(group, group, np.arange(s), eta)
+    return GroupCrossedModule(group, group, np.arange(group.size),
+                              _conjugation_table(group))
 
 
 def check_rack_triple_morphism(source: GroupRackTriple, target: GroupRackTriple,
@@ -443,25 +354,18 @@ def check_rack_triple_morphism(source: GroupRackTriple, target: GroupRackTriple,
     phi = int_table(phi_table, (source.group.size,), target.group.size, "phi")
     psi = int_table(psi_table, (source.x_size,), target.x_size, "psi")
     Ms, Mt = source.group.mul_table, target.group.mul_table
-    for a in range(source.group.size):
-        for b in range(source.group.size):
-            if phi[Ms[a, b]] != Mt[phi[a], phi[b]]:
-                raise StructuralError(
-                    f"phi is not a group homomorphism at ({a}, {b})")
+    not_hom = np.argwhere(phi[Ms] != Mt[phi[:, None], phi])
+    if not_hom.size:
+        a, b = not_hom[0]
+        raise StructuralError(f"phi is not a group homomorphism at ({a}, {b})")
 
-    scan = _DiscreteScan()
+    col = Collector()
     if psi[source.basepoint] != target.basepoint:
-        scan.record("basepoint-preserved", (source.basepoint,))
-    for x in range(source.x_size):
-        if target.theta(psi[x]) != phi[source.theta(x)]:
-            scan.record("embedding-intertwined", (x,))
-    for g in range(source.group.size):
-        for x in range(source.x_size):
-            if psi[source.act(g, x)] != target.act(phi[g], psi[x]):
-                scan.record("action-intertwined", (g, x))
+        col.add("basepoint-preserved", (source.basepoint,))
+    col.table("embedding-intertwined",
+              target.theta_table[psi] != phi[source.theta_table])
+    col.table("action-intertwined",
+              psi[source.action_table] != target.action_table[phi[:, None], psi])
     Ts, Tt = derived_rack(source).op_table, derived_rack(target).op_table
-    for x in range(source.x_size):
-        for y in range(source.x_size):
-            if psi[Ts[x, y]] != Tt[psi[x], psi[y]]:
-                scan.record("derived-rack-map", (x, y))
-    return scan.report()
+    col.table("derived-rack-map", psi[Ts] != Tt[psi[:, None], psi])
+    return col.report()

@@ -1,13 +1,19 @@
-"""Validity reports returned by the axiom checkers.
+"""Validity reports returned by the axiom checkers, and the collector that
+builds them.
 
 A checker never raises on an axiom failure; it returns a report carrying the
 worst residual and a bounded sample of offending index tuples so that large
-inputs cannot flood the caller.
+inputs cannot flood the caller.  Every checker fills one :class:`Collector`:
+it lists violations in the order they are found, up to
+MAX_LISTED_VIOLATIONS, counts failures, tracks the maximum residual, folds
+in the reports of sub-checks, and builds the final report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 MAX_LISTED_VIOLATIONS = 20
 
@@ -51,18 +57,86 @@ class ValidityReport:
         }
 
 
-def merge_reports(*reports: ValidityReport) -> ValidityReport:
-    """Combine several reports into one, keeping the violation cap."""
-    violations = []
-    for rep in reports:
-        violations.extend(rep.violations)
-    info: dict = {}
-    for rep in reports:
-        info.update(rep.info)
-    max_residual = max((r.max_residual for r in reports), default=0.0)
-    return ValidityReport(
-        passed=all(r.passed for r in reports),
-        max_residual=float(max_residual),
-        violations=tuple(violations[:MAX_LISTED_VIOLATIONS]),
-        info=info,
-    )
+class Collector:
+    """Violations of one check, with its failure count and maximum residual.
+
+    A continuous check passes a tolerance and passes when the maximum
+    residual is at most that tolerance.  A discrete check passes none: each
+    failure counts with residual 1.0, the check passes when nothing failed,
+    and its report keeps the count in ``info["failures"]``.  A NaN residual
+    sticks as the maximum, so it always fails the check.
+    """
+
+    def __init__(self, tol: float | None = None):
+        self.tol = tol
+        self.violations: list = []
+        self.failures = 0
+        self.max_residual = 0.0
+
+    def _fold(self, residual: float):
+        if self.max_residual == self.max_residual and \
+                not residual <= self.max_residual:
+            self.max_residual = residual
+
+    def add(self, law: str, where: tuple = (), residual: float = 1.0):
+        """Record one failed instance of ``law``."""
+        self.failures += 1
+        self._fold(float(residual))
+        if len(self.violations) < MAX_LISTED_VIOLATIONS:
+            self.violations.append(
+                Violation(law, tuple(int(i) for i in where), float(residual)))
+
+    def measure(self, law: str, where: tuple, residual: float, tol=None):
+        """Fold one residual into the maximum; record it when it exceeds
+        ``tol`` (the collector's tolerance by default)."""
+        self._fold(float(residual))
+        if residual > (self.tol if tol is None else tol):
+            self.add(law, where, residual)
+
+    def scan(self, law: str, residuals):
+        """A residual array: every entry above the tolerance fails at its
+        index, in row-major order."""
+        res = np.abs(np.asarray(residuals, dtype=float))
+        if res.size:
+            self._fold(float(res.max()))
+            self.table(law, res > self.tol, res)
+
+    def table(self, law: str, bad, residuals=None, lead: tuple = ()):
+        """A boolean table: every true entry fails at ``lead`` plus its
+        index, in row-major order, with its residual (1.0 by default)."""
+        hits = np.flatnonzero(bad)
+        room = max(0, MAX_LISTED_VIOLATIONS - len(self.violations))
+        for flat in hits[:room]:
+            idx = np.unravel_index(flat, np.shape(bad))
+            self.add(law, lead + idx, 1.0 if residuals is None else residuals[idx])
+        self.failures += max(0, hits.size - room)
+        if hits.size and residuals is None:
+            self._fold(1.0)
+
+    def tables(self, *laws):
+        """Several ``(law, bad)`` tables sharing their first axis, listed
+        index by index along that axis."""
+        rows = np.zeros(len(laws[0][1]), dtype=bool)
+        for _, bad in laws:
+            rows |= np.reshape(bad, (len(rows), -1)).any(axis=1)
+        for i in np.flatnonzero(rows):
+            for law, bad in laws:
+                self.table(law, bad[i], lead=(i,))
+
+    def merge(self, report: ValidityReport, prefix: str = ""):
+        """Fold in a sub-check's report, renaming its laws with ``prefix``."""
+        self._fold(report.max_residual)
+        room = max(0, MAX_LISTED_VIOLATIONS - len(self.violations))
+        self.violations += [Violation(prefix + v.law, v.where, v.residual)
+                            for v in report.violations[:room]]
+        self.failures += report.info.get("failures", len(report.violations))
+
+    def report(self, info: dict | None = None) -> ValidityReport:
+        """The report of everything collected, with ``info`` added."""
+        if self.tol is None:
+            passed, base = self.failures == 0, {"failures": self.failures}
+        else:
+            passed, base = self.max_residual <= self.tol, {"tolerance": self.tol}
+        base.update(info or {})
+        return ValidityReport(bool(passed), self.max_residual,
+                              tuple(self.violations), base)

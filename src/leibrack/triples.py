@@ -27,11 +27,11 @@ import numpy as np
 
 from . import catalog
 from .algebra import (DEFAULT_TOL, LeibnizAlgebraData, LieAlgebraData,
-                      ModuleAction, SubspaceBasis, _scan, bracket_closure_check,
+                      ModuleAction, SubspaceBasis, bracket_closure_check,
                       check_leibniz, check_lie_algebra, check_module,
                       frozen_array, lie_algebra)
 from .errors import AxiomError, StructuralError
-from .report import MAX_LISTED_VIOLATIONS, ValidityReport, Violation, merge_reports
+from .report import Collector, ValidityReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,26 +106,19 @@ def check_triple(algebra: LieAlgebraData, action: ModuleAction,
     if theta.matrix.shape != (n, d):
         raise StructuralError(
             f"embedding tensor must be {(n, d)}, got {theta.matrix.shape}")
-    parts = [check_lie_algebra(algebra, tol), check_module(action, tol)]
+    col = Collector(tol)
+    col.merge(check_lie_algebra(algebra, tol))
+    col.merge(check_module(action, tol))
 
     B = derived_bracket_tensor(action, theta)
     Th = theta.matrix
     lhs = np.einsum("uvk,nk->uvn", B, Th)
     rhs = np.einsum("iu,jv,ijn->uvn", Th, Th, algebra.structure_constants)
-    sink: list = []
-    mx = _scan("embedding-intertwines-brackets", lhs - rhs, tol, sink)
-    parts.append(ValidityReport(mx <= tol, mx, tuple(sink), {}))
-
-    leib = check_leibniz(LeibnizAlgebraData(d, B), tol)
-    parts.append(ValidityReport(leib.passed, leib.max_residual, leib.violations, {}))
+    col.scan("embedding-intertwines-brackets", lhs - rhs)
+    col.merge(check_leibniz(LeibnizAlgebraData(d, B), tol))
 
     defect = np.max(np.abs(_defect_stack(algebra, action, theta))) if n else 0.0
-    merged = merge_reports(*parts)
-    info = dict(merged.info)
-    info.update({"tolerance": tol, "strict": bool(defect <= tol),
-                 "max_defect": float(defect)})
-    return ValidityReport(merged.passed, merged.max_residual,
-                          merged.violations, info)
+    return col.report({"strict": bool(defect <= tol), "max_defect": float(defect)})
 
 
 def build_triple(algebra: LieAlgebraData, action: ModuleAction,
@@ -202,26 +195,18 @@ def check_relaxed_augmentation(aug: RelaxedAugmentation,
     """The chosen subspace contains Im(theta), closes under the bracket, and
     every element of it has vanishing defect."""
     triple, h = aug.triple, aug.h_basis
-    sink: list = []
-    mx = 0.0
+    col = Collector(tol)
     for j in range(triple.dim_v):
-        r = h.distance(triple.theta.matrix[:, j])
-        mx = max(mx, r)
-        if r > tol and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("contains-embedding-image", (j,), float(r)))
+        col.measure("contains-embedding-image", (j,),
+                  h.distance(triple.theta.matrix[:, j]))
     for p, x in enumerate(h.vectors):
         for q, y in enumerate(h.vectors):
-            r = h.distance(triple.algebra.bracket(x, y))
-            mx = max(mx, r)
-            if r > tol and len(sink) < MAX_LISTED_VIOLATIONS:
-                sink.append(Violation("subalgebra-closure", (p, q), float(r)))
+            col.measure("subalgebra-closure", (p, q),
+                      h.distance(triple.algebra.bracket(x, y)))
     for p, x in enumerate(h.vectors):
-        r = float(np.max(np.abs(equivariance_defect(triple, x))))
-        mx = max(mx, r)
-        if r > tol and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("defect-vanishes", (p,), float(r)))
-    return ValidityReport(mx <= tol, mx, tuple(sink),
-                          {"tolerance": tol, "h_dim": h.dim})
+        col.measure("defect-vanishes", (p,),
+                  np.max(np.abs(equivariance_defect(triple, x))))
+    return col.report({"h_dim": h.dim})
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,28 +234,26 @@ def check_morphism(mor: TripleMorphism, tol: float = DEFAULT_TOL) -> ValidityRep
     """
     src, tgt = mor.source, mor.target
     phi, psi = mor.phi, mor.psi
-    sink: list = []
+    col = Collector(tol)
 
     Cs, Ct = src.algebra.structure_constants, tgt.algebra.structure_constants
     hom = np.einsum("ijm,am->ija", Cs, phi) - \
         np.einsum("ai,bj,abk->ijk", phi, phi, Ct)
-    m1 = _scan("algebra-homomorphism", hom, tol, sink)
+    col.scan("algebra-homomorphism", hom)
 
     emb = phi @ src.theta.matrix - tgt.theta.matrix @ psi
-    m2 = _scan("embedding-intertwined", emb, tol, sink)
+    col.scan("embedding-intertwined", emb)
 
     act = np.empty((src.dim_g, tgt.dim_v, src.dim_v))
     for i, e in enumerate(np.eye(src.dim_g)):
         act[i] = psi @ src.action.act(e) - tgt.action.act(phi @ e) @ psi
-    m3 = _scan("action-intertwined", act, tol, sink)
+    col.scan("action-intertwined", act)
 
     Bs, Bt = src.derived_bracket.bracket_tensor, tgt.derived_bracket.bracket_tensor
     der = np.einsum("uvm,am->uva", Bs, psi) - \
         np.einsum("au,bv,abk->uvk", psi, psi, Bt)
-    m4 = _scan("derived-leibniz-morphism", der, tol, sink)
-
-    mx = max(m1, m2, m3, m4)
-    return ValidityReport(mx <= tol, mx, tuple(sink), {"tolerance": tol})
+    col.scan("derived-leibniz-morphism", der)
+    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -310,69 +293,51 @@ def check_lie_crossed_module(cm: LieAlgebraCrossedModule,
     exhibit genuine violations without failing the check.
     """
     M, N, mu, eta = cm.m, cm.n, cm.mu, cm.eta
-    sink: list = []
-    parts = [check_lie_algebra(M, tol), check_lie_algebra(N, tol),
-             check_module(eta, tol)]
+    col = Collector(tol)
+    for part in (check_lie_algebra(M, tol), check_lie_algebra(N, tol),
+                 check_module(eta, tol)):
+        col.merge(part)
 
     hom = np.einsum("abm,nm->abn", M.structure_constants, mu) - \
         np.einsum("ia,jb,ijn->abn", mu, mu, N.structure_constants)
-    m1 = _scan("boundary-homomorphism", hom, tol, sink)
+    col.scan("boundary-homomorphism", hom)
 
     if cm.n_prime is not None:
         scope = cm.n_prime.vectors
-        sub_report_ok = bracket_closure_check(N, cm.n_prime, tol)
-        if not sub_report_ok and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("restriction-subalgebra", (), 1.0))
-        img_mx = 0.0
-        for j in range(M.dim):
-            img_mx = max(img_mx, cm.n_prime.distance(mu[:, j]))
-        if img_mx > tol and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("restriction-contains-image", (), float(img_mx)))
-        m1 = max(m1, img_mx, 0.0 if sub_report_ok else 1.0)
+        if not bracket_closure_check(N, cm.n_prime, tol):
+            col.add("restriction-subalgebra")
+        img = max(cm.n_prime.distance(mu[:, j]) for j in range(M.dim))
+        col.measure("restriction-contains-image", (), img)
     else:
         scope = np.eye(N.dim)
 
     # action by derivations of the bracket of m, for n in scope
-    der_mx = 0.0
     Bm = M.structure_constants
     for p, x in enumerate(scope):
         E = eta.act(x)
         res = (np.einsum("abm,km->abk", Bm, E)
                - np.einsum("ia,ibk->abk", E, Bm)
                - np.einsum("jb,ajk->abk", E, Bm))
-        r = float(np.max(np.abs(res))) if res.size else 0.0
-        der_mx = max(der_mx, r)
-        if r > tol and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("action-by-derivations", (p,), r))
+        col.measure("action-by-derivations", (p,),
+                  np.max(np.abs(res)) if res.size else 0.0)
 
     # condition one: mu(eta(n)(m)) = [n, mu(m)], n in scope
-    eq_mx = 0.0
-    for p, x in enumerate(scope):
-        res = mu @ eta.act(x) - N.ad(x) @ mu
-        r = float(np.max(np.abs(res)))
-        eq_mx = max(eq_mx, r)
-        if r > tol and len(sink) < MAX_LISTED_VIOLATIONS:
-            sink.append(Violation("equivariance", (p,), r))
+    def equivariance(x):
+        return np.abs(mu @ eta.act(x) - N.ad(x) @ mu)
 
-    unrestricted = []
-    for i, x in enumerate(np.eye(N.dim)):
-        res = mu @ eta.act(x) - N.ad(x) @ mu
-        for j in range(M.dim):
-            r = float(np.max(np.abs(res[:, j])))
-            if r > tol and len(unrestricted) < MAX_LISTED_VIOLATIONS:
-                unrestricted.append((int(i), int(j), r))
+    for p, x in enumerate(scope):
+        col.measure("equivariance", (p,), np.max(equivariance(x)))
+    outside = Collector(tol)            # condition one on all of n, per (n, m)
+    outside.scan("equivariance",
+                 [np.max(equivariance(x), axis=0) for x in np.eye(N.dim)])
 
     # condition two: eta(mu(m))(m') = [m, m']
     pf_res = np.stack([eta.act(mu @ e) - M.ad(e) for e in np.eye(M.dim)])
-    m2 = _scan("peiffer", pf_res, tol, sink)
-
-    mx = max([m1, der_mx, eq_mx, m2] + [p.max_residual for p in parts])
-    merged = merge_reports(*parts)
-    all_sink = list(merged.violations) + sink
-    info = {"tolerance": tol, "restricted": cm.n_prime is not None,
-            "equivariance_failures_unrestricted": unrestricted}
-    return ValidityReport(mx <= tol and merged.passed, mx,
-                          tuple(all_sink[:MAX_LISTED_VIOLATIONS]), info)
+    col.scan("peiffer", pf_res)
+    return col.report({
+        "restricted": cm.n_prime is not None,
+        "equivariance_failures_unrestricted": [
+            v.where + (v.residual,) for v in outside.violations]})
 
 
 def triple_from_crossed_module(cm: LieAlgebraCrossedModule,

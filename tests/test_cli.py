@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ import pytest
 from leibrack import catalog
 from leibrack.cli import (EXIT_AXIOM, EXIT_CAPABILITY, EXIT_PASS,
                           EXIT_STRUCTURAL, main)
+from leibrack.report import MAX_LISTED_VIOLATIONS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 NONABELIAN2 = {
     "dim": 2,
@@ -193,6 +197,22 @@ def test_integrate_flags_override_config(tmp_path, capsys):
     assert payload["scheme"] == "central"
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_integrate_rejects_samples_below_one_from_flag(samples, capsys):
+    assert main(["integrate", "--builtin", "sl2-adjoint",
+                 "--samples", samples]) == EXIT_STRUCTURAL
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err
+    assert "[PASS]" not in captured.out
+
+
+def test_integrate_rejects_samples_below_one_from_config(tmp_path, capsys):
+    path = write_doc(tmp_path, "nosamples.json",
+                     scaling_doc(2.0, config={"samples": 0}))
+    assert main(["integrate", path]) == EXIT_STRUCTURAL
+    assert "config.samples" in capsys.readouterr().err
+
+
 def test_integrate_rejects_rack_specs(tmp_path, capsys):
     path = write_doc(tmp_path, "rack.json", rack_doc())
     assert main(["integrate", path]) == EXIT_STRUCTURAL
@@ -283,3 +303,20 @@ def test_corpus_json(capsys):
     assert "strict_from_ideal" in kinds
     assert any("perturbed" in k for k in kinds)
     assert any("conjugation" in row["case"] for row in payload["cases"])
+
+
+def test_verify_json_golden_s3_conjugation(capsys):
+    assert main(["verify", "--builtin", "s3-conjugation",
+                 "--format", "json"]) == EXIT_PASS
+    golden = (GOLDEN / "verify_s3_conjugation.json").read_text("utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_verify_json_golden_broken_rack(tmp_path, capsys):
+    doc = rack_doc()
+    doc["action_table"][1] = np.roll(doc["action_table"][1], 1).tolist()
+    path = write_doc(tmp_path, "rolled.json", doc)
+    assert main(["verify", path, "--format", "json"]) == EXIT_AXIOM
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "verify_broken_rack.json").read_text("utf-8")
+    assert json.loads(out)["triple"]["info"]["failures"] > MAX_LISTED_VIOLATIONS

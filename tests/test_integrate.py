@@ -128,6 +128,18 @@ def test_law_suites_pass_on_models():
         assert e.info["samples_used"] > 0
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_law_suites_fail_without_samples(samples):
+    model = scaling_model(2.0)
+    for suite in (check_local_group_set_laws, check_local_rack_laws,
+                  check_equivariance):
+        report = suite(model, samples=samples)
+        assert not report.passed
+        assert report.info["samples_used"] == 0
+        assert [v.law for v in report.violations] == ["samples-used"]
+    assert not run_integration_suites(model, samples=samples).passed
+
+
 def test_equivariance_suite_uses_restricted_directions():
     model = scaling_model(0.5)
     report = check_equivariance(model, samples=30, seed=4)

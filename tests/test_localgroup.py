@@ -13,6 +13,7 @@ from leibrack import (AxiomError, CapabilityError, ChartError, DiffConfig,
                       group_inverse, group_mul, lie_algebra, log_matrix,
                       mixed_second_derivative, working_rep)
 from leibrack import catalog
+from leibrack.report import MAX_LISTED_VIOLATIONS
 
 
 def heisenberg_rep() -> MatrixRep:
@@ -195,6 +196,15 @@ def test_check_rep_detects_unfaithful_stack():
     assert any(v.law == "faithful" for v in report.violations)
     assert all(v.law != "representation-homomorphism"
                for v in report.violations)
+
+
+def test_check_rep_lists_at_most_the_cap():
+    alg = catalog.sl2()
+    R = np.random.default_rng(5).standard_normal((3, 4, 4))
+    R[2] = R[0]                               # not a homomorphism, not faithful
+    report = check_rep(MatrixRep(alg, R))
+    assert not report.passed
+    assert len(report.violations) == MAX_LISTED_VIOLATIONS
 
 
 def test_adjoint_rep_needs_trivial_center():

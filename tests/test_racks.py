@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from leibrack import (AxiomError, FiniteGroup, FiniteRack, GroupCrossedModule,
 from leibrack import catalog
 from leibrack.examples import (inclusion_crossed_module_z3_s3,
                                relaxed_crossed_module_z3_s3)
+from leibrack.report import MAX_LISTED_VIOLATIONS
 
 
 def self_distributivity_failures_by_loops(T: np.ndarray) -> list:
@@ -266,3 +269,262 @@ def test_table_shape_validation():
         GroupRackTriple(catalog.symmetric3(), 3,
                         np.zeros((6, 3), dtype=int),
                         np.zeros(4, dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# loop oracles: the element-by-element forms of the discrete checkers, kept
+# to pin the listing order, failure counts and info of the table forms
+# ---------------------------------------------------------------------------
+
+class LoopScan:
+    """Records discrete failures the way a loop-based checker lists them."""
+
+    def __init__(self):
+        self.listed: list = []
+        self.failures = 0
+
+    def record(self, law, where):
+        self.failures += 1
+        if len(self.listed) < MAX_LISTED_VIOLATIONS:
+            self.listed.append({"law": law, "where": [int(i) for i in where],
+                                "residual": 1.0})
+
+    def to_dict(self, **info) -> dict:
+        info["failures"] = self.failures
+        return {"passed": self.failures == 0,
+                "max_residual": 0.0 if self.failures == 0 else 1.0,
+                "violations": self.listed,
+                "info": {k: info[k] for k in sorted(info)}}
+
+
+def rack_by_loops(rack: FiniteRack) -> dict:
+    scan, T, s = LoopScan(), rack.op_table, rack.size
+    for x in range(s):
+        if sorted(T[x]) != list(range(s)):
+            scan.record("left-translation-bijective", (x,))
+    for x, y, z in self_distributivity_failures_by_loops(T):
+        scan.record("self-distributivity", (x, y, z))
+    if rack.basepoint is not None:
+        p = rack.basepoint
+        for y in range(s):
+            if T[p, y] != y:
+                scan.record("basepoint-acts-trivially", (y,))
+        for x in range(s):
+            if T[x, p] != p:
+                scan.record("basepoint-fixed", (x,))
+    return scan.to_dict(pointed=rack.basepoint is not None)
+
+
+def rack_triple_by_loops(triple: GroupRackTriple) -> dict:
+    scan, G = LoopScan(), triple.group
+    act, th, xs = triple.action_table, triple.theta_table, triple.x_size
+    for x in range(xs):
+        if act[G.unit, x] != x:
+            scan.record("unit-acts-trivially", (x,))
+    for g in range(G.size):
+        for h in range(G.size):
+            for x in range(xs):
+                if act[G.mul(g, h), x] != act[g, act[h, x]]:
+                    scan.record("group-set-composition", (g, h, x))
+    if th[triple.basepoint] != G.unit:
+        scan.record("basepoint-embeds-to-unit", (triple.basepoint,))
+    for x in range(xs):
+        for y in range(xs):
+            if th[act[th[x], y]] != G.conj(th[x], th[y]):
+                scan.record("embedding-conjugation", (x, y))
+    derived = rack_by_loops(derived_rack(triple))
+    for v in derived["violations"]:
+        scan.record("derived-" + v["law"], v["where"])
+    scan.failures += derived["info"]["failures"] - len(derived["violations"])
+    equivariant = [g for g in range(G.size)
+                   if all(G.conj(g, th[x]) == th[act[g, x]] for x in range(xs))]
+    return scan.to_dict(strict=len(equivariant) == G.size,
+                        equivariant_elements=equivariant,
+                        derived_rack_passed=derived["passed"])
+
+
+def crossed_module_by_loops(cm: GroupCrossedModule) -> dict:
+    scan, M, N, mu, eta = LoopScan(), cm.m, cm.n, cm.mu, cm.eta
+    for a in range(M.size):
+        for b in range(M.size):
+            if mu[M.mul(a, b)] != N.mul(mu[a], mu[b]):
+                scan.record("boundary-homomorphism", (a, b))
+    for m in range(M.size):
+        if eta[N.unit, m] != m:
+            scan.record("action-unit", (m,))
+    for n1 in range(N.size):
+        for n2 in range(N.size):
+            for m in range(M.size):
+                if eta[N.mul(n1, n2), m] != eta[n1, eta[n2, m]]:
+                    scan.record("action-composition", (n1, n2, m))
+    for n in range(N.size):
+        if sorted(eta[n]) != list(range(M.size)):
+            scan.record("action-bijective", (n,))
+        for a in range(M.size):
+            for b in range(M.size):
+                if eta[n, M.mul(a, b)] != M.mul(eta[n, a], eta[n, b]):
+                    scan.record("action-by-automorphisms", (n, a, b))
+    scope = range(N.size)
+    if cm.n_prime is not None:
+        sub = set(cm.n_prime)
+        if N.unit not in sub:
+            scan.record("restriction-subgroup", (N.unit,))
+        for a in sub:
+            if N.inv(a) not in sub:
+                scan.record("restriction-subgroup", (a,))
+            for b in sub:
+                if N.mul(a, b) not in sub:
+                    scan.record("restriction-subgroup", (a, b))
+        for m in range(M.size):
+            if mu[m] not in sub:
+                scan.record("restriction-contains-image", (m,))
+        scope = sorted(sub)
+    unrestricted = []
+    for n in range(N.size):
+        for m in range(M.size):
+            if mu[eta[n, m]] != N.conj(n, mu[m]):
+                if n in scope:
+                    scan.record("equivariance", (n, m))
+                if len(unrestricted) < MAX_LISTED_VIOLATIONS:
+                    unrestricted.append((n, m))
+    for a in range(M.size):
+        for b in range(M.size):
+            if eta[mu[a], b] != M.conj(a, b):
+                scan.record("peiffer", (a, b))
+    return scan.to_dict(restricted=cm.n_prime is not None,
+                        equivariance_failures_unrestricted=unrestricted)
+
+
+def morphism_by_loops(source, target, phi, psi) -> dict:
+    Gs, Gt = source.group, target.group
+    for a in range(Gs.size):
+        for b in range(Gs.size):
+            if phi[Gs.mul(a, b)] != Gt.mul(phi[a], phi[b]):
+                raise StructuralError(
+                    f"phi is not a group homomorphism at ({a}, {b})")
+    scan = LoopScan()
+    if psi[source.basepoint] != target.basepoint:
+        scan.record("basepoint-preserved", (source.basepoint,))
+    for x in range(source.x_size):
+        if target.theta(psi[x]) != phi[source.theta(x)]:
+            scan.record("embedding-intertwined", (x,))
+    for g in range(Gs.size):
+        for x in range(source.x_size):
+            if psi[source.act(g, x)] != target.act(phi[g], psi[x]):
+                scan.record("action-intertwined", (g, x))
+    Ts, Tt = derived_rack(source).op_table, derived_rack(target).op_table
+    for x in range(source.x_size):
+        for y in range(source.x_size):
+            if psi[Ts[x, y]] != Tt[psi[x], psi[y]]:
+                scan.record("derived-rack-map", (x, y))
+    return scan.to_dict()
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    return catalog.group_from_permutations(permutations(range(n)))
+
+
+def conjugation_by_loops(group: FiniteGroup) -> np.ndarray:
+    s = group.size
+    return np.array([[group.conj(g, x) for x in range(s)] for g in range(s)])
+
+
+def sign_system(n: int) -> GroupCrossedModule:
+    """Z2 acting on S_n by conjugation with the transposition at index 1,
+    with the sign map as boundary."""
+    sign = [sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2
+            for p in sorted(permutations(range(n)))]
+    G = symmetric_group(n)
+    eta = np.stack([np.arange(G.size), conjugation_by_loops(G)[1]])
+    return GroupCrossedModule(G, catalog.cyclic_group(2), np.array(sign), eta)
+
+
+def broken_system(n: int, family: str, kind: str):
+    """A crossed module over S_n broken in one named way, its unbroken
+    form, and a psi for morphisms between their rack triples.
+    ``conjugation`` is S_n acting on itself; ``sign`` is
+    :func:`sign_system`, whose few action-composition failures leave room
+    to list the interleaved laws."""
+    clean = (sign_system(n) if family == "sign" else
+             conjugation_crossed_module(symmetric_group(n)))
+    M, N = clean.m, clean.n
+    eta, psi = np.array(clean.eta), np.arange(M.size)
+    if kind == "rolled-eta-row":
+        eta[1] = np.roll(eta[1], 1)
+    elif kind == "trivial-eta":
+        eta[:] = np.arange(M.size)
+    elif kind == "eta-row-not-bijective":
+        eta[0, 1] = eta[0, 0]
+        eta[1, 2] = eta[1, 3]
+    elif kind == "swapped-mul-entry":
+        table = np.array(M.mul_table)
+        table[1, 2], table[1, 3] = table[1, 3], table[1, 2]
+        M = FiniteGroup(M.size, table, M.inverse_table)
+        N = M if clean.n is clean.m else N    # also breaks phi = id
+    elif kind == "rolled-action-row":
+        eta[0] = np.roll(eta[0], 2)
+    elif kind == "swapped-psi":
+        psi[[1, 2]] = psi[[2, 1]]
+    return GroupCrossedModule(M, N, clean.mu, eta), clean, psi
+
+
+def rack_triple_of(cm: GroupCrossedModule) -> GroupRackTriple:
+    return GroupRackTriple(cm.n, cm.m.size, cm.eta, cm.mu, basepoint=0)
+
+
+def outcome(check, *args):
+    """The report as a dict, or the message of the StructuralError."""
+    try:
+        result = check(*args)
+    except StructuralError as exc:
+        return f"StructuralError: {exc}"
+    return result if isinstance(result, dict) else result.to_dict()
+
+
+BROKEN = ["rolled-eta-row", "trivial-eta", "eta-row-not-bijective",
+          "swapped-mul-entry", "rolled-action-row", "swapped-psi"]
+SYSTEMS = [(n, family, kind) for n in (3, 4) for family in ("conjugation", "sign")
+           for kind in BROKEN]
+
+
+def restrictions(n: int, size: int) -> list:
+    """No restriction, a subgroup, a set that is not a subgroup, and one
+    whose set iteration order is not sorted, for N = Z2 or N = S_n."""
+    if size == 2:
+        return [None, (0,), (1,), (0, 1)]
+    fixing_last = tuple(i for i, p in enumerate(sorted(permutations(range(n))))
+                        if p[-1] == n - 1)
+    return [None, fixing_last, (0, 1, 3), (0, 5, 9) if size > 9 else (1, 2)]
+
+
+@pytest.mark.parametrize("n, family, kind", SYSTEMS)
+def test_crossed_module_matches_loop_oracle(n, family, kind):
+    cm, _, _ = broken_system(n, family, kind)
+    for n_prime in restrictions(n, cm.n.size):
+        restricted = GroupCrossedModule(cm.m, cm.n, cm.mu, cm.eta, n_prime)
+        assert check_group_crossed_module(restricted).to_dict() == \
+            crossed_module_by_loops(restricted), n_prime
+
+
+@pytest.mark.parametrize("n, family, kind", SYSTEMS)
+def test_rack_triple_and_morphism_match_loop_oracle(n, family, kind):
+    cm, clean, psi = broken_system(n, family, kind)
+    triple, clean = rack_triple_of(cm), rack_triple_of(clean)
+    assert check_group_rack_triple(triple).to_dict() == \
+        rack_triple_by_loops(triple)
+    phi = np.arange(cm.n.size)
+    for source, target in ((triple, clean), (clean, triple), (triple, triple)):
+        assert outcome(check_rack_triple_morphism, source, target, phi, psi) \
+            == outcome(morphism_by_loops, source, target, phi, psi)
+    if kind == "swapped-mul-entry" and family == "conjugation":
+        assert outcome(check_rack_triple_morphism, triple, clean, phi, psi) \
+            .startswith("StructuralError: phi is not a group homomorphism")
+
+
+def test_loop_oracle_inputs_reach_the_interleaved_laws():
+    cm, _, _ = broken_system(3, "sign", "eta-row-not-bijective")
+    report = check_group_crossed_module(cm)
+    laws = [v.law for v in report.violations]
+    assert laws.index("action-bijective") < laws.index("action-by-automorphisms")
+    assert laws.count("action-bijective") == 2
+    assert report.info["failures"] > MAX_LISTED_VIOLATIONS
