@@ -3,7 +3,7 @@ integration bridge between them, with everything axiom-checked numerically."""
 
 from .algebra import (DEFAULT_TOL, LeibnizAlgebraData, LieAlgebraData,
                       ModuleAction, SubspaceBasis, bracket_closure_check,
-                      check_leibniz, check_lie_algebra, check_module,
+                      brackets, check_leibniz, check_lie_algebra, check_module,
                       ideal_check, lie_algebra)
 from .errors import (AxiomError, CapabilityError, ChartError, DomainError,
                      LeibrackError, MembershipError, StructuralError)
@@ -35,7 +35,7 @@ from .triples import (EmbeddingTensor, LieAlgebraCrossedModule,
                       identity_crossed_module, is_strict,
                       max_strictness_subalgebra, random_triple,
                       scaling_crossed_module, scaling_triple,
-                      triple_from_crossed_module)
+                      triple_from_crossed_module, triple_reports)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -14,9 +14,13 @@ layout as C with no antisymmetry requirement.
 
 Constructors validate shapes only and freeze their arrays; the defining
 identities are checked by the ``check_*`` functions, which return a
-:class:`~leibrack.report.ValidityReport` instead of raising.  All residuals
-are absolute and compared against a configurable tolerance (default 1e-9,
-adequate for the integer-derived catalog data and well above float64 noise).
+:class:`~leibrack.report.ValidityReport` instead of raising.  Each law is one
+residual array over all its basis tuples, evaluated at once with einsum and
+scanned in row-major order; the brackets of whole stacks of vectors come
+from :func:`brackets`, and subspace membership from
+:meth:`SubspaceBasis.distance` on a stack.  All residuals are absolute and
+compared against a configurable tolerance (default 1e-9, adequate for the
+integer-derived catalog data and well above float64 noise).
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ class LieAlgebraData:
 
     def adjoint_action(self) -> "ModuleAction":
         """The algebra acting on itself by ad."""
-        mats = np.stack([self.ad(e) for e in np.eye(self.dim)])
-        return ModuleAction(self, self.dim, mats)
+        return ModuleAction(self, self.dim,
+                            np.swapaxes(self.structure_constants, 1, 2))
 
 
 def lie_algebra(structure_constants, labels=None) -> LieAlgebraData:
@@ -164,21 +168,24 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def distance(self, vec) -> float:
-        """Euclidean distance from vec to the subspace (least squares)."""
-        v = np.asarray(vec, dtype=float)
-        if v.shape != (self.ambient_dim,):
+    def distance(self, vecs):
+        """Euclidean distance to the subspace (least squares): a float for
+        one vector, an array of shape ``vecs.shape[:-1]`` for a stack."""
+        v = np.asarray(vecs, dtype=float)
+        if v.ndim == 0 or v.shape[-1] != self.ambient_dim:
             raise StructuralError(f"expected vector of length {self.ambient_dim}")
-        if self.dim == 0:
-            return float(np.linalg.norm(v))
-        coeff, *_ = np.linalg.lstsq(self.vectors.T, v, rcond=None)
-        return float(np.linalg.norm(self.vectors.T @ coeff - v))
+        cols = v.reshape(-1, self.ambient_dim).T
+        if self.dim and cols.size:
+            coeff, *_ = np.linalg.lstsq(self.vectors.T, cols, rcond=None)
+            cols = self.vectors.T @ coeff - cols
+        dist = np.linalg.norm(cols, axis=0).reshape(v.shape[:-1])
+        return float(dist) if v.ndim == 1 else dist
 
     def contains(self, vec, tol: float = DEFAULT_TOL) -> bool:
         return self.distance(vec) <= tol
 
     def contains_all(self, vectors, tol: float = DEFAULT_TOL) -> bool:
-        return all(self.contains(v, tol) for v in np.atleast_2d(np.asarray(vectors, float)))
+        return bool(np.all(self.distance(np.atleast_2d(vectors)) <= tol))
 
     def spans_same(self, other: "SubspaceBasis", tol: float = DEFAULT_TOL) -> bool:
         """True when both spans contain each other's basis vectors."""
@@ -231,16 +238,18 @@ def check_leibniz(leib: LeibnizAlgebraData, tol: float = DEFAULT_TOL) -> Validit
                        "antisymmetry_residual": anti})
 
 
+def brackets(C: np.ndarray, X, Y) -> np.ndarray:
+    """[x, y] for every row x of X and row y of Y, shape (len X, len Y, n)."""
+    return np.einsum("pi,qj,ijk->pqk", X, Y, C, optimize=True)
+
+
 def bracket_closure_check(alg: LieAlgebraData, sub: SubspaceBasis,
                           tol: float = DEFAULT_TOL) -> bool:
     """True when [sub, sub] stays inside sub (least-squares membership)."""
     if sub.ambient_dim != alg.dim:
         raise StructuralError("subspace lives in a different ambient space")
-    for x in sub.vectors:
-        for y in sub.vectors:
-            if sub.distance(alg.bracket(x, y)) > tol:
-                return False
-    return True
+    W = sub.vectors
+    return not np.any(sub.distance(brackets(alg.structure_constants, W, W)) > tol)
 
 
 def ideal_check(alg: LieAlgebraData, sub: SubspaceBasis,
@@ -248,8 +257,5 @@ def ideal_check(alg: LieAlgebraData, sub: SubspaceBasis,
     """True when [g, sub] stays inside sub."""
     if sub.ambient_dim != alg.dim:
         raise StructuralError("subspace lives in a different ambient space")
-    for x in np.eye(alg.dim):
-        for y in sub.vectors:
-            if sub.distance(alg.bracket(x, y)) > tol:
-                return False
-    return True
+    return not np.any(sub.distance(brackets(
+        alg.structure_constants, np.eye(alg.dim), sub.vectors)) > tol)

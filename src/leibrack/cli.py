@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import catalog
-from .algebra import SubspaceBasis, check_lie_algebra, check_module, \
-    LieAlgebraData, ModuleAction
+from .algebra import SubspaceBasis, LieAlgebraData, ModuleAction
 from .errors import AxiomError, CapabilityError, ChartError, DomainError, \
     LeibrackError, MembershipError, StructuralError
 from .integrate import build_model, run_integration_suites
@@ -32,9 +32,10 @@ from .localgroup import DiffConfig, MatrixRep
 from .racks import FiniteGroup, GroupRackTriple, check_group, \
     check_group_rack_triple, conjugation_triple, strict_elements
 from .report import ValidityReport
-from .triples import EmbeddingTensor, LieLeibnizTriple, TripleMorphism, \
-    build_triple, check_morphism, check_triple, ideal_triple, is_strict, \
-    max_strictness_subalgebra, random_triple, scaling_triple
+from .triples import EmbeddingTensor, LieLeibnizTriple, RelaxedAugmentation, \
+    TripleMorphism, build_triple, check_morphism, check_relaxed_augmentation, \
+    check_triple, ideal_triple, is_strict, max_strictness_subalgebra, \
+    random_triple, scaling_triple, triple_reports
 
 EXIT_PASS = 0
 EXIT_AXIOM = 2
@@ -65,9 +66,25 @@ def load_document(path: str) -> dict:
 
 
 def _need(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{where} must be an object")
     if key not in doc:
         raise StructuralError(f"{where}: missing key {key!r}")
     return doc[key]
+
+
+def _numbers(value, field: str, kind=None):
+    """``value`` as ``kind`` (int or float), or as a float array when no kind
+    is given.  A StructuralError names ``field`` when the value does not
+    convert or a float is not finite."""
+    try:
+        out = np.asarray(value, dtype=float) if kind is None else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise StructuralError(f"{field} must be numeric") from None
+    finite = (kind is int or math.isfinite(out)) if kind else np.isfinite(out).all()
+    if not finite:
+        raise StructuralError(f"{field} must be finite")
+    return out
 
 
 def algebra_from_doc(doc: dict) -> LieAlgebraData:
@@ -98,12 +115,13 @@ def algebra_from_doc(doc: dict) -> LieAlgebraData:
                 f"lie_algebra.structure_constants[{pos}]: duplicate entry "
                 f"({i}, {j}, {k})")
         seen.add((i, j, k))
-        C[i, j, k] = float(value)
+        C[i, j, k] = _numbers(value, f"lie_algebra.structure_constants[{pos}]",
+                              float)
     labels = doc.get("labels")
     if labels is None:
         labels = tuple(f"e{i}" for i in range(dim))
-    if len(labels) != dim:
-        raise StructuralError("lie_algebra.labels has the wrong length")
+    if not isinstance(labels, (list, tuple)) or len(labels) != dim:
+        raise StructuralError(f"lie_algebra.labels must be a list of {dim} labels")
     return LieAlgebraData(dim, tuple(labels), C)
 
 
@@ -114,11 +132,10 @@ def triple_parts_from_doc(doc: dict, where: str = "spec") -> dict:
     dim_v = _need(module, "dim_v", "module")
     if not isinstance(dim_v, int) or dim_v <= 0:
         raise StructuralError("module.dim_v must be a positive integer")
-    action = ModuleAction(alg, dim_v,
-                          np.asarray(_need(module, "action_matrices", "module"),
-                                     dtype=float))
-    theta = EmbeddingTensor(np.asarray(_need(_need(doc, "theta", where),
-                                             "matrix", "theta"), dtype=float))
+    action = ModuleAction(alg, dim_v, _numbers(
+        _need(module, "action_matrices", "module"), "module.action_matrices"))
+    theta = EmbeddingTensor(_numbers(_need(_need(doc, "theta", where),
+                                           "matrix", "theta"), "theta.matrix"))
     if theta.matrix.shape != (alg.dim, dim_v):
         raise StructuralError(
             f"theta.matrix must be {(alg.dim, dim_v)}, got {theta.matrix.shape}")
@@ -128,16 +145,16 @@ def triple_parts_from_doc(doc: dict, where: str = "spec") -> dict:
              "morphism": doc.get("morphism")}
     if "faithful_rep" in doc:
         blk = doc["faithful_rep"]
-        mats = np.asarray(_need(blk, "matrices", "faithful_rep"), dtype=float)
+        mats = _numbers(_need(blk, "matrices", "faithful_rep"),
+                        "faithful_rep.matrices")
         m = blk.get("matrix_dim", mats.shape[1] if mats.ndim == 3 else 0)
         if mats.ndim != 3 or mats.shape != (alg.dim, m, m):
             raise StructuralError(
                 f"faithful_rep.matrices must be ({alg.dim}, m, m)")
         parts["rep"] = MatrixRep(alg, mats)
     if "h_basis" in doc:
-        parts["h_basis"] = SubspaceBasis(
-            alg.dim, np.asarray(_need(doc["h_basis"], "vectors", "h_basis"),
-                                dtype=float))
+        parts["h_basis"] = SubspaceBasis(alg.dim, _numbers(
+            _need(doc["h_basis"], "vectors", "h_basis"), "h_basis.vectors"))
     if not isinstance(parts["config"], dict):
         raise StructuralError("config must be an object")
     return parts
@@ -149,13 +166,14 @@ def rack_triple_from_doc(doc: dict) -> GroupRackTriple:
     mul = np.asarray(_need(grp, "mul_table", "group"))
     if not isinstance(size, int) or mul.shape != (size, size):
         raise StructuralError("group.mul_table must be size x size")
-    group = FiniteGroup.from_mul_table(mul, unit=int(grp.get("unit", 0)))
+    group = FiniteGroup.from_mul_table(
+        mul, unit=_numbers(grp.get("unit", 0), "group.unit", int))
     return GroupRackTriple(
         group,
-        int(_need(doc, "x_size", "spec")),
+        _numbers(_need(doc, "x_size", "spec"), "x_size", int),
         np.asarray(_need(doc, "action_table", "spec")),
         np.asarray(_need(doc, "theta_table", "spec")),
-        basepoint=int(doc.get("basepoint", 0)),
+        basepoint=_numbers(doc.get("basepoint", 0), "basepoint", int),
     )
 
 
@@ -249,9 +267,7 @@ def _verify_rack(triple: GroupRackTriple, fmt: str) -> int:
 
 def _verify_triple(parts: dict, tol: float, fmt: str) -> int:
     alg, action, theta = parts["algebra"], parts["action"], parts["theta"]
-    alg_rep = check_lie_algebra(alg, tol)
-    mod_rep = check_module(action, tol)
-    tri_rep = check_triple(alg, action, theta, tol)
+    alg_rep, mod_rep, tri_rep = triple_reports(alg, action, theta, tol)
     passed = tri_rep.passed
     lines = [
         _check_line("lie algebra axioms", alg_rep),
@@ -264,7 +280,7 @@ def _verify_triple(parts: dict, tol: float, fmt: str) -> int:
 
     if passed:
         triple = LieLeibnizTriple(alg, action, theta)
-        strict = is_strict(triple, tol)
+        strict = tri_rep.info["strict"]
         h = max_strictness_subalgebra(triple, tol)
         lines.append(f"strict: {'yes' if strict else 'no'}")
         lines.append(f"largest equivariant subalgebra: dim {h.dim} of {alg.dim}")
@@ -272,7 +288,6 @@ def _verify_triple(parts: dict, tol: float, fmt: str) -> int:
         payload["h_dim"] = int(h.dim)
 
         if parts["h_basis"] is not None:
-            from .triples import RelaxedAugmentation, check_relaxed_augmentation
             aug_rep = check_relaxed_augmentation(
                 RelaxedAugmentation(triple, parts["h_basis"]), tol)
             lines.append(_check_line("relaxed augmentation", aug_rep))
@@ -293,9 +308,10 @@ def _verify_triple(parts: dict, tol: float, fmt: str) -> int:
                 target = LieLeibnizTriple(tgt_parts["algebra"],
                                           tgt_parts["action"],
                                           tgt_parts["theta"])
-                mor = TripleMorphism(triple, target,
-                                     np.asarray(_need(blk, "phi", "morphism"), float),
-                                     np.asarray(_need(blk, "psi", "morphism"), float))
+                mor = TripleMorphism(
+                    triple, target,
+                    _numbers(_need(blk, "phi", "morphism"), "morphism.phi"),
+                    _numbers(_need(blk, "psi", "morphism"), "morphism.psi"))
                 mor_rep = check_morphism(mor, tol)
                 lines.append(_check_line("morphism laws", mor_rep))
                 payload["morphism"] = mor_rep.to_dict()
@@ -327,28 +343,29 @@ def cmd_integrate(args) -> int:
     parts = obj
     config = parts["config"]
 
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        if key in config:
-            return config[key]
-        return fallback
+    def pick(key, fallback, kind=float):
+        """The flag, else the config entry (as ``kind``), else ``fallback``;
+        and the name of the field it came from."""
+        flag = getattr(args, key)
+        field = f"--{key}" if flag is not None else f"config.{key}"
+        value = flag if flag is not None else config.get(key)
+        return (fallback if value is None else _numbers(value, field, kind)), field
 
-    step = float(pick(args.step, "step", 1e-4))
-    scheme = str(pick(args.scheme, "scheme", "central"))
-    samples = int(pick(args.samples, "samples", 200))
+    step, _ = pick("step", 1e-4)
+    scheme = str(args.scheme or config.get("scheme", "central"))
+    samples, field = pick("samples", 200, int)
     if samples < 1:
-        field = "--samples" if args.samples is not None else "config.samples"
         raise StructuralError(f"{field} must be at least 1, got {samples}")
-    seed = int(pick(args.seed, "seed", 0))
-    tolerance = float(pick(args.tolerance, "tolerance", 1e-4))
-    radius = pick(args.radius, "radius", None)
+    seed, _ = pick("seed", 0, int)
+    tolerance, field = pick("tolerance", 1e-4)
+    if not tolerance > 0:
+        raise StructuralError(f"{field} must be positive, got {tolerance}")
+    radius, _ = pick("radius", None)
 
     triple = build_triple(parts["algebra"], parts["action"], parts["theta"])
-    cfg = DiffConfig(step=step, scheme=scheme, tolerance=tolerance)
+    cfg = DiffConfig(step=step, scheme=scheme)
     model = build_model(triple, rep=parts["rep"], h_basis=parts["h_basis"],
-                        radius=None if radius is None else float(radius),
-                        cfg=cfg)
+                        radius=radius, cfg=cfg)
     report = run_integration_suites(model, samples=samples, seed=seed,
                                     roundtrip_tol=tolerance)
 

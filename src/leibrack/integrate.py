@@ -340,7 +340,7 @@ def _shrink_once(run, cfg: DiffConfig):
     try:
         return run(cfg)
     except (DomainError, ChartError, MembershipError):
-        smaller = DiffConfig(cfg.step / 10.0, cfg.scheme, cfg.tolerance)
+        smaller = DiffConfig(cfg.step / 10.0, cfg.scheme)
         return run(smaller)
 
 

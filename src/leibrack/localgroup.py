@@ -296,19 +296,16 @@ def chart_section(g: GroupElement, subspace: SubspaceBasis | None = None,
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """Step size, scheme and comparison tolerance for numerical derivatives."""
+    """Step size and scheme for numerical derivatives."""
 
     step: float = 1e-4
     scheme: str = "central"
-    tolerance: float = 1e-5
 
     def __post_init__(self):
         if not (self.step > 0):
             raise StructuralError("step must be positive")
         if self.scheme not in ("central", "richardson"):
             raise StructuralError("scheme must be 'central' or 'richardson'")
-        if not (self.tolerance > 0):
-            raise StructuralError("tolerance must be positive")
 
 
 def derivative_at_identity(curve, cfg: DiffConfig = DiffConfig()) -> np.ndarray:

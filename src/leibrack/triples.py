@@ -28,8 +28,8 @@ import numpy as np
 from . import catalog
 from .algebra import (DEFAULT_TOL, LeibnizAlgebraData, LieAlgebraData,
                       ModuleAction, SubspaceBasis, bracket_closure_check,
-                      check_leibniz, check_lie_algebra, check_module,
-                      frozen_array, lie_algebra)
+                      brackets, check_leibniz, check_lie_algebra,
+                      check_module, frozen_array, lie_algebra)
 from .errors import AxiomError, StructuralError
 from .report import Collector, ValidityReport
 
@@ -91,6 +91,32 @@ class LieLeibnizTriple:
         return self.action.dim_v
 
 
+def triple_reports(algebra: LieAlgebraData, action: ModuleAction,
+                   theta: EmbeddingTensor, tol: float = DEFAULT_TOL) -> tuple:
+    """The Lie algebra, module and :func:`check_triple` reports of raw
+    components, each law evaluated once."""
+    n, d = algebra.dim, action.dim_v
+    if theta.matrix.shape != (n, d):
+        raise StructuralError(
+            f"embedding tensor must be {(n, d)}, got {theta.matrix.shape}")
+    alg_rep, mod_rep = check_lie_algebra(algebra, tol), check_module(action, tol)
+    col = Collector(tol)
+    col.merge(alg_rep)
+    col.merge(mod_rep)
+
+    B = derived_bracket_tensor(action, theta)
+    Th = theta.matrix
+    lhs = np.einsum("uvk,nk->uvn", B, Th)
+    rhs = np.einsum("iu,jv,ijn->uvn", Th, Th, algebra.structure_constants,
+                    optimize=True)
+    col.scan("embedding-intertwines-brackets", lhs - rhs)
+    col.merge(check_leibniz(LeibnizAlgebraData(d, B), tol))
+
+    defect = np.max(np.abs(_defect_stack(algebra, action, theta)))
+    return alg_rep, mod_rep, col.report({"strict": bool(defect <= tol),
+                                         "max_defect": float(defect)})
+
+
 def check_triple(algebra: LieAlgebraData, action: ModuleAction,
                  theta: EmbeddingTensor, tol: float = DEFAULT_TOL) -> ValidityReport:
     """All axioms of a triple from raw components.
@@ -102,23 +128,7 @@ def check_triple(algebra: LieAlgebraData, action: ModuleAction,
 
         theta([u, v]_V) = [theta(u), theta(v)]_g .
     """
-    n, d = algebra.dim, action.dim_v
-    if theta.matrix.shape != (n, d):
-        raise StructuralError(
-            f"embedding tensor must be {(n, d)}, got {theta.matrix.shape}")
-    col = Collector(tol)
-    col.merge(check_lie_algebra(algebra, tol))
-    col.merge(check_module(action, tol))
-
-    B = derived_bracket_tensor(action, theta)
-    Th = theta.matrix
-    lhs = np.einsum("uvk,nk->uvn", B, Th)
-    rhs = np.einsum("iu,jv,ijn->uvn", Th, Th, algebra.structure_constants)
-    col.scan("embedding-intertwines-brackets", lhs - rhs)
-    col.merge(check_leibniz(LeibnizAlgebraData(d, B), tol))
-
-    defect = np.max(np.abs(_defect_stack(algebra, action, theta))) if n else 0.0
-    return col.report({"strict": bool(defect <= tol), "max_defect": float(defect)})
+    return triple_reports(algebra, action, theta, tol)[-1]
 
 
 def build_triple(algebra: LieAlgebraData, action: ModuleAction,
@@ -135,10 +145,8 @@ def _defect_stack(algebra: LieAlgebraData, action: ModuleAction,
                   theta: EmbeddingTensor) -> np.ndarray:
     """Defect matrices of all basis elements, shape (n, n, d)."""
     Th = theta.matrix
-    out = np.empty((algebra.dim,) + Th.shape)
-    for i, e in enumerate(np.eye(algebra.dim)):
-        out[i] = algebra.ad(e) @ Th - Th @ action.action_matrices[i]
-    return out
+    return np.swapaxes(algebra.structure_constants, 1, 2) @ Th - \
+        Th @ action.action_matrices
 
 
 def equivariance_defect(triple: LieLeibnizTriple, a) -> np.ndarray:
@@ -151,7 +159,7 @@ def equivariance_defect(triple: LieLeibnizTriple, a) -> np.ndarray:
 def is_strict(triple: LieLeibnizTriple, tol: float = DEFAULT_TOL) -> bool:
     """True when every algebra element acts equivariantly on the embedding."""
     stack = _defect_stack(triple.algebra, triple.action, triple.theta)
-    return bool(np.max(np.abs(stack)) <= tol) if stack.size else True
+    return bool(np.max(np.abs(stack)) <= tol)
 
 
 def max_strictness_subalgebra(triple: LieLeibnizTriple,
@@ -196,16 +204,12 @@ def check_relaxed_augmentation(aug: RelaxedAugmentation,
     every element of it has vanishing defect."""
     triple, h = aug.triple, aug.h_basis
     col = Collector(tol)
-    for j in range(triple.dim_v):
-        col.measure("contains-embedding-image", (j,),
-                  h.distance(triple.theta.matrix[:, j]))
-    for p, x in enumerate(h.vectors):
-        for q, y in enumerate(h.vectors):
-            col.measure("subalgebra-closure", (p, q),
-                      h.distance(triple.algebra.bracket(x, y)))
-    for p, x in enumerate(h.vectors):
-        col.measure("defect-vanishes", (p,),
-                  np.max(np.abs(equivariance_defect(triple, x))))
+    col.scan("contains-embedding-image", h.distance(triple.theta.matrix.T))
+    col.scan("subalgebra-closure", h.distance(
+        brackets(triple.algebra.structure_constants, h.vectors, h.vectors)))
+    stack = _defect_stack(triple.algebra, triple.action, triple.theta)
+    defects = h.vectors @ stack.reshape(triple.dim_g, -1)
+    col.scan("defect-vanishes", np.max(np.abs(defects), axis=1))
     return col.report({"h_dim": h.dim})
 
 
@@ -238,20 +242,19 @@ def check_morphism(mor: TripleMorphism, tol: float = DEFAULT_TOL) -> ValidityRep
 
     Cs, Ct = src.algebra.structure_constants, tgt.algebra.structure_constants
     hom = np.einsum("ijm,am->ija", Cs, phi) - \
-        np.einsum("ai,bj,abk->ijk", phi, phi, Ct)
+        np.einsum("ai,bj,abk->ijk", phi, phi, Ct, optimize=True)
     col.scan("algebra-homomorphism", hom)
 
     emb = phi @ src.theta.matrix - tgt.theta.matrix @ psi
     col.scan("embedding-intertwined", emb)
 
-    act = np.empty((src.dim_g, tgt.dim_v, src.dim_v))
-    for i, e in enumerate(np.eye(src.dim_g)):
-        act[i] = psi @ src.action.act(e) - tgt.action.act(phi @ e) @ psi
+    act = psi @ src.action.action_matrices - \
+        np.einsum("ai,auv->iuv", phi, tgt.action.action_matrices) @ psi
     col.scan("action-intertwined", act)
 
     Bs, Bt = src.derived_bracket.bracket_tensor, tgt.derived_bracket.bracket_tensor
     der = np.einsum("uvm,am->uva", Bs, psi) - \
-        np.einsum("au,bv,abk->uvk", psi, psi, Bt)
+        np.einsum("au,bv,abk->uvk", psi, psi, Bt, optimize=True)
     col.scan("derived-leibniz-morphism", der)
     return col.report()
 
@@ -306,34 +309,30 @@ def check_lie_crossed_module(cm: LieAlgebraCrossedModule,
         scope = cm.n_prime.vectors
         if not bracket_closure_check(N, cm.n_prime, tol):
             col.add("restriction-subalgebra")
-        img = max(cm.n_prime.distance(mu[:, j]) for j in range(M.dim))
-        col.measure("restriction-contains-image", (), img)
+        col.measure("restriction-contains-image", (),
+                    np.max(cm.n_prime.distance(mu.T)))
     else:
         scope = np.eye(N.dim)
 
-    # action by derivations of the bracket of m, for n in scope
-    Bm = M.structure_constants
-    for p, x in enumerate(scope):
-        E = eta.act(x)
-        res = (np.einsum("abm,km->abk", Bm, E)
-               - np.einsum("ia,ibk->abk", E, Bm)
-               - np.einsum("jb,ajk->abk", E, Bm))
-        col.measure("action-by-derivations", (p,),
-                  np.max(np.abs(res)) if res.size else 0.0)
+    # action by derivations of the bracket of m, one row per n in scope
+    Bm, A = M.structure_constants, eta.action_matrices
+    E = np.einsum("pi,iab->pab", scope, A)
+    der = (np.einsum("abm,pkm->pabk", Bm, E)
+           - np.einsum("pia,ibk->pabk", E, Bm)
+           - np.einsum("pjb,ajk->pabk", E, Bm))
+    col.scan("action-by-derivations", np.max(np.abs(der), axis=(1, 2, 3)))
 
-    # condition one: mu(eta(n)(m)) = [n, mu(m)], n in scope
-    def equivariance(x):
-        return np.abs(mu @ eta.act(x) - N.ad(x) @ mu)
+    # condition one: mu(eta(n)(m)) = [n, mu(m)], per row x of X, (n, m) entry
+    def equivariance(X):
+        ad = np.einsum("pi,ijk->pkj", X, N.structure_constants)
+        return np.abs(mu @ np.einsum("pi,iab->pab", X, A) - ad @ mu)
 
-    for p, x in enumerate(scope):
-        col.measure("equivariance", (p,), np.max(equivariance(x)))
+    col.scan("equivariance", np.max(equivariance(scope), axis=(1, 2)))
     outside = Collector(tol)            # condition one on all of n, per (n, m)
-    outside.scan("equivariance",
-                 [np.max(equivariance(x), axis=0) for x in np.eye(N.dim)])
+    outside.scan("equivariance", np.max(equivariance(np.eye(N.dim)), axis=1))
 
     # condition two: eta(mu(m))(m') = [m, m']
-    pf_res = np.stack([eta.act(mu @ e) - M.ad(e) for e in np.eye(M.dim)])
-    col.scan("peiffer", pf_res)
+    col.scan("peiffer", np.einsum("ib,ixy->bxy", mu, A) - np.swapaxes(Bm, 1, 2))
     return col.report({
         "restricted": cm.n_prime is not None,
         "equivariance_failures_unrestricted": [
@@ -406,25 +405,18 @@ def _ideal_action(alg: LieAlgebraData, sub: SubspaceBasis):
     Returns the ModuleAction of alg on the ideal and the induced structure
     constants of the ideal.  StructuralError when brackets leave the span.
     """
-    W = sub.vectors
-    k = sub.dim
-    A = np.zeros((alg.dim, k, k))
-    for i, e in enumerate(np.eye(alg.dim)):
-        for q in range(k):
-            z = alg.bracket(e, W[q])
-            coeff, *_ = np.linalg.lstsq(W.T, z, rcond=None)
-            if np.linalg.norm(W.T @ coeff - z) > 1e-9:
-                raise StructuralError("subspace is not an ideal")
-            A[i, :, q] = coeff
-    m_C = np.zeros((k, k, k))
-    for p in range(k):
-        for q in range(k):
-            z = alg.bracket(W[p], W[q])
-            coeff, *_ = np.linalg.lstsq(W.T, z, rcond=None)
-            if np.linalg.norm(W.T @ coeff - z) > 1e-9:
-                raise StructuralError("subspace is not closed under the bracket")
-            m_C[p, q] = coeff
-    return ModuleAction(alg, k, A), m_C
+    W, C = sub.vectors, alg.structure_constants
+
+    def coordinates(Z, message):
+        """Coordinates in the rows of W of a (p, q, n) stack, as (p, q, k)."""
+        if np.any(sub.distance(Z) > 1e-9):
+            raise StructuralError(message)
+        coeff, *_ = np.linalg.lstsq(W.T, Z.reshape(-1, alg.dim).T, rcond=None)
+        return coeff.T.reshape(Z.shape[:-1] + (sub.dim,))
+
+    A = coordinates(brackets(C, np.eye(alg.dim), W), "subspace is not an ideal")
+    m_C = coordinates(brackets(C, W, W), "subspace is not closed under the bracket")
+    return ModuleAction(alg, sub.dim, np.swapaxes(A, 1, 2)), m_C
 
 
 def scaling_triple(lam: float) -> LieLeibnizTriple:

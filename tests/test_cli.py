@@ -197,20 +197,80 @@ def test_integrate_flags_override_config(tmp_path, capsys):
     assert payload["scheme"] == "central"
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_integrate_rejects_samples_below_one_from_flag(samples, capsys):
+@pytest.mark.parametrize("flag,value", [
+    pytest.param("--samples", "0", id="0"),
+    pytest.param("--samples", "-5", id="-5"),
+    pytest.param("--tolerance", "-1", id="tolerance=-1"),
+    pytest.param("--tolerance", "0", id="tolerance=0"),
+    pytest.param("--tolerance", "nan", id="tolerance=nan"),
+])
+def test_integrate_rejects_samples_below_one_from_flag(flag, value, capsys):
     assert main(["integrate", "--builtin", "sl2-adjoint",
-                 "--samples", samples]) == EXIT_STRUCTURAL
+                 flag, value]) == EXIT_STRUCTURAL
     captured = capsys.readouterr()
-    assert "--samples" in captured.err
+    assert flag in captured.err
     assert "[PASS]" not in captured.out
 
 
 def test_integrate_rejects_samples_below_one_from_config(tmp_path, capsys):
-    path = write_doc(tmp_path, "nosamples.json",
-                     scaling_doc(2.0, config={"samples": 0}))
-    assert main(["integrate", path]) == EXIT_STRUCTURAL
-    assert "config.samples" in capsys.readouterr().err
+    # samples below one, and round-trip tolerances not positive or NaN
+    for key, value in (("samples", 0), ("tolerance", -1.0),
+                       ("tolerance", float("nan"))):
+        path = write_doc(tmp_path, "badconfig.json",
+                         scaling_doc(2.0, config={key: value}))
+        assert main(["integrate", path]) == EXIT_STRUCTURAL
+        assert f"config.{key}" in capsys.readouterr().err
+
+
+def _malformed(cmd, field, doc, *path_and_value):
+    """A spec ``doc`` with the entry at ``path`` replaced by ``value``."""
+    *path, value = path_and_value
+    doc = json.loads(json.dumps(doc))       # scaling_doc shares inner lists
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return pytest.param(cmd, field, doc, id=field)
+
+
+NAN = float("nan")
+MALFORMED = [
+    _malformed("verify", "x_size", rack_doc(), "x_size", "two"),
+    _malformed("verify", "basepoint", rack_doc(), "basepoint", "a"),
+    _malformed("verify", "group.unit", rack_doc(), "group", "unit", "u"),
+    _malformed("verify", "lie_algebra.structure_constants[1]", scaling_doc(1.0),
+               "lie_algebra", "structure_constants", 1, 3, "minus one"),
+    _malformed("verify", "module.action_matrices", scaling_doc(1.0),
+               "module", "action_matrices", 0, 0, 0, "one"),
+    _malformed("verify", "h_basis.vectors",
+               scaling_doc(1.0, h_basis={"vectors": [[0.0, 1.0]]}),
+               "h_basis", "vectors", 0, 1, "one"),
+    _malformed("integrate", "config.samples", scaling_doc(1.0, config={}),
+               "config", "samples", "many"),
+    _malformed("integrate", "config.step", scaling_doc(1.0, config={}),
+               "config", "step", "small"),
+    _malformed("verify", "faithful_rep.matrices",
+               scaling_doc(1.0, faithful_rep={"matrices": [[[1.0, 0.0], [0.0, 0.0]],
+                                                           [[0.0, 1.0], [0.0, 0.0]]]}),
+               "faithful_rep", "matrices", 0, 0, 0, NAN),
+    _malformed("verify", "lie_algebra.labels", scaling_doc(1.0),
+               "lie_algebra", "labels", 3),
+    _malformed("verify", "morphism.target",
+               scaling_doc(1.0, morphism={"phi": np.eye(2).tolist(),
+                                          "psi": [[1.0]]}),
+               "morphism", "target", 5),
+    _malformed("verify", "theta.matrix", scaling_doc(1.0),
+               "theta", "matrix", 1, 0, NAN),
+]
+
+
+@pytest.mark.parametrize("cmd,field,doc", MALFORMED)
+def test_malformed_spec_field_is_named(cmd, field, doc, tmp_path, capsys):
+    assert main([cmd, write_doc(tmp_path, "malformed.json", doc)]) == \
+        EXIT_STRUCTURAL
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
 
 
 def test_integrate_rejects_rack_specs(tmp_path, capsys):
@@ -310,6 +370,20 @@ def test_verify_json_golden_s3_conjugation(capsys):
                  "--format", "json"]) == EXIT_PASS
     golden = (GOLDEN / "verify_s3_conjugation.json").read_text("utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("name,doc", [
+    ("verify_failing_h_basis.json",
+     scaling_doc(2.0, h_basis={"vectors": [[1.0, 0.0]]})),
+    ("verify_morphism.json",
+     scaling_doc(2.0, morphism={"target": scaling_doc(1.0),
+                                "phi": [[1.0, 0.0], [0.0, 2.0]],
+                                "psi": [[1.0]]})),
+])
+def test_verify_json_golden_triple_blocks(name, doc, tmp_path, capsys):
+    assert main(["verify", write_doc(tmp_path, "spec.json", doc),
+                 "--format", "json"]) == EXIT_AXIOM
+    assert capsys.readouterr().out == (GOLDEN / name).read_text("utf-8")
 
 
 def test_verify_json_golden_broken_rack(tmp_path, capsys):

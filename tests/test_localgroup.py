@@ -277,5 +277,3 @@ def test_diffconfig_validation():
         DiffConfig(step=0.0)
     with pytest.raises(StructuralError):
         DiffConfig(scheme="forward")
-    with pytest.raises(StructuralError):
-        DiffConfig(tolerance=-1.0)

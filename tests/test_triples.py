@@ -16,7 +16,10 @@ from leibrack import (AxiomError, EmbeddingTensor, LieAlgebraCrossedModule,
                       max_strictness_subalgebra, random_triple,
                       scaling_crossed_module, scaling_triple,
                       triple_from_crossed_module)
-from leibrack import catalog
+from leibrack import (StructuralError, bracket_closure_check, catalog,
+                      check_lie_algebra, check_module, ideal_check)
+from leibrack.report import Collector
+from leibrack.triples import _ideal_action
 
 LAMBDA_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
@@ -269,3 +272,301 @@ def test_triple_reports_are_plain_data():
     assert isinstance(d["info"]["max_defect"], float)
     import json
     json.dumps(d)
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles: the per-element forms of the stacked checkers, compared on
+# seeded float inputs in dense random bases, valid and broken
+# ---------------------------------------------------------------------------
+
+def distance_by_lstsq(W, v):
+    if len(W) == 0:
+        return float(np.linalg.norm(v))
+    coeff, *_ = np.linalg.lstsq(W.T, v, rcond=None)
+    return float(np.linalg.norm(W.T @ coeff - v))
+
+
+def closure_by_loops(alg, sub, tol=1e-9):
+    return all(distance_by_lstsq(sub.vectors, alg.bracket(x, y)) <= tol
+               for x in sub.vectors for y in sub.vectors)
+
+
+def ideal_check_by_loops(alg, sub, tol=1e-9):
+    return all(distance_by_lstsq(sub.vectors, alg.bracket(x, y)) <= tol
+               for x in np.eye(alg.dim) for y in sub.vectors)
+
+
+def ideal_action_by_loops(alg, sub):
+    W, k = sub.vectors, sub.dim
+    A = np.zeros((alg.dim, k, k))
+    for i, e in enumerate(np.eye(alg.dim)):
+        for q in range(k):
+            z = alg.bracket(e, W[q])
+            coeff, *_ = np.linalg.lstsq(W.T, z, rcond=None)
+            if np.linalg.norm(W.T @ coeff - z) > 1e-9:
+                raise StructuralError("subspace is not an ideal")
+            A[i, :, q] = coeff
+    m_C = np.zeros((k, k, k))
+    for p in range(k):
+        for q in range(k):
+            z = alg.bracket(W[p], W[q])
+            coeff, *_ = np.linalg.lstsq(W.T, z, rcond=None)
+            if np.linalg.norm(W.T @ coeff - z) > 1e-9:
+                raise StructuralError("subspace is not closed under the bracket")
+            m_C[p, q] = coeff
+    return A, m_C
+
+
+def relaxed_augmentation_by_loops(aug, tol=1e-9):
+    triple, W = aug.triple, aug.h_basis.vectors
+    col = Collector(tol)
+    for j in range(triple.dim_v):
+        col.measure("contains-embedding-image", (j,),
+                    distance_by_lstsq(W, triple.theta.matrix[:, j]))
+    for p, x in enumerate(W):
+        for q, y in enumerate(W):
+            col.measure("subalgebra-closure", (p, q),
+                        distance_by_lstsq(W, triple.algebra.bracket(x, y)))
+    for p, x in enumerate(W):
+        col.measure("defect-vanishes", (p,),
+                    np.max(np.abs(equivariance_defect(triple, x))))
+    return col.report({"h_dim": aug.h_basis.dim})
+
+
+def morphism_by_loops(mor, tol=1e-9):
+    src, tgt, phi, psi = mor.source, mor.target, mor.phi, mor.psi
+    col = Collector(tol)
+    Cs, Ct = src.algebra.structure_constants, tgt.algebra.structure_constants
+    col.scan("algebra-homomorphism", np.einsum("ijm,am->ija", Cs, phi)
+             - np.einsum("ai,bj,abk->ijk", phi, phi, Ct))
+    col.scan("embedding-intertwined",
+             phi @ src.theta.matrix - tgt.theta.matrix @ psi)
+    act = np.empty((src.dim_g, tgt.dim_v, src.dim_v))
+    for i, e in enumerate(np.eye(src.dim_g)):
+        act[i] = psi @ src.action.act(e) - tgt.action.act(phi @ e) @ psi
+    col.scan("action-intertwined", act)
+    Bs, Bt = src.derived_bracket.bracket_tensor, tgt.derived_bracket.bracket_tensor
+    col.scan("derived-leibniz-morphism", np.einsum("uvm,am->uva", Bs, psi)
+             - np.einsum("au,bv,abk->uvk", psi, psi, Bt))
+    return col.report()
+
+
+def crossed_module_by_loops(cm, tol=1e-9):
+    M, N, mu, eta = cm.m, cm.n, cm.mu, cm.eta
+    col = Collector(tol)
+    for part in (check_lie_algebra(M, tol), check_lie_algebra(N, tol),
+                 check_module(eta, tol)):
+        col.merge(part)
+    col.scan("boundary-homomorphism",
+             np.einsum("abm,nm->abn", M.structure_constants, mu)
+             - np.einsum("ia,jb,ijn->abn", mu, mu, N.structure_constants))
+    if cm.n_prime is not None:
+        scope = cm.n_prime.vectors
+        if not closure_by_loops(N, cm.n_prime, tol):
+            col.add("restriction-subalgebra")
+        col.measure("restriction-contains-image", (), max(
+            distance_by_lstsq(scope, mu[:, j]) for j in range(M.dim)))
+    else:
+        scope = np.eye(N.dim)
+    Bm = M.structure_constants
+    for p, x in enumerate(scope):
+        E = eta.act(x)
+        res = (np.einsum("abm,km->abk", Bm, E)
+               - np.einsum("ia,ibk->abk", E, Bm)
+               - np.einsum("jb,ajk->abk", E, Bm))
+        col.measure("action-by-derivations", (p,), np.max(np.abs(res)))
+
+    def equivariance(x):
+        return np.abs(mu @ eta.act(x) - N.ad(x) @ mu)
+
+    for p, x in enumerate(scope):
+        col.measure("equivariance", (p,), np.max(equivariance(x)))
+    outside = Collector(tol)
+    outside.scan("equivariance",
+                 [np.max(equivariance(x), axis=0) for x in np.eye(N.dim)])
+    col.scan("peiffer", np.stack([eta.act(mu @ e) - M.ad(e)
+                                  for e in np.eye(M.dim)]))
+    return col.report({
+        "restricted": cm.n_prime is not None,
+        "equivariance_failures_unrestricted": [
+            v.where + (v.residual,) for v in outside.violations]})
+
+
+def assert_close(new, old):
+    assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), (new, old)
+
+
+def assert_same_report(new, old):
+    assert new.passed == old.passed
+    assert [(v.law, v.where) for v in new.violations] == \
+        [(v.law, v.where) for v in old.violations]
+    assert_close(new.max_residual, old.max_residual)
+    for a, b in zip(new.violations, old.violations):
+        assert_close(a.residual, b.residual)
+    assert set(new.info) == set(old.info)
+    for key, value in old.info.items():
+        if key == "equivariance_failures_unrestricted":
+            assert [f[:-1] for f in new.info[key]] == [f[:-1] for f in value]
+            for a, b in zip(new.info[key], value):
+                assert_close(a[-1], b[-1])
+        elif isinstance(value, float):
+            assert_close(new.info[key], value)
+        else:
+            assert new.info[key] == value
+
+
+def dense_basis(rng, d):
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return Q * rng.uniform(0.8, 1.25, size=d)
+
+
+def algebra_in(alg, P):
+    return lie_algebra(np.einsum("ia,jb,ijk,ck->abc", P, P,
+                                 alg.structure_constants, np.linalg.inv(P)))
+
+
+def action_in(alg, A, P, R):
+    """Action matrices A of the old basis for the basis P of g, R of V."""
+    mats = np.linalg.inv(R) @ np.einsum("ia,iuv->auv", P, A) @ R
+    return ModuleAction(alg, R.shape[0], mats)
+
+
+def rows_in(P, rows):
+    return (np.linalg.inv(P) @ np.asarray(rows, float).T).T
+
+
+def triple_in(triple, P, R, shake=0.0, rng=None):
+    """The triple in the bases P of g and R of V; ``shake`` tilts the action
+    by random noise, so the result breaks the triple laws."""
+    alg = algebra_in(triple.algebra, P)
+    A = triple.action.action_matrices
+    if shake:
+        A = A + shake * rng.standard_normal(A.shape)
+    theta = EmbeddingTensor(np.linalg.inv(P) @ triple.theta.matrix @ R)
+    return LieLeibnizTriple(alg, action_in(alg, A, P, R), theta)
+
+
+ORACLE_TRIPLES = [("scaling", lam) for lam in LAMBDA_GRID] + \
+    [("ideal", name) for name in ("heisenberg", "ut3", "sl2")]
+
+
+def base_triple(kind, arg):
+    if kind == "scaling":
+        return scaling_triple(arg)
+    ideal = {"heisenberg": "plane", "ut3": "strict_upper", "sl2": "full"}[arg]
+    return ideal_triple(catalog.algebra_by_name(arg),
+                        catalog.ideal_subspace(arg, ideal))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind,arg", ORACLE_TRIPLES)
+def test_relaxed_augmentation_matches_loops(kind, arg, seed):
+    rng = np.random.default_rng(seed)
+    base = base_triple(kind, arg)
+    n, d = base.dim_g, base.dim_v
+    P, R = dense_basis(rng, n), dense_basis(rng, d)
+    max_h = max_strictness_subalgebra(base).vectors
+    for shake in (0.0, 1e-2):
+        triple = triple_in(base, P, R, shake, rng)
+        for rows in (max_h, np.eye(n), max_h[:1], rng.standard_normal((2, n)),
+                     np.zeros((0, n))):
+            mixed = rng.standard_normal((len(rows),) * 2) + 2 * np.eye(len(rows))
+            h = SubspaceBasis(n, mixed @ rows_in(P, rows))
+            aug = RelaxedAugmentation(triple, h)
+            assert_same_report(check_relaxed_augmentation(aug),
+                               relaxed_augmentation_by_loops(aug))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind,arg", ORACLE_TRIPLES)
+def test_morphism_matches_loops(kind, arg, seed):
+    rng = np.random.default_rng(seed)
+    base = base_triple(kind, arg)
+    n, d = base.dim_g, base.dim_v
+    P1, R1, P2, R2 = (dense_basis(rng, k) for k in (n, d, n, d))
+    src, tgt = triple_in(base, P1, R1), triple_in(base, P2, R2)
+    phi = np.linalg.inv(P2) @ P1
+    psi = np.linalg.inv(R2) @ R1
+    for dphi, dpsi in ((0.0, 0.0), (1e-2, 0.0), (0.0, 1e-2), (1e-1, 1e-1)):
+        mor = TripleMorphism(src, tgt,
+                             phi + dphi * rng.standard_normal(phi.shape),
+                             psi + dpsi * rng.standard_normal(psi.shape))
+        new, old = check_morphism(mor), morphism_by_loops(mor)
+        assert_same_report(new, old)
+        assert new.passed == (dphi == dpsi == 0.0)
+
+
+def crossed_module_in(cm, R, P, n_prime=None):
+    """The crossed module in the bases R of m and P of n."""
+    m, n = algebra_in(cm.m, R), algebra_in(cm.n, P)
+    return LieAlgebraCrossedModule(
+        m, n, np.linalg.inv(P) @ cm.mu @ R,
+        action_in(n, cm.eta.action_matrices, P, R), n_prime)
+
+
+ORACLE_CROSSED = [("identity", "sl2"), ("identity", "heisenberg"),
+                  ("identity", "ut3"), ("ideal", "heisenberg"),
+                  ("ideal", "ut3")] + [("scaling", lam) for lam in LAMBDA_GRID]
+
+
+def base_crossed_module(kind, arg):
+    if kind == "scaling":
+        return scaling_crossed_module(arg)
+    alg = catalog.algebra_by_name(arg)
+    if kind == "identity":
+        return identity_crossed_module(alg)
+    ideal = {"heisenberg": "plane", "ut3": "strict_upper"}[arg]
+    return ideal_crossed_module(alg, catalog.ideal_subspace(arg, ideal))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind,arg", ORACLE_CROSSED)
+def test_lie_crossed_module_matches_loops(kind, arg, seed):
+    rng = np.random.default_rng(seed)
+    base = base_crossed_module(kind, arg)
+    R, P = dense_basis(rng, base.m.dim), dense_basis(rng, base.n.dim)
+    n = base.n.dim
+    restrictions = [None, rng.standard_normal((1, n)),
+                    rng.standard_normal((min(2, n), n))]
+    if base.n_prime is not None:
+        restrictions.append(rows_in(P, base.n_prime.vectors))
+    for shake in (0.0, 1e-2, "dead"):
+        cm = crossed_module_in(base, R, P)
+        if shake == "dead":
+            eta = ModuleAction(cm.n, cm.m.dim, np.zeros_like(cm.eta.action_matrices))
+        else:
+            A = cm.eta.action_matrices
+            eta = ModuleAction(cm.n, cm.m.dim, A + shake * rng.standard_normal(A.shape))
+        for rows in restrictions:
+            sub = None if rows is None else SubspaceBasis(n, rows)
+            broken = LieAlgebraCrossedModule(cm.m, cm.n, cm.mu, eta, sub)
+            assert_same_report(check_lie_crossed_module(broken),
+                               crossed_module_by_loops(broken))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name,ideal", catalog.IDEAL_CHOICES)
+def test_ideal_checks_match_loops(name, ideal, seed):
+    rng = np.random.default_rng(seed)
+    base = catalog.algebra_by_name(name)
+    n = base.dim
+    P = dense_basis(rng, n)
+    alg = algebra_in(base, P)
+    rows = catalog.ideal_subspace(name, ideal).vectors
+    k = len(rows)
+    for sub_rows in (rows_in(P, rows), rng.standard_normal((k, n)),
+                     rng.standard_normal((1, n))):
+        mixed = rng.standard_normal((len(sub_rows),) * 2) + 2 * np.eye(len(sub_rows))
+        sub = SubspaceBasis(n, mixed @ sub_rows)
+        assert bracket_closure_check(alg, sub) == closure_by_loops(alg, sub)
+        assert ideal_check(alg, sub) == ideal_check_by_loops(alg, sub)
+        try:
+            want = ideal_action_by_loops(alg, sub)
+        except StructuralError as exc:
+            with pytest.raises(StructuralError, match=str(exc)):
+                _ideal_action(alg, sub)
+            continue
+        action, m_C = _ideal_action(alg, sub)
+        for got, ref in ((action.action_matrices, want[0]), (m_C, want[1])):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    assert ideal_check(alg, SubspaceBasis(n, rows_in(P, rows)))
