@@ -243,6 +243,12 @@ def brackets(C: np.ndarray, X, Y) -> np.ndarray:
     return np.einsum("pi,qj,ijk->pqk", X, Y, C, optimize=True)
 
 
+def bracket_map_residuals(B: np.ndarray, C: np.ndarray, f) -> np.ndarray:
+    """f([x, y]_B) - [f x, f y]_C over all basis pairs (x, y) of the source,
+    for a linear map f stored as a (target dim, source dim) matrix."""
+    return np.einsum("ijm,am->ija", B, f) - brackets(C, f.T, f.T)
+
+
 def bracket_closure_check(alg: LieAlgebraData, sub: SubspaceBasis,
                           tol: float = DEFAULT_TOL) -> bool:
     """True when [sub, sub] stays inside sub (least-squares membership)."""

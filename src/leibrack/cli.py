@@ -87,6 +87,13 @@ def _numbers(value, field: str, kind=None):
     return out
 
 
+def _at_least(low: int, value, field: str):
+    """``value``, or a StructuralError naming ``field`` when it is below ``low``."""
+    if value < low:
+        raise StructuralError(f"{field} must be at least {low}, got {value}")
+    return value
+
+
 def algebra_from_doc(doc: dict) -> LieAlgebraData:
     """Lie algebra block: dimension plus sparse bracket entries.
 
@@ -98,9 +105,12 @@ def algebra_from_doc(doc: dict) -> LieAlgebraData:
     dim = _need(doc, "dim", "lie_algebra")
     if not isinstance(dim, int) or dim <= 0:
         raise StructuralError("lie_algebra.dim must be a positive integer")
+    entries = doc.get("structure_constants", [])
+    if not isinstance(entries, list):
+        raise StructuralError("lie_algebra.structure_constants must be a list")
     C = np.zeros((dim, dim, dim))
     seen = set()
-    for pos, entry in enumerate(doc.get("structure_constants", [])):
+    for pos, entry in enumerate(entries):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise StructuralError(
                 f"lie_algebra.structure_constants[{pos}]: need [i, j, k, value]")
@@ -163,7 +173,7 @@ def triple_parts_from_doc(doc: dict, where: str = "spec") -> dict:
 def rack_triple_from_doc(doc: dict) -> GroupRackTriple:
     grp = _need(doc, "group", "spec")
     size = _need(grp, "size", "group")
-    mul = np.asarray(_need(grp, "mul_table", "group"))
+    mul = _numbers(_need(grp, "mul_table", "group"), "group.mul_table")
     if not isinstance(size, int) or mul.shape != (size, size):
         raise StructuralError("group.mul_table must be size x size")
     group = FiniteGroup.from_mul_table(
@@ -171,8 +181,8 @@ def rack_triple_from_doc(doc: dict) -> GroupRackTriple:
     return GroupRackTriple(
         group,
         _numbers(_need(doc, "x_size", "spec"), "x_size", int),
-        np.asarray(_need(doc, "action_table", "spec")),
-        np.asarray(_need(doc, "theta_table", "spec")),
+        _numbers(_need(doc, "action_table", "spec"), "action_table"),
+        _numbers(_need(doc, "theta_table", "spec"), "theta_table"),
         basepoint=_numbers(doc.get("basepoint", 0), "basepoint", int),
     )
 
@@ -353,10 +363,8 @@ def cmd_integrate(args) -> int:
 
     step, _ = pick("step", 1e-4)
     scheme = str(args.scheme or config.get("scheme", "central"))
-    samples, field = pick("samples", 200, int)
-    if samples < 1:
-        raise StructuralError(f"{field} must be at least 1, got {samples}")
-    seed, _ = pick("seed", 0, int)
+    samples = _at_least(1, *pick("samples", 200, int))
+    seed = _at_least(0, *pick("seed", 0, int))
     tolerance, field = pick("tolerance", 1e-4)
     if not tolerance > 0:
         raise StructuralError(f"{field} must be positive, got {tolerance}")
@@ -492,6 +500,8 @@ def _corpus_discrete(rows: list) -> bool:
 
 
 def cmd_corpus(args) -> int:
+    _at_least(0, args.seed, "--seed")
+    _at_least(1, args.samples, "--samples")
     rows: list = []
     ok = _corpus_continuous(args.seed, args.count, args.samples, rows)
     ok = _corpus_discrete(rows) and ok

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, SubspaceBasis
+from .algebra import SubspaceBasis
 from .errors import AxiomError, ChartError, DomainError, MembershipError, \
     StructuralError
 from .localgroup import DiffConfig, GroupElement, MatrixRep, adjoint_rep, \
@@ -42,6 +42,8 @@ from .triples import LieLeibnizTriple, RelaxedAugmentation, \
 
 DEFAULT_RADIUS_CAP = 0.3
 DEFAULT_RADIUS_FRACTION = 0.6
+_UNDO_TOL = 1e-9
+_DEFECT_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +107,7 @@ class LocalRackModel:
 def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
                 h_basis: SubspaceBasis | None = None,
                 radius: float | None = None,
-                cfg: DiffConfig | None = None,
-                tol: float = DEFAULT_TOL) -> LocalRackModel:
+                cfg: DiffConfig | None = None) -> LocalRackModel:
     """Assemble a local model, validating every ingredient.
 
     Without an explicit representation the adjoint one is used when faithful
@@ -121,15 +122,14 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
                 rep.algebra.structure_constants,
                 triple.algebra.structure_constants):
             raise StructuralError("representation is over a different algebra")
-        rep_report = check_rep(rep, max(tol, 1e-9))
+        rep_report = check_rep(rep)
         if not rep_report.passed:
             raise AxiomError("matrix-representation", rep_report.max_residual,
                              rep_report)
     if h_basis is None:
-        h_basis = max_strictness_subalgebra(triple, tol)
+        h_basis = max_strictness_subalgebra(triple)
     else:
-        aug = check_relaxed_augmentation(RelaxedAugmentation(triple, h_basis),
-                                         max(tol, 1e-9))
+        aug = check_relaxed_augmentation(RelaxedAugmentation(triple, h_basis))
         if not aug.passed:
             raise AxiomError("relaxed-augmentation", aug.max_residual, aug)
     if radius is None:
@@ -249,8 +249,7 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
 
 
 def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
-                          seed: int = 0, tol: float = 1e-8,
-                          undo_tol: float = 1e-9) -> ValidityReport:
+                          seed: int = 0, tol: float = 1e-8) -> ValidityReport:
     """Self-distributivity, invertible left translation, and pointed laws.
 
     Self-distributivity x > (y > z) = (x > y) > (x > z) is compared on
@@ -283,7 +282,7 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
         g = embed_point(model, x)
         undone = local_action(model, group_inverse(g, model.rep), xy)
         col.measure("left-translation-undo", (k,),
-                  np.max(np.abs(undone.v - y.v)), undo_tol)
+                  np.max(np.abs(undone.v - y.v)), _UNDO_TOL)
 
         trivial = rack_product(model, base, y)
         if not np.array_equal(trivial.v, y.v):
@@ -292,7 +291,7 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
         fixed = rack_product(model, x, base)
         if not (np.all(fixed.v == 0.0) and np.all(fixed.u == 0.0)):
             col.add("basepoint-fixed", (k,), np.max(np.abs(fixed.v)))
-    return _suite_report(col, used, skipped, undo_tolerance=undo_tol)
+    return _suite_report(col, used, skipped, undo_tolerance=_UNDO_TOL)
 
 
 def check_equivariance(model: LocalRackModel, samples: int = 200,
@@ -344,15 +343,13 @@ def _shrink_once(run, cfg: DiffConfig):
         return run(smaller)
 
 
-def recover_tangent_triple(model: LocalRackModel,
-                           cfg: DiffConfig | None = None):
+def recover_tangent_triple(model: LocalRackModel):
     """Differentiate the model back to (theta, action, bracket) tensors.
 
     Returns the triple of arrays in the same layout the triple stores them:
     the embedding matrix (n, d), the action stack (n, d, d) and the derived
     bracket tensor (d, d, d).
     """
-    cfg = cfg or model.cfg
     n, d = model.triple.dim_g, model.triple.dim_v
     eye_g, eye_v = np.eye(n), np.eye(d)
 
@@ -362,7 +359,7 @@ def recover_tangent_triple(model: LocalRackModel,
             g = embed_point(model, model.point(t * ej))
             return _coords_from_matrix(model, g.matrix)
         theta_rec[:, j] = _shrink_once(
-            lambda c: derivative_at_identity(curve, c), cfg)
+            lambda c: derivative_at_identity(curve, c), model.cfg)
 
     action_rec = np.empty((n, d, d))
     for i in range(n):
@@ -371,7 +368,7 @@ def recover_tangent_triple(model: LocalRackModel,
                 g = model.rep.element(t2 * ai)
                 return local_action(model, g, model.point(t1 * ej)).v
             action_rec[i, :, j] = _shrink_once(
-                lambda c: mixed_second_derivative(surface, c), cfg)
+                lambda c: mixed_second_derivative(surface, c), model.cfg)
 
     bracket_rec = np.empty((d, d, d))
     for a in range(d):
@@ -380,19 +377,17 @@ def recover_tangent_triple(model: LocalRackModel,
                 return rack_product(model, model.point(t1 * ea),
                                     model.point(t2 * eb)).v
             bracket_rec[a, b, :] = _shrink_once(
-                lambda c: mixed_second_derivative(surface, c), cfg)
+                lambda c: mixed_second_derivative(surface, c), model.cfg)
     return theta_rec, action_rec, bracket_rec
 
 
-def recover_equivariance_defect(model: LocalRackModel, a, v,
-                                cfg: DiffConfig | None = None) -> np.ndarray:
+def recover_equivariance_defect(model: LocalRackModel, a, v) -> np.ndarray:
     """The defect map recovered from the group-valued defect of the model.
 
     Differentiates (g Phi(p) g^-1) Phi(q(g, p))^-1 in the group direction a
     and the point direction v; the mixed derivative equals
     [a, theta(v)] - theta(a . v).
     """
-    cfg = cfg or model.cfg
     a = np.asarray(a, dtype=float)
     v = np.asarray(v, dtype=float)
 
@@ -405,7 +400,8 @@ def recover_equivariance_defect(model: LocalRackModel, a, v,
         w = group_mul(conj, group_inverse(moved, model.rep), model.rep)
         return w.coords
 
-    return _shrink_once(lambda c: mixed_second_derivative(surface, c), cfg)
+    return _shrink_once(lambda c: mixed_second_derivative(surface, c),
+                        model.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +435,13 @@ class IntegrationReport:
 
 
 def run_integration_suites(model: LocalRackModel, samples: int = 200,
-                           seed: int = 0, roundtrip_tol: float = 1e-4,
-                           defect_tol: float = 1e-4, group_tol: float = 1e-9,
-                           rack_tol: float = 1e-8,
-                           equiv_tol: float = 1e-8) -> IntegrationReport:
+                           seed: int = 0,
+                           roundtrip_tol: float = 1e-4) -> IntegrationReport:
     """Run every law suite, the tensor round trip, and the defect comparison."""
     laws = {
-        "group_set": check_local_group_set_laws(model, samples, seed, group_tol),
-        "rack": check_local_rack_laws(model, samples, seed + 1, rack_tol),
-        "equivariance": check_equivariance(model, samples, seed + 2, equiv_tol),
+        "group_set": check_local_group_set_laws(model, samples, seed),
+        "rack": check_local_rack_laws(model, samples, seed + 1),
+        "equivariance": check_equivariance(model, samples, seed + 2),
     }
 
     theta_rec, action_rec, bracket_rec = recover_tangent_triple(model)
@@ -466,17 +460,16 @@ def run_integration_suites(model: LocalRackModel, samples: int = 200,
         "passed": bool(r_max <= roundtrip_tol),
     }
 
+    algebraic = equivariance_defect(tr, np.eye(tr.dim_g))   # one per basis element
     gap = 0.0
-    for i in range(tr.dim_g):
-        for j in range(tr.dim_v):
-            a, v = np.eye(tr.dim_g)[i], np.eye(tr.dim_v)[j]
+    for i, a in enumerate(np.eye(tr.dim_g)):
+        for j, v in enumerate(np.eye(tr.dim_v)):
             numeric = recover_equivariance_defect(model, a, v)
-            algebraic = equivariance_defect(tr, a) @ v
-            gap = max(gap, float(np.max(np.abs(numeric - algebraic))))
+            gap = max(gap, float(np.max(np.abs(numeric - algebraic[i, :, j]))))
     defect = {
         "max_gap": gap,
-        "tolerance": defect_tol,
-        "passed": bool(gap <= defect_tol),
+        "tolerance": _DEFECT_TOL,
+        "passed": bool(gap <= _DEFECT_TOL),
         "pairs": tr.dim_g * tr.dim_v,
     }
 

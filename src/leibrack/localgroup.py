@@ -35,6 +35,8 @@ from .report import Collector, ValidityReport
 DEFAULT_CHART_RADIUS = 0.5
 _SERIES_THRESHOLD = 0.25
 _MAX_SQUARE_ROOTS = 40
+_SQRT_TOL = 1e-15
+_SQRT_MAX_ITER = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +133,7 @@ def check_rep(rep: MatrixRep, tol: float = DEFAULT_TOL) -> ValidityReport:
                        "smallest_singular_ratio": ratio})
 
 
-def adjoint_rep(algebra: LieAlgebraData,
-                chart_radius: float = DEFAULT_CHART_RADIUS) -> MatrixRep:
+def adjoint_rep(algebra: LieAlgebraData) -> MatrixRep:
     """The adjoint representation; CapabilityError when it is not faithful
     (nontrivial center), in which case a representation must be supplied."""
     mats = np.stack([algebra.ad(e) for e in np.eye(algebra.dim)])
@@ -142,7 +143,7 @@ def adjoint_rep(algebra: LieAlgebraData,
         raise CapabilityError(
             "adjoint representation is not faithful (the algebra has a "
             "nontrivial center); supply a faithful matrix representation")
-    return MatrixRep(algebra, mats, chart_radius)
+    return MatrixRep(algebra, mats)
 
 
 def working_rep(rep: MatrixRep, action: ModuleAction) -> MatrixRep:
@@ -165,12 +166,11 @@ def working_rep(rep: MatrixRep, action: ModuleAction) -> MatrixRep:
 # Matrix logarithm
 # ---------------------------------------------------------------------------
 
-def _sqrt_denman_beavers(A: np.ndarray, tol: float = 1e-15,
-                         max_iter: int = 64) -> np.ndarray:
+def _sqrt_denman_beavers(A: np.ndarray) -> np.ndarray:
     """Principal matrix square root by the Denman-Beavers iteration."""
     Y = A.copy()
     Z = np.eye(A.shape[0])
-    for _ in range(max_iter):
+    for _ in range(_SQRT_MAX_ITER):
         try:
             Yi = np.linalg.inv(Y)
             Zi = np.linalg.inv(Z)
@@ -183,7 +183,7 @@ def _sqrt_denman_beavers(A: np.ndarray, tol: float = 1e-15,
         Y, Z = Yn, Zn
         if not np.all(np.isfinite(Y)):
             raise ChartError("square-root iteration diverged")
-        if delta <= tol * max(1.0, np.linalg.norm(Y, "fro")):
+        if delta <= _SQRT_TOL * max(1.0, np.linalg.norm(Y, "fro")):
             return Y
     raise ChartError("square-root iteration did not converge")
 
@@ -226,13 +226,12 @@ def log_matrix(M) -> np.ndarray:
 # Group operations
 # ---------------------------------------------------------------------------
 
-def group_mul(g1: GroupElement, g2: GroupElement, rep: MatrixRep,
-              tol: float = DEFAULT_TOL) -> GroupElement:
+def group_mul(g1: GroupElement, g2: GroupElement, rep: MatrixRep) -> GroupElement:
     """Product in the chart: multiply matrices, log, recover coordinates."""
     M = g1.matrix @ g2.matrix
     L = log_matrix(M)
     coords, residual = rep.coords_of(L)
-    if residual > max(tol, 1e-11) * max(1.0, float(np.linalg.norm(L))):
+    if residual > DEFAULT_TOL * max(1.0, float(np.linalg.norm(L))):
         raise ChartError(
             f"product log left the representation span (residual {residual:.3e})")
     if np.linalg.norm(coords) >= rep.chart_radius:
@@ -245,22 +244,19 @@ def group_inverse(g: GroupElement, rep: MatrixRep) -> GroupElement:
     return GroupElement(-g.coords, expm(rep.algebra_matrix(-g.coords)))
 
 
-def adjoint(g: GroupElement, xi, rep: MatrixRep, check: bool = True,
-            tol: float = 1e-9) -> np.ndarray:
+def adjoint(g: GroupElement, xi, rep: MatrixRep) -> np.ndarray:
     """Adjoint action of g on an algebra vector, via exp(ad of log g).
 
-    With ``check`` on (the default), the result is cross-checked against the
-    independent route through the representation: conjugate the represented
-    xi by the group matrix and pull back by least squares.  Disagreement
-    raises AxiomError since it means the two routes diverged.
+    The result is cross-checked against the independent route through the
+    representation: conjugate the represented xi by the group matrix and
+    pull back by least squares.  Disagreement raises AxiomError since it
+    means the two routes diverged.
     """
     xi = np.asarray(xi, dtype=float)
     out = expm(rep.algebra.ad(g.coords)) @ xi
-    if check:
-        other = adjoint_via_rep(g, xi, rep)
-        gap = float(np.max(np.abs(out - other)))
-        if gap > max(tol, 1e-9) * max(1.0, float(np.linalg.norm(out))):
-            raise AxiomError("adjoint-route-agreement", gap)
+    gap = float(np.max(np.abs(out - adjoint_via_rep(g, xi, rep))))
+    if gap > DEFAULT_TOL * max(1.0, float(np.linalg.norm(out))):
+        raise AxiomError("adjoint-route-agreement", gap)
     return out
 
 
@@ -275,8 +271,8 @@ def adjoint_via_rep(g: GroupElement, xi, rep: MatrixRep) -> np.ndarray:
     return coords
 
 
-def chart_section(g: GroupElement, subspace: SubspaceBasis | None = None,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
+def chart_section(g: GroupElement,
+                  subspace: SubspaceBasis | None = None) -> np.ndarray:
     """Read off chart coordinates, optionally checking subspace membership.
 
     In exponential coordinates the section of the chart over a subalgebra is
@@ -284,7 +280,7 @@ def chart_section(g: GroupElement, subspace: SubspaceBasis | None = None,
     """
     if subspace is not None:
         r = subspace.distance(g.coords)
-        if r > max(tol, 1e-12) * max(1.0, float(np.linalg.norm(g.coords))):
+        if r > DEFAULT_TOL * max(1.0, float(np.linalg.norm(g.coords))):
             raise MembershipError(
                 f"coordinates are {r:.3e} away from the section subspace")
     return np.array(g.coords)

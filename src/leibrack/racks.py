@@ -20,20 +20,19 @@ from .report import Collector, ValidityReport
 
 def int_table(values, shape, bound, what="table") -> np.ndarray:
     """Copy ``values`` into a read-only integer array with entries in [0, bound)."""
-    arr = np.array(values)
+    try:
+        arr = np.array(values)
+        cast = arr.astype(np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise StructuralError(f"{what}: entries must be integers") from None
     if arr.shape != tuple(shape):
         raise StructuralError(f"{what}: expected shape {tuple(shape)}, got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        cast = arr.astype(np.int64, copy=True)
-        if not np.array_equal(cast, arr):
-            raise StructuralError(f"{what}: entries must be integers")
-        arr = cast
-    else:
-        arr = arr.astype(np.int64, copy=True)
-    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+    if not np.array_equal(cast, arr):
+        raise StructuralError(f"{what}: entries must be integers")
+    if cast.size and (cast.min() < 0 or cast.max() >= bound):
         raise StructuralError(f"{what}: entries must lie in [0, {bound})")
-    arr.flags.writeable = False
-    return arr
+    cast.flags.writeable = False
+    return cast
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +173,11 @@ def _conjugation_table(group: FiniteGroup) -> np.ndarray:
     return M[M, group.inverse_table[:, None]]
 
 
+def _equivariance_table(group: FiniteGroup, act, th) -> np.ndarray:
+    """Table over (g, x) of theta(g.x) != g theta(x) g^-1."""
+    return th[act] != _conjugation_table(group)[:, th]
+
+
 def check_group(group: FiniteGroup) -> ValidityReport:
     """Unit, associativity and inverse laws by brute force."""
     col = Collector()
@@ -226,10 +230,9 @@ def group_defect(triple: GroupRackTriple, g: int) -> np.ndarray:
 
 def strict_elements(triple: GroupRackTriple) -> tuple:
     """Group elements whose defect table is trivial."""
-    conj = _conjugation_table(triple.group)[:, triple.theta_table]
-    moved = triple.theta_table[triple.action_table]
-    good = np.all(conj == moved, axis=1)
-    return tuple(int(g) for g in np.where(good)[0])
+    bad = _equivariance_table(triple.group, triple.action_table,
+                              triple.theta_table)
+    return tuple(int(g) for g in np.flatnonzero(~bad.any(axis=1)))
 
 
 def check_group_rack_triple(triple: GroupRackTriple) -> ValidityReport:
@@ -251,12 +254,12 @@ def check_group_rack_triple(triple: GroupRackTriple) -> ValidityReport:
               act[G.mul_table[:, :, None], idx] != act[idg[:, None, None], act])
     if th[triple.basepoint] != G.unit:
         col.add("basepoint-embeds-to-unit", (triple.basepoint,))
-    col.table("embedding-conjugation",
-              th[act[th]] != _conjugation_table(G)[th[:, None], th])
+    bad = _equivariance_table(G, act, th)
+    col.table("embedding-conjugation", bad[th])
 
     rack_report = check_rack(derived_rack(triple))
     col.merge(rack_report, "derived-")
-    equivariant = strict_elements(triple)
+    equivariant = np.flatnonzero(~bad.any(axis=1))
     return col.report({
         "strict": len(equivariant) == G.size,
         "equivariant_elements": [int(g) for g in equivariant],
@@ -300,8 +303,8 @@ def check_group_crossed_module(cm: GroupCrossedModule) -> ValidityReport:
                 col.add("restriction-subgroup", (a, b))
         col.table("restriction-contains-image", ~in_scope[mu])
 
-    outside = Collector()
-    bad = mu[eta] != _conjugation_table(N)[:, mu]
+    outside = Collector()               # condition one: the triple (N, M, mu)
+    bad = _equivariance_table(N, eta, mu)
     col.table("equivariance", bad & in_scope[:, None])
     outside.table("equivariance", bad)
     col.table("peiffer", eta[mu] != _conjugation_table(M))

@@ -203,6 +203,7 @@ def test_integrate_flags_override_config(tmp_path, capsys):
     pytest.param("--tolerance", "-1", id="tolerance=-1"),
     pytest.param("--tolerance", "0", id="tolerance=0"),
     pytest.param("--tolerance", "nan", id="tolerance=nan"),
+    pytest.param("--seed", "-1", id="seed=-1"),
 ])
 def test_integrate_rejects_samples_below_one_from_flag(flag, value, capsys):
     assert main(["integrate", "--builtin", "sl2-adjoint",
@@ -261,6 +262,14 @@ MALFORMED = [
                "morphism", "target", 5),
     _malformed("verify", "theta.matrix", scaling_doc(1.0),
                "theta", "matrix", 1, 0, NAN),
+    _malformed("verify", "group.mul_table", rack_doc(),
+               "group", "mul_table", 2, 3, "x"),
+    _malformed("verify", "action_table", rack_doc(), "action_table", 1, 0, "x"),
+    _malformed("verify", "theta_table", rack_doc(), "theta_table", 4, "x"),
+    _malformed("verify", "lie_algebra.structure_constants", scaling_doc(1.0),
+               "lie_algebra", "structure_constants", 5),
+    _malformed("integrate", "config.seed", scaling_doc(1.0, config={}),
+               "config", "seed", -3),
 ]
 
 
@@ -354,6 +363,18 @@ def test_corpus_small_run(capsys):
     assert "overall: PASS" in out
 
 
+@pytest.mark.parametrize("flag,value", [
+    pytest.param("--seed", "-1", id="seed=-1"),
+    pytest.param("--samples", "0", id="samples=0"),
+])
+def test_corpus_rejects_bad_seed_and_samples(flag, value, capsys):
+    assert main(["corpus", "--count", "1", flag, value]) == EXIT_STRUCTURAL
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_corpus_json(capsys):
     assert main(["corpus", "--count", "1", "--samples", "15",
                  "--format", "json"]) == EXIT_PASS
@@ -394,3 +415,15 @@ def test_verify_json_golden_broken_rack(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == (GOLDEN / "verify_broken_rack.json").read_text("utf-8")
     assert json.loads(out)["triple"]["info"]["failures"] > MAX_LISTED_VIOLATIONS
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("integrate_scaling2.json", ["integrate", "--builtin", "scaling:2.0",
+                                 "--samples", "40", "--format", "json"]),
+    ("corpus_count1.json", ["corpus", "--count", "1", "--samples", "20",
+                            "--format", "json"]),
+])
+def test_integration_json_golden(name, argv, capsys):
+    # pins the suite, round-trip and defect tolerances and the defect gap
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == (GOLDEN / name).read_text("utf-8")

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from leibrack import (AxiomError, DiffConfig, DomainError, EmbeddingTensor,
-                      MatrixRep, MembershipError, StructuralError,
+                      MatrixRep, MembershipError, ModuleAction, StructuralError,
                       SubspaceBasis, build_model, build_triple,
                       check_equivariance, check_local_group_set_laws,
                       check_local_rack_laws, embed_point, equivariance_defect,
@@ -219,6 +219,18 @@ def test_run_integration_suites_full_report():
     import json
     json.dumps(d)
     assert d["laws"]["rack"]["passed"] is True
+
+
+def test_defect_comparison_pairs_each_basis_vector():
+    # V = R^2, a acts by diag(2, 3), theta = (b, 0): the defect of a is
+    # nonzero on the first basis vector of V only
+    alg = catalog.nonabelian2()
+    action = ModuleAction(alg, 2, [np.diag([2.0, 3.0]), np.zeros((2, 2))])
+    triple = build_triple(alg, action, EmbeddingTensor([[0.0, 0.0], [1.0, 0.0]]))
+    rep = MatrixRep(alg, catalog.faithful_rep_matrices("nonabelian2"))
+    report = run_integration_suites(build_model(triple, rep=rep), samples=5)
+    assert report.defect["pairs"] == 4
+    assert report.defect["passed"]
 
 
 def test_integration_report_flags_relaxed_models():

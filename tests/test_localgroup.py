@@ -149,7 +149,7 @@ def test_adjoint_routes_agree_on_random_samples():
         w = rng.standard_normal(3)
         g = rep.element(0.2 * w / np.linalg.norm(w))
         xi = rng.standard_normal(3)
-        a = adjoint(g, xi, rep, check=True)
+        a = adjoint(g, xi, rep)
         b = adjoint_via_rep(g, xi, rep)
         assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.linalg.norm(a))
 
@@ -162,7 +162,7 @@ def test_adjoint_route_disagreement_is_detected():
     fake = MatrixRep(catalog.sl2(), mats)
     g = fake.element([0.1, 0.0, 0.0])
     with pytest.raises(AxiomError) as err:
-        adjoint(g, [0.0, 1.0, 0.0], fake, check=True)
+        adjoint(g, [0.0, 1.0, 0.0], fake)
     assert "adjoint-route-agreement" in str(err.value)
 
 

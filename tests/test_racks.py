@@ -260,6 +260,17 @@ def test_non_homomorphism_phi_is_a_structural_error():
         check_rack_triple_morphism(triple, triple, phi, np.arange(6))
 
 
+def test_non_integer_table_entries_are_structural_errors():
+    for bad in ([[0, "x"], [1, 0]], [[0, None], [1, 0]]):
+        with pytest.raises(StructuralError):
+            FiniteRack(2, bad)
+        with pytest.raises(StructuralError):
+            FiniteGroup.from_mul_table(bad)
+    for bad in ([[0, 1], [1]], [[0, 1.5], [1, 0]]):
+        with pytest.raises(StructuralError):
+            FiniteRack(2, bad)
+
+
 def test_table_shape_validation():
     with pytest.raises(StructuralError):
         FiniteRack(3, np.zeros((3, 2), dtype=int))

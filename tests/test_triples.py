@@ -232,8 +232,9 @@ def test_broken_crossed_module_peiffer_named():
     laws = {v.law for v in report.violations}
     assert "peiffer" in laws
     assert "equivariance" in laws
-    with pytest.raises(AxiomError):
+    with pytest.raises(AxiomError) as err:
         triple_from_crossed_module(cm)
+    assert err.value.law == "lie-crossed-module"
 
 
 def test_restriction_must_be_subalgebra_and_contain_image():
@@ -494,6 +495,33 @@ def test_morphism_matches_loops(kind, arg, seed):
         new, old = check_morphism(mor), morphism_by_loops(mor)
         assert_same_report(new, old)
         assert new.passed == (dphi == dpsi == 0.0)
+
+
+def defect_by_loops(triple, a):
+    """The defect matrix [a, theta(.)] - theta(a . .) of one vector a."""
+    Th = triple.theta.matrix
+    return triple.algebra.ad(a) @ Th - Th @ triple.action.act(a)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind,arg", ORACLE_TRIPLES)
+def test_equivariance_defect_matches_loops(kind, arg, seed):
+    rng = np.random.default_rng(seed)
+    base = base_triple(kind, arg)
+    n, d = base.dim_g, base.dim_v
+    for shake in (0.0, 1e-2):
+        triple = triple_in(base, dense_basis(rng, n), dense_basis(rng, d),
+                           shake, rng)
+        rows = np.vstack([np.eye(n), rng.standard_normal((3, n))])
+        stack = equivariance_defect(triple, rows)
+        assert stack.shape == (len(rows), n, d)
+        for a, row in zip(rows, stack):
+            old = defect_by_loops(triple, a)
+            single = equivariance_defect(triple, a)
+            assert single.shape == (n, d)
+            for new in (single, row):
+                assert np.all(np.abs(new - old)
+                              <= 1e-12 * np.maximum(1.0, np.abs(old)))
 
 
 def crossed_module_in(cm, R, P, n_prime=None):
