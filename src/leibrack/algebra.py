@@ -25,7 +25,7 @@ integer-derived catalog data and well above float64 noise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -29,8 +29,12 @@ from .errors import AxiomError, CapabilityError, ChartError, DomainError, \
     LeibrackError, MembershipError, StructuralError
 from .integrate import build_model, run_integration_suites
 from .localgroup import DiffConfig, MatrixRep
-from .racks import FiniteGroup, GroupRackTriple, check_group, \
-    check_group_rack_triple, conjugation_triple, strict_elements
+from .examples import inclusion_crossed_module_z3_s3, \
+    relaxed_crossed_module_z3_s3
+from .racks import FiniteGroup, GroupRackTriple, \
+    augmented_rack_from_crossed_module, check_group, \
+    check_group_crossed_module, check_group_rack_triple, \
+    conjugation_crossed_module, conjugation_triple
 from .report import ValidityReport
 from .triples import EmbeddingTensor, LieLeibnizTriple, RelaxedAugmentation, \
     TripleMorphism, build_triple, check_morphism, check_relaxed_augmentation, \
@@ -334,10 +338,12 @@ def _verify_triple(parts: dict, tol: float, fmt: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    tol = _at_least(0, _numbers(args.tolerance, "--tolerance", float),
+                    "--tolerance")
     kind, obj = _load_target(args)
     if kind == "rack":
         return _verify_rack(obj, args.format)
-    return _verify_triple(obj, args.tolerance, args.format)
+    return _verify_triple(obj, tol, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +410,18 @@ def cmd_integrate(args) -> int:
 # corpus
 # ---------------------------------------------------------------------------
 
-def _corpus_continuous(seed: int, count: int, samples: int, rows: list) -> bool:
-    ok = True
+def _integrated_row(case: str, sub: int, model, samples: int,
+                    good: bool = True) -> dict:
+    """Run every suite on ``model`` at seed ``sub``; the row passes when the
+    suites pass and ``good`` holds."""
+    result = run_integration_suites(model, samples=samples, seed=sub)
+    return {"case": case, "seed": sub, "expected": "valid",
+            "passed": bool(result.passed and good),
+            "roundtrip": result.roundtrip["max_residual"]}
+
+
+def _corpus_continuous(seed: int, count: int, samples: int) -> list:
+    rows = []
     rng = np.random.default_rng(seed)
     for k in range(count):
         sub = int(rng.integers(1 << 31))
@@ -413,30 +429,17 @@ def _corpus_continuous(seed: int, count: int, samples: int, rows: list) -> bool:
             int(rng.integers(len(catalog.IDEAL_CHOICES)))]
         tri = random_triple(sub, "strict_from_ideal", algebra=name, ideal=ideal)
         rep = MatrixRep(tri.algebra, catalog.faithful_rep_matrices(name))
-        model = build_model(tri, rep=rep)
-        result = run_integration_suites(model, samples=samples, seed=sub)
-        ok &= result.passed
-        rows.append({
-            "case": f"strict_from_ideal[{name}/{ideal}]", "seed": sub,
-            "expected": "valid", "passed": bool(result.passed),
-            "roundtrip": result.roundtrip["max_residual"],
-        })
+        rows.append(_integrated_row(f"strict_from_ideal[{name}/{ideal}]", sub,
+                                    build_model(tri, rep=rep), samples))
 
     for k in range(count):
         sub = int(rng.integers(1 << 31))
         tri = random_triple(sub, "scaling_family")
         lam = float(tri.action.action_matrices[0, 0, 0])
         strict = is_strict(tri)
-        expected_strict = lam == 1.0
-        model = build_model(tri)
-        result = run_integration_suites(model, samples=samples, seed=sub)
-        good = result.passed and strict == expected_strict
-        ok &= good
-        rows.append({
-            "case": f"scaling_family[lam={lam:g}]", "seed": sub,
-            "expected": "valid", "passed": bool(good),
-            "roundtrip": result.roundtrip["max_residual"],
-        })
+        rows.append(_integrated_row(f"scaling_family[lam={lam:g}]", sub,
+                                    build_model(tri), samples,
+                                    strict == (lam == 1.0)))
 
     for k in range(count):
         sub = int(rng.integers(1 << 31))
@@ -446,73 +449,58 @@ def _corpus_continuous(seed: int, count: int, samples: int, rows: list) -> bool:
             quad = max((v.residual for v in rep.violations
                         if v.law == "embedding-intertwines-brackets"),
                        default=0.0)
-            rejected = (not rep.passed) and quad >= eps / 2.0
-            ok &= rejected
             rows.append({
                 "case": f"perturbed_invalid[eps={eps:g}]", "seed": sub,
-                "expected": "rejected", "passed": bool(rejected),
+                "expected": "rejected",
+                "passed": bool((not rep.passed) and quad >= eps / 2.0),
                 "quadratic_residual": quad,
             })
-    return ok
+    return rows
 
 
-def _corpus_discrete(rows: list) -> bool:
-    from .racks import augmented_rack_from_crossed_module, \
-        check_group_crossed_module, conjugation_crossed_module
-    from .examples import inclusion_crossed_module_z3_s3, \
-        relaxed_crossed_module_z3_s3
+def _discrete_row(case: str, good: bool, **extra) -> dict:
+    return {"case": case, "expected": "valid", "passed": bool(good), **extra}
 
-    ok = True
+
+def _corpus_discrete() -> list:
+    rows = []
     for name, group in sorted(catalog.group_catalog().items()):
         g_rep = check_group(group)
         t_rep = check_group_rack_triple(conjugation_triple(group))
-        good = g_rep.passed and t_rep.passed and t_rep.info["strict"]
-        ok &= good
-        rows.append({"case": f"conjugation_rack[{name}]", "expected": "valid",
-                     "passed": bool(good)})
+        rows.append(_discrete_row(
+            f"conjugation_rack[{name}]",
+            g_rep.passed and t_rep.passed and t_rep.info["strict"]))
 
     for name in ("s3", "d4", "q8"):
         cm = conjugation_crossed_module(catalog.group_catalog()[name])
         rep = check_group_crossed_module(cm)
-        triple = augmented_rack_from_crossed_module(cm)
-        t_rep = check_group_rack_triple(triple)
-        good = rep.passed and t_rep.passed
-        ok &= good
-        rows.append({"case": f"conjugation_crossed_module[{name}]",
-                     "expected": "valid", "passed": bool(good)})
+        t_rep = check_group_rack_triple(augmented_rack_from_crossed_module(cm))
+        rows.append(_discrete_row(f"conjugation_crossed_module[{name}]",
+                                  rep.passed and t_rep.passed))
 
-    cm = inclusion_crossed_module_z3_s3()
-    rep = check_group_crossed_module(cm)
-    good = rep.passed
-    ok &= good
-    rows.append({"case": "inclusion_crossed_module[z3<s3]",
-                 "expected": "valid", "passed": bool(good)})
+    rep = check_group_crossed_module(inclusion_crossed_module_z3_s3())
+    rows.append(_discrete_row("inclusion_crossed_module[z3<s3]", rep.passed))
 
-    cm = relaxed_crossed_module_z3_s3()
-    rep = check_group_crossed_module(cm)
-    outside = rep.info["equivariance_failures_unrestricted"]
-    good = rep.passed and len(outside) > 0
-    ok &= good
-    rows.append({"case": "relaxed_crossed_module[z3/s3]", "expected": "valid",
-                 "passed": bool(good),
-                 "equivariance_failures_outside_restriction": len(outside)})
-    return ok
+    rep = check_group_crossed_module(relaxed_crossed_module_z3_s3())
+    outside = len(rep.info["equivariance_failures_unrestricted"])
+    rows.append(_discrete_row(
+        "relaxed_crossed_module[z3/s3]", rep.passed and outside > 0,
+        equivariance_failures_outside_restriction=outside))
+    return rows
 
 
 def cmd_corpus(args) -> int:
     _at_least(0, args.seed, "--seed")
+    _at_least(0, args.count, "--count")
     _at_least(1, args.samples, "--samples")
-    rows: list = []
-    ok = _corpus_continuous(args.seed, args.count, args.samples, rows)
-    ok = _corpus_discrete(rows) and ok
+    rows = _corpus_continuous(args.seed, args.count, args.samples) + \
+        _corpus_discrete()
+    ok = all(row["passed"] for row in rows)
     lines = []
     for row in rows:
         status = "ok" if row["passed"] else "UNEXPECTED"
-        extra = ""
-        if "roundtrip" in row:
-            extra = f" roundtrip={row['roundtrip']:.3e}"
-        if "quadratic_residual" in row:
-            extra = f" quadratic_residual={row['quadratic_residual']:.3e}"
+        extra = "".join(f" {key}={row[key]:.3e}" for key in
+                        ("roundtrip", "quadratic_residual") if key in row)
         seed_part = f" seed={row['seed']}" if "seed" in row else ""
         lines.append(f"{status:>10}  {row['case']}{seed_part} "
                      f"expected={row['expected']}{extra}")

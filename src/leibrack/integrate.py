@@ -81,15 +81,10 @@ class LocalRackModel:
         if self.rep.matrix_dim != self.base_dim + self.triple.dim_v:
             raise StructuralError("block representation has the wrong size")
 
-    def point(self, v, u=None) -> RackPoint:
+    def point(self, v) -> RackPoint:
         """The model point over v; MembershipError outside the radius."""
         v = np.asarray(v, dtype=float)
         shadow = self.triple.theta.matrix @ v
-        if u is not None:
-            gap = float(np.max(np.abs(np.asarray(u, float) - shadow)))
-            if gap > 1e-9 * max(1.0, float(np.linalg.norm(shadow))):
-                raise MembershipError(
-                    f"stored shadow disagrees with theta(v) by {gap:.3e}")
         if np.linalg.norm(shadow) >= self.radius:
             raise MembershipError(
                 f"theta(v) has norm {np.linalg.norm(shadow):.3f}, outside "
@@ -193,23 +188,42 @@ def _sample_point(model: LocalRackModel, rng, frac: float) -> RackPoint:
     return model.point(v)
 
 
-def _coords_from_matrix(model: LocalRackModel, matrix: np.ndarray) -> np.ndarray:
-    """Chart coordinates re-extracted from a group matrix via the logarithm."""
-    L = log_matrix(matrix)
-    coords, residual = model.rep.coords_of(L)
-    if residual > 1e-8 * max(1.0, float(np.linalg.norm(L))):
-        raise ChartError(
-            f"matrix log left the representation span (residual {residual:.3e})")
-    return coords
+def _gap(p: RackPoint, q: RackPoint) -> float:
+    """Largest entrywise difference of two points, over both components."""
+    return max(float(np.max(np.abs(p.v - q.v))),
+               float(np.max(np.abs(p.u - q.u))))
+
+
+def _conjugate(model: LocalRackModel, g: GroupElement,
+               p: RackPoint) -> GroupElement:
+    """g Phi(p) g^-1, through matrix products and logarithms."""
+    return group_mul(group_mul(g, embed_point(model, p), model.rep),
+                     group_inverse(g, model.rep), model.rep)
 
 
 # ---------------------------------------------------------------------------
 # law suites
 # ---------------------------------------------------------------------------
 
-def _suite_report(col: Collector, used: int, skipped: int,
-                  **info) -> ValidityReport:
-    """A suite that used no sample fails under the law ``samples-used``."""
+def _run_suite(samples: int, seed: int, tol: float, draw, trial,
+               **info) -> ValidityReport:
+    """Run ``trial(col, k, *draw(rng))`` for k < samples on one seeded RNG.
+
+    A sample whose trial leaves the model domain, the chart or the model
+    neighbourhood is skipped; a suite that used no sample fails under the
+    law ``samples-used``.  ``info`` gains the used and skipped counts.
+    """
+    rng = np.random.default_rng(seed)
+    col = Collector(tol)
+    used = skipped = 0
+    for k in range(samples):
+        drawn = draw(rng)
+        try:
+            trial(col, k, *drawn)
+        except (DomainError, ChartError, MembershipError):
+            skipped += 1
+        else:
+            used += 1
     if used == 0:
         col.add("samples-used")
     return col.report(dict(info, samples_used=used, samples_skipped=skipped))
@@ -220,32 +234,23 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
                                tol: float = 1e-9) -> ValidityReport:
     """Composability of the action: q(g1 g2, p) = q(g1, q(g2, p)) on samples,
     and exactness of the unit law q(e, p) = p."""
-    rng = np.random.default_rng(seed)
     full = np.eye(model.triple.dim_g)
-    col = Collector(tol)
-    used = skipped = 0
     ident = model.rep.identity()
-    for k in range(samples):
-        g1 = model.rep.element(_sample_direction(rng, full, 0.05))
-        g2 = model.rep.element(_sample_direction(rng, full, 0.05))
-        p = _sample_point(model, rng, 0.25)
-        try:
-            g12 = group_mul(g1, g2, model.rep)
-            onestep = local_action(model, g12, p)
-            twostep = local_action(model, g1, local_action(model, g2, p))
-        except (DomainError, ChartError):
-            skipped += 1
-            continue
-        used += 1
-        col.measure("group-set-composition", (k,),
-                  max(float(np.max(np.abs(onestep.v - twostep.v))),
-                      float(np.max(np.abs(onestep.u - twostep.u)))))
+
+    def draw(rng):
+        return (model.rep.element(_sample_direction(rng, full, 0.05)),
+                model.rep.element(_sample_direction(rng, full, 0.05)),
+                _sample_point(model, rng, 0.25))
+
+    def trial(col, k, g1, g2, p):
+        onestep = local_action(model, group_mul(g1, g2, model.rep), p)
+        twostep = local_action(model, g1, local_action(model, g2, p))
+        col.measure("group-set-composition", (k,), _gap(onestep, twostep))
         fixed = local_action(model, ident, p)
         if not (np.array_equal(fixed.v, p.v) and np.array_equal(fixed.u, p.u)):
-            col.add("unit-acts-trivially", (k,),
-                    max(float(np.max(np.abs(fixed.v - p.v))),
-                        float(np.max(np.abs(fixed.u - p.u)))))
-    return _suite_report(col, used, skipped)
+            col.add("unit-acts-trivially", (k,), _gap(fixed, p))
+
+    return _run_suite(samples, seed, tol, draw, trial)
 
 
 def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
@@ -257,32 +262,22 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
     translation is checked by undoing x > y with the inverse group element;
     the basepoint laws hold exactly in floating point and are asserted so.
     """
-    rng = np.random.default_rng(seed)
-    col = Collector(tol)
-    used = skipped = 0
     base = model.basepoint()
-    for k in range(samples):
-        x = _sample_point(model, rng, 0.2)
-        y = _sample_point(model, rng, 0.2)
-        z = _sample_point(model, rng, 0.2)
-        try:
-            xy = rack_product(model, x, y)
-            yz = rack_product(model, y, z)
-            xz = rack_product(model, x, z)
-            lhs = rack_product(model, x, yz)
-            rhs = rack_product(model, xy, xz)
-        except (DomainError, ChartError, MembershipError):
-            skipped += 1
-            continue
-        used += 1
-        col.measure("self-distributivity", (k,),
-                  max(float(np.max(np.abs(lhs.v - rhs.v))),
-                      float(np.max(np.abs(lhs.u - rhs.u)))))
 
-        g = embed_point(model, x)
-        undone = local_action(model, group_inverse(g, model.rep), xy)
+    def draw(rng):
+        return [_sample_point(model, rng, 0.2) for _ in range(3)]
+
+    def trial(col, k, x, y, z):
+        xy = rack_product(model, x, y)
+        yz = rack_product(model, y, z)
+        xz = rack_product(model, x, z)
+        lhs, rhs = rack_product(model, x, yz), rack_product(model, xy, xz)
+        col.measure("self-distributivity", (k,), _gap(lhs, rhs))
+
+        undone = local_action(
+            model, group_inverse(embed_point(model, x), model.rep), xy)
         col.measure("left-translation-undo", (k,),
-                  np.max(np.abs(undone.v - y.v)), _UNDO_TOL)
+                    np.max(np.abs(undone.v - y.v)), _UNDO_TOL)
 
         trivial = rack_product(model, base, y)
         if not np.array_equal(trivial.v, y.v):
@@ -291,7 +286,8 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
         fixed = rack_product(model, x, base)
         if not (np.all(fixed.v == 0.0) and np.all(fixed.u == 0.0)):
             col.add("basepoint-fixed", (k,), np.max(np.abs(fixed.v)))
-    return _suite_report(col, used, skipped, undo_tolerance=_UNDO_TOL)
+
+    return _run_suite(samples, seed, tol, draw, trial, undo_tolerance=_UNDO_TOL)
 
 
 def check_equivariance(model: LocalRackModel, samples: int = 200,
@@ -302,45 +298,34 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
     of the algebra (a strict triple) this amounts to chart-wide sampling of
     the law Phi(q(h, p)) = h Phi(p) h^-1.  The conjugated side is computed
     through matrix products and logarithms, independent of the embedded
-    side's stored coordinates.
+    side's stored coordinates.  A zero subalgebra leaves nothing to sample.
     """
-    rng = np.random.default_rng(seed)
-    strict = model.h_basis.dim == model.triple.dim_g
-    basis = model.h_basis.vectors if model.h_basis.dim else \
-        np.zeros((0, model.triple.dim_g))
-    col = Collector(tol)
-    used = skipped = 0
-    for k in range(samples):
-        if basis.shape[0] == 0:
-            break
-        xi = _sample_direction(rng, basis, 0.05)
-        h = model.rep.element(xi)
-        p = _sample_point(model, rng, 0.25)
-        try:
-            moved = embed_point(model, local_action(model, h, p))
-            conj = group_mul(group_mul(h, embed_point(model, p), model.rep),
-                             group_inverse(h, model.rep), model.rep)
-        except (DomainError, ChartError, MembershipError):
-            skipped += 1
-            continue
-        used += 1
+    h_dim = model.h_basis.dim
+
+    def draw(rng):
+        xi = _sample_direction(rng, model.h_basis.vectors, 0.05)
+        return model.rep.element(xi), _sample_point(model, rng, 0.25)
+
+    def trial(col, k, h, p):
+        moved = embed_point(model, local_action(model, h, p)).coords
         col.measure("embedding-equivariance", (k,),
-                  np.max(np.abs(moved.coords - conj.coords)))
-    return _suite_report(col, used, skipped, strict=strict,
-                         h_dim=int(model.h_basis.dim))
+                    np.max(np.abs(moved - _conjugate(model, h, p).coords)))
+
+    return _run_suite(samples if h_dim else 0, seed, tol, draw, trial,
+                      strict=h_dim == model.triple.dim_g, h_dim=int(h_dim))
 
 
 # ---------------------------------------------------------------------------
 # recovery
 # ---------------------------------------------------------------------------
 
-def _shrink_once(run, cfg: DiffConfig):
-    """Run a stencil; if it exits the domain, shrink the step by 10 and retry."""
+def _shrink_once(run, cfg: DiffConfig, *args):
+    """Run the stencil ``run(*args, cfg)``; if it exits the domain, shrink the
+    step by 10 and retry once."""
     try:
-        return run(cfg)
+        return run(*args, cfg)
     except (DomainError, ChartError, MembershipError):
-        smaller = DiffConfig(cfg.step / 10.0, cfg.scheme)
-        return run(smaller)
+        return run(*args, DiffConfig(cfg.step / 10.0, cfg.scheme))
 
 
 def recover_tangent_triple(model: LocalRackModel):
@@ -357,9 +342,8 @@ def recover_tangent_triple(model: LocalRackModel):
     for j in range(d):
         def curve(t, ej=eye_v[j]):
             g = embed_point(model, model.point(t * ej))
-            return _coords_from_matrix(model, g.matrix)
-        theta_rec[:, j] = _shrink_once(
-            lambda c: derivative_at_identity(curve, c), model.cfg)
+            return model.rep.coords_of(log_matrix(g.matrix), 1e-8)
+        theta_rec[:, j] = _shrink_once(derivative_at_identity, model.cfg, curve)
 
     action_rec = np.empty((n, d, d))
     for i in range(n):
@@ -367,8 +351,8 @@ def recover_tangent_triple(model: LocalRackModel):
             def surface(t1, t2, ai=eye_g[i], ej=eye_v[j]):
                 g = model.rep.element(t2 * ai)
                 return local_action(model, g, model.point(t1 * ej)).v
-            action_rec[i, :, j] = _shrink_once(
-                lambda c: mixed_second_derivative(surface, c), model.cfg)
+            action_rec[i, :, j] = _shrink_once(mixed_second_derivative,
+                                               model.cfg, surface)
 
     bracket_rec = np.empty((d, d, d))
     for a in range(d):
@@ -376,8 +360,8 @@ def recover_tangent_triple(model: LocalRackModel):
             def surface(t1, t2, ea=eye_v[a], eb=eye_v[b]):
                 return rack_product(model, model.point(t1 * ea),
                                     model.point(t2 * eb)).v
-            bracket_rec[a, b, :] = _shrink_once(
-                lambda c: mixed_second_derivative(surface, c), model.cfg)
+            bracket_rec[a, b, :] = _shrink_once(mixed_second_derivative,
+                                                model.cfg, surface)
     return theta_rec, action_rec, bracket_rec
 
 
@@ -394,14 +378,11 @@ def recover_equivariance_defect(model: LocalRackModel, a, v) -> np.ndarray:
     def surface(t1, t2):
         g = model.rep.element(t1 * a)
         p = model.point(t2 * v)
-        conj = group_mul(group_mul(g, embed_point(model, p), model.rep),
-                         group_inverse(g, model.rep), model.rep)
+        conj = _conjugate(model, g, p)
         moved = embed_point(model, local_action(model, g, p))
-        w = group_mul(conj, group_inverse(moved, model.rep), model.rep)
-        return w.coords
+        return group_mul(conj, group_inverse(moved, model.rep), model.rep).coords
 
-    return _shrink_once(lambda c: mixed_second_derivative(surface, c),
-                        model.cfg)
+    return _shrink_once(mixed_second_derivative, model.cfg, surface)
 
 
 # ---------------------------------------------------------------------------
@@ -444,21 +425,14 @@ def run_integration_suites(model: LocalRackModel, samples: int = 200,
         "equivariance": check_equivariance(model, samples, seed + 2),
     }
 
-    theta_rec, action_rec, bracket_rec = recover_tangent_triple(model)
     tr = model.triple
-    r_theta = float(np.max(np.abs(theta_rec - tr.theta.matrix)))
-    r_action = float(np.max(np.abs(action_rec - tr.action.action_matrices)))
-    r_bracket = float(np.max(np.abs(
-        bracket_rec - tr.derived_bracket.bracket_tensor)))
-    r_max = max(r_theta, r_action, r_bracket)
-    roundtrip = {
-        "theta_residual": r_theta,
-        "action_residual": r_action,
-        "bracket_residual": r_bracket,
-        "max_residual": r_max,
-        "tolerance": roundtrip_tol,
-        "passed": bool(r_max <= roundtrip_tol),
-    }
+    exact = {"theta": tr.theta.matrix, "action": tr.action.action_matrices,
+             "bracket": tr.derived_bracket.bracket_tensor}
+    roundtrip = {f"{name}_residual": float(np.max(np.abs(rec - exact[name])))
+                 for name, rec in zip(exact, recover_tangent_triple(model))}
+    r_max = max(roundtrip.values())
+    roundtrip.update(max_residual=r_max, tolerance=roundtrip_tol,
+                     passed=bool(r_max <= roundtrip_tol))
 
     algebraic = equivariance_defect(tr, np.eye(tr.dim_g))   # one per basis element
     gap = 0.0

@@ -92,12 +92,16 @@ class MatrixRep:
         """The represented algebra element sum_i coords_i R_i."""
         return np.einsum("i,iab->ab", np.asarray(coords, float), self.matrices)
 
-    def coords_of(self, mat) -> tuple:
-        """Least-squares preimage of a matrix, with the projection residual."""
+    def coords_of(self, mat, tol: float) -> np.ndarray:
+        """Least-squares preimage of a matrix; ChartError when the projection
+        residual exceeds tol * max(1, ||mat||), i.e. the matrix left the span."""
         vec = np.asarray(mat, float).ravel()
         coords = self._pinv @ vec
         residual = float(np.linalg.norm(self.basis_stack @ coords - vec))
-        return coords, residual
+        if residual > tol * max(1.0, float(np.linalg.norm(vec))):
+            raise ChartError(
+                f"matrix left the representation span (residual {residual:.3e})")
+        return coords
 
     def element(self, coords) -> GroupElement:
         """exp of an algebra element; ChartError outside the chart ball."""
@@ -229,11 +233,7 @@ def log_matrix(M) -> np.ndarray:
 def group_mul(g1: GroupElement, g2: GroupElement, rep: MatrixRep) -> GroupElement:
     """Product in the chart: multiply matrices, log, recover coordinates."""
     M = g1.matrix @ g2.matrix
-    L = log_matrix(M)
-    coords, residual = rep.coords_of(L)
-    if residual > DEFAULT_TOL * max(1.0, float(np.linalg.norm(L))):
-        raise ChartError(
-            f"product log left the representation span (residual {residual:.3e})")
+    coords = rep.coords_of(log_matrix(M), DEFAULT_TOL)
     if np.linalg.norm(coords) >= rep.chart_radius:
         raise ChartError("product left the coordinate chart")
     return GroupElement(coords, M)
@@ -263,12 +263,7 @@ def adjoint(g: GroupElement, xi, rep: MatrixRep) -> np.ndarray:
 def adjoint_via_rep(g: GroupElement, xi, rep: MatrixRep) -> np.ndarray:
     """Adjoint action computed by matrix conjugation in the representation."""
     R = rep.algebra_matrix(np.asarray(xi, float))
-    conj = g.matrix @ R @ np.linalg.inv(g.matrix)
-    coords, residual = rep.coords_of(conj)
-    if residual > 1e-8 * max(1.0, float(np.linalg.norm(conj))):
-        raise ChartError("conjugated element left the representation span "
-                         f"(residual {residual:.3e})")
-    return coords
+    return rep.coords_of(g.matrix @ R @ np.linalg.inv(g.matrix), 1e-8)
 
 
 def chart_section(g: GroupElement,

@@ -80,9 +80,11 @@ class FiniteGroup:
     @classmethod
     def from_mul_table(cls, mul_table, unit: int = 0) -> "FiniteGroup":
         """Derive the inverse table by scanning; raises AxiomError if absent."""
-        mul = np.array(mul_table)
-        size = mul.shape[0] if mul.ndim == 2 else 0
-        mul = int_table(mul, (size, size), size, "mul table")
+        try:
+            size = len(mul_table)
+        except TypeError:
+            raise StructuralError("mul table: expected a square table") from None
+        mul = int_table(mul_table, (size, size), size, "mul table")
         inv = np.full(size, -1, dtype=np.int64)
         for g in range(size):
             hits = np.where((mul[g] == unit) & (mul[:, g] == unit))[0]

@@ -158,6 +158,18 @@ def test_verify_builtins(name):
     assert main(["verify", "--builtin", name]) == EXIT_PASS
 
 
+@pytest.mark.parametrize("value,code", [
+    ("-1", EXIT_STRUCTURAL), ("nan", EXIT_STRUCTURAL), ("inf", EXIT_STRUCTURAL),
+    ("0", EXIT_PASS),                   # exact catalog data passes at 0
+])
+def test_verify_tolerance_is_finite_and_not_negative(value, code, capsys):
+    assert main(["verify", "--builtin", "sl2-adjoint",
+                 "--tolerance", value]) == code
+    captured = capsys.readouterr()
+    assert ("--tolerance" in captured.err) == (code == EXIT_STRUCTURAL)
+    assert ("overall: PASS" in captured.out) == (code == EXIT_PASS)
+
+
 def test_builtin_argument_errors(tmp_path):
     assert main(["verify", "--builtin", "no-such-system"]) == EXIT_STRUCTURAL
     assert main(["verify", "--builtin", "scaling:xyz"]) == EXIT_STRUCTURAL
@@ -366,6 +378,7 @@ def test_corpus_small_run(capsys):
 @pytest.mark.parametrize("flag,value", [
     pytest.param("--seed", "-1", id="seed=-1"),
     pytest.param("--samples", "0", id="samples=0"),
+    pytest.param("--count", "-2", id="count=-2"),
 ])
 def test_corpus_rejects_bad_seed_and_samples(flag, value, capsys):
     assert main(["corpus", "--count", "1", flag, value]) == EXIT_STRUCTURAL
@@ -422,6 +435,15 @@ def test_verify_json_golden_broken_rack(tmp_path, capsys):
                                  "--samples", "40", "--format", "json"]),
     ("corpus_count1.json", ["corpus", "--count", "1", "--samples", "20",
                             "--format", "json"]),
+    # group_set skips 4 samples
+    ("integrate_scaling_skips.json", [
+        "integrate", "--builtin", "scaling:-40", "--radius", "0.29",
+        "--samples", "100", "--scheme", "richardson", "--step", "2e-3",
+        "--format", "json"]),
+    # every stencil leaves the domain and shrinks its step
+    ("integrate_scaling_shrinks.json", [
+        "integrate", "--builtin", "scaling:2.0", "--step", "0.5",
+        "--scheme", "richardson", "--samples", "20", "--format", "json"]),
 ])
 def test_integration_json_golden(name, argv, capsys):
     # pins the suite, round-trip and defect tolerances and the defect gap

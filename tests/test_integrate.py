@@ -75,8 +75,6 @@ def test_point_membership_rules():
     assert np.array_equal(p.u, model.triple.theta.matrix @ p.v)
     with pytest.raises(MembershipError):
         model.point([model.radius * 1.5])    # shadow leaves the neighbourhood
-    with pytest.raises(MembershipError):     # stored shadow must match theta(v)
-        model.point([0.1], u=[0.0, 0.2])
 
 
 def test_basepoint_is_exact_fixed_point():
@@ -138,6 +136,21 @@ def test_law_suites_fail_without_samples(samples):
         assert report.info["samples_used"] == 0
         assert [v.law for v in report.violations] == ["samples-used"]
     assert not run_integration_suites(model, samples=samples).passed
+
+
+def test_equivariance_suite_fails_on_zero_subalgebra():
+    # theta = 0 makes the zero subalgebra a valid relaxed augmentation
+    alg = catalog.nonabelian2()
+    triple = build_triple(alg, ModuleAction(alg, 1, [[[2.0]], [[0.0]]]),
+                          EmbeddingTensor([[0.0], [0.0]]))
+    rep = MatrixRep(alg, catalog.faithful_rep_matrices("nonabelian2"))
+    model = build_model(triple, rep=rep, h_basis=SubspaceBasis(2, np.zeros((0, 2))))
+    report = check_equivariance(model, samples=20)
+    assert not report.passed
+    assert [v.law for v in report.violations] == ["samples-used"]
+    assert report.info["samples_used"] == 0
+    assert report.info["samples_skipped"] == 0
+    assert report.info["h_dim"] == 0
 
 
 def test_equivariance_suite_uses_restricted_directions():

@@ -261,7 +261,7 @@ def test_non_homomorphism_phi_is_a_structural_error():
 
 
 def test_non_integer_table_entries_are_structural_errors():
-    for bad in ([[0, "x"], [1, 0]], [[0, None], [1, 0]]):
+    for bad in ([[0, "x"], [1, 0]], [[0, None], [1, 0]], [[0, 1], [1]]):
         with pytest.raises(StructuralError):
             FiniteRack(2, bad)
         with pytest.raises(StructuralError):
