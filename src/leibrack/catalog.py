@@ -2,6 +2,8 @@
 and a collection of finite groups.  These anchor the random generators, the
 command line builtins, and the test corpus.
 
+Each named algebra is stated once, by the matrices of its basis in a faithful
+representation; its structure constants are read off their commutators.
 Group elements are dense indices with the unit at index 0; permutation groups
 list the identity first and the remaining elements in lexicographic order, so
 every table here is reproducible.
@@ -9,6 +11,7 @@ every table here is reproducible.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -22,16 +25,59 @@ from .racks import FiniteGroup
 # Lie algebras
 # ---------------------------------------------------------------------------
 
-def _tensor(n: int, entries) -> np.ndarray:
-    """Structure tensor from bracket entries ((i, j, k, value), ...).
+def _units(m: int, *cells) -> np.ndarray:
+    """Stack of the m x m matrix units E_rc at the given cells."""
+    E = np.zeros((len(cells), m, m))
+    for k, (r, c) in enumerate(cells):
+        E[k, r, c] = 1.0
+    return E
 
-    Each entry sets C[i,j,k] = value and C[j,i,k] = -value.
+
+# name: (basis labels, faithful representation matrices of the basis)
+_REPRESENTATIONS = {
+    "abelian3": (("e0", "e1", "e2"), _units(3, (0, 0), (1, 1), (2, 2))),
+    "nonabelian2": (("a", "b"), _units(2, (0, 0), (0, 1))),
+    "heisenberg": (("x", "y", "z"), _units(3, (0, 1), (1, 2), (0, 2))),
+    "sl2": (("h", "e", "f"), np.array([[[1.0, 0.0], [0.0, -1.0]],
+                                       [[0.0, 1.0], [0.0, 0.0]],
+                                       [[0.0, 0.0], [1.0, 0.0]]])),
+    "ut3": (("d1", "d2", "d3", "u12", "u13", "u23"),
+            _units(3, (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))),
+}
+
+
+def algebra_by_name(name: str) -> LieAlgebraData:
+    """A catalog algebra, its structure constants read off the commutators of
+    its representation matrices.
+
+    Each basis matrix R_k is the only nonzero one at some cell (r, c), so the
+    k-th coordinate of a commutator is its entry there divided by R_k[r, c].
     """
-    C = np.zeros((n, n, n))
-    for i, j, k, value in entries:
-        C[i, j, k] = value
-        C[j, i, k] = -value
-    return C
+    if name not in ALGEBRA_BUILDERS:
+        raise StructuralError(f"unknown algebra {name!r}; "
+                              f"known: {sorted(ALGEBRA_BUILDERS)}")
+    labels, R = _REPRESENTATIONS[name]
+    nonzero = R != 0
+    only = nonzero & (nonzero.sum(axis=0) == 1)
+    r, c = np.divmod(only.reshape(len(R), -1).argmax(axis=1), R.shape[1])
+    P = R[:, None] @ R[None, :]
+    C = (P - np.swapaxes(P, 0, 1))[:, :, r, c] / R[np.arange(len(R)), r, c]
+    return LieAlgebraData(len(R), labels, C + 0.0)    # + 0.0 clears -0.0
+
+
+ALGEBRA_BUILDERS = {name: partial(algebra_by_name, name)
+                    for name in _REPRESENTATIONS}
+
+
+def faithful_rep_matrices(name: str) -> np.ndarray:
+    """A faithful matrix representation for each catalog algebra.
+
+    For sl2 and nonabelian2 the adjoint representation already works; the
+    natural low-dimensional ones returned here keep the group matrices small.
+    """
+    if name not in _REPRESENTATIONS:
+        raise StructuralError(f"no faithful representation on file for {name!r}")
+    return _REPRESENTATIONS[name][1].copy()
 
 
 def abelian(n: int = 3) -> LieAlgebraData:
@@ -41,57 +87,23 @@ def abelian(n: int = 3) -> LieAlgebraData:
 
 def nonabelian2() -> LieAlgebraData:
     """The unique nonabelian two-dimensional algebra: [a, b] = b."""
-    return LieAlgebraData(2, ("a", "b"), _tensor(2, [(0, 1, 1, 1.0)]))
+    return algebra_by_name("nonabelian2")
 
 
 def heisenberg() -> LieAlgebraData:
     """The three-dimensional Heisenberg algebra: [x, y] = z."""
-    return LieAlgebraData(3, ("x", "y", "z"), _tensor(3, [(0, 1, 2, 1.0)]))
+    return algebra_by_name("heisenberg")
 
 
 def sl2() -> LieAlgebraData:
     """sl(2) in the (h, e, f) basis: [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    entries = [(0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0)]
-    return LieAlgebraData(3, ("h", "e", "f"), _tensor(3, entries))
-
-
-def _ut3_basis() -> np.ndarray:
-    """Basis of 3x3 upper triangular matrices: diagonal units then E12, E13, E23."""
-    mats = []
-    for i, j in [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]:
-        E = np.zeros((3, 3))
-        E[i, j] = 1.0
-        mats.append(E)
-    return np.stack(mats)
+    return algebra_by_name("sl2")
 
 
 def upper_triangular3() -> LieAlgebraData:
-    """The six-dimensional algebra of 3x3 upper triangular matrices.
+    """3x3 upper triangular matrices: diagonal units, then E12, E13, E23."""
+    return algebra_by_name("ut3")
 
-    Structure constants are read off from commutators of elementary matrices;
-    expansion in this basis is exact because the basis consists of the
-    matrix units of the occupied positions.
-    """
-    B = _ut3_basis()
-    n = len(B)
-    positions = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-    C = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            comm = B[i] @ B[j] - B[j] @ B[i]
-            for k, (r, c) in enumerate(positions):
-                C[i, j, k] = comm[r, c]
-    labels = ("d1", "d2", "d3", "u12", "u13", "u23")
-    return LieAlgebraData(n, labels, C)
-
-
-ALGEBRA_BUILDERS = {
-    "abelian3": lambda: abelian(3),
-    "nonabelian2": nonabelian2,
-    "heisenberg": heisenberg,
-    "sl2": sl2,
-    "ut3": upper_triangular3,
-}
 
 # Ideals are given by rows of coordinates; each was hand checked to satisfy
 # [g, ideal] in ideal and is re-verified by the test suite.
@@ -123,13 +135,6 @@ IDEAL_CHOICES = tuple(
 )
 
 
-def algebra_by_name(name: str) -> LieAlgebraData:
-    if name not in ALGEBRA_BUILDERS:
-        raise StructuralError(f"unknown algebra {name!r}; "
-                              f"known: {sorted(ALGEBRA_BUILDERS)}")
-    return ALGEBRA_BUILDERS[name]()
-
-
 def ideal_subspace(name: str, ideal: str) -> SubspaceBasis:
     try:
         rows = IDEAL_VECTORS[name][ideal]
@@ -137,33 +142,6 @@ def ideal_subspace(name: str, ideal: str) -> SubspaceBasis:
         raise StructuralError(f"unknown ideal {ideal!r} of {name!r}") from None
     alg = algebra_by_name(name)
     return SubspaceBasis(alg.dim, np.array(rows, dtype=float))
-
-
-def faithful_rep_matrices(name: str) -> np.ndarray:
-    """A faithful matrix representation for each catalog algebra.
-
-    For sl2 and nonabelian2 the adjoint representation already works; the
-    natural low-dimensional ones returned here keep the group matrices small.
-    """
-    if name == "abelian3":
-        return np.stack([np.diag(row) for row in np.eye(3)])
-    if name == "nonabelian2":
-        a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        b = np.array([[0.0, 1.0], [0.0, 0.0]])
-        return np.stack([a, b])
-    if name == "heisenberg":
-        x = np.zeros((3, 3)); x[0, 1] = 1.0
-        y = np.zeros((3, 3)); y[1, 2] = 1.0
-        z = np.zeros((3, 3)); z[0, 2] = 1.0
-        return np.stack([x, y, z])
-    if name == "sl2":
-        h = np.array([[1.0, 0.0], [0.0, -1.0]])
-        e = np.array([[0.0, 1.0], [0.0, 0.0]])
-        f = np.array([[0.0, 0.0], [1.0, 0.0]])
-        return np.stack([h, e, f])
-    if name == "ut3":
-        return _ut3_basis()
-    raise StructuralError(f"no faithful representation on file for {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +202,8 @@ def symmetric3() -> FiniteGroup:
 
 
 def alternating4() -> FiniteGroup:
-    evens = []
-    for p in permutations(range(4)):
-        inversions = sum(1 for i in range(4) for j in range(i + 1, 4)
-                         if p[i] > p[j])
-        if inversions % 2 == 0:
-            evens.append(p)
-    return group_from_permutations(evens)
+    """The even permutations of four points, generated by two 3-cycles."""
+    return group_from_generators([(1, 2, 0, 3), (0, 2, 3, 1)])
 
 
 def dihedral4() -> FiniteGroup:
@@ -241,25 +214,15 @@ def dihedral4() -> FiniteGroup:
 
 
 def quaternion8() -> FiniteGroup:
-    """The quaternion group {1, -1, i, -i, j, -j, k, -k} in that order."""
-    units = ["1", "i", "j", "k"]
-    prod = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-        ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-        ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-        ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-        ("i", "k"): (-1, "j"),
-    }
-    elems = [(s, u) for u in units for s in (1, -1)]
-    index = {el: i for i, el in enumerate(elems)}
-    size = len(elems)
-    mul = np.empty((size, size), dtype=np.int64)
-    for (s1, u1), i in index.items():
-        for (s2, u2), j in index.items():
-            s3, u3 = prod[(u1, u2)]
-            mul[i, j] = index[(s1 * s2 * s3, u3)]
-    return FiniteGroup.from_mul_table(mul)
+    """The quaternion group {1, -1, i, -i, j, -j, k, -k} in that order, as
+    the left multiplications of the quaternions on the basis (1, i, j, k)."""
+    i = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    j = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+    mats = np.stack([s * u for u in (np.eye(4, dtype=int), i, j, i @ j)
+                     for s in (1, -1)])
+    products = mats[:, None] @ mats[None, :]
+    same = np.all(products[:, :, None] == mats, axis=(-2, -1))
+    return FiniteGroup.from_mul_table(np.argmax(same, axis=-1))
 
 
 def group_catalog() -> dict:

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import catalog
 from .algebra import SubspaceBasis, LieAlgebraData, ModuleAction
-from .errors import AxiomError, CapabilityError, ChartError, DomainError, \
-    LeibrackError, MembershipError, StructuralError
-from .integrate import build_model, run_integration_suites
+from .errors import AxiomError, CapabilityError, DomainError, LeibrackError, \
+    StructuralError
+from .integrate import DEFAULT_RADIUS, build_model, run_integration_suites
 from .localgroup import DiffConfig, MatrixRep
 from .examples import inclusion_crossed_module_z3_s3, \
     relaxed_crossed_module_z3_s3
@@ -374,7 +374,7 @@ def cmd_integrate(args) -> int:
     tolerance, field = pick("tolerance", 1e-4)
     if not tolerance > 0:
         raise StructuralError(f"{field} must be positive, got {tolerance}")
-    radius, _ = pick("radius", None)
+    radius, _ = pick("radius", DEFAULT_RADIUS)
 
     triple = build_triple(parts["algebra"], parts["action"], parts["theta"])
     cfg = DiffConfig(step=step, scheme=scheme)
@@ -568,7 +568,7 @@ def main(argv=None) -> int:
     except AxiomError as exc:
         print(f"axiom violation: {exc}", file=sys.stderr)
         return EXIT_AXIOM
-    except (ChartError, DomainError, MembershipError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
     except LeibrackError as exc:

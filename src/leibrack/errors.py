@@ -25,16 +25,16 @@ class AxiomError(LeibrackError):
         self.report = report
 
 
-class ChartError(LeibrackError):
+class DomainError(LeibrackError):
+    """A computation left the local domain (chart, neighbourhood, action)."""
+
+
+class ChartError(DomainError):
     """A matrix left the logarithm domain of the exponential chart."""
 
 
-class MembershipError(LeibrackError):
+class MembershipError(DomainError):
     """A vector is not in the required subspace or neighbourhood."""
-
-
-class DomainError(LeibrackError):
-    """A (group element, point) pair is outside the composability domain."""
 
 
 class CapabilityError(LeibrackError):

@@ -1,7 +1,7 @@
 """Local Lie group computations in exponential coordinates.
 
-A group element is a coordinate vector xi with ||xi|| below the chart radius
-together with the matrix exp(sum_i xi_i R_i) of a faithful representation.
+A group element is a coordinate vector xi with ||xi|| < CHART_RADIUS together
+with the matrix exp(sum_i xi_i R_i) of a faithful representation.
 Products are computed honestly: multiply the matrices, take the principal
 logarithm, and recover coordinates by least squares against the stacked
 representation basis; a product that leaves the chart or the representation
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, SubspaceBasis, \
     homomorphism_residuals
@@ -32,7 +31,7 @@ from .errors import AxiomError, CapabilityError, ChartError, MembershipError, \
     StructuralError
 from .report import Collector, ValidityReport
 
-DEFAULT_CHART_RADIUS = 0.5
+CHART_RADIUS = 0.5
 _SERIES_THRESHOLD = 0.25
 _MAX_SQUARE_ROOTS = 40
 _SQRT_TOL = 1e-15
@@ -63,7 +62,6 @@ class MatrixRep:
 
     algebra: LieAlgebraData
     matrices: np.ndarray
-    chart_radius: float = DEFAULT_CHART_RADIUS
     basis_stack: np.ndarray = field(init=False, repr=False)
     _pinv: np.ndarray = field(init=False, repr=False)
 
@@ -73,14 +71,10 @@ class MatrixRep:
         if M.ndim != 3 or M.shape[0] != n or M.shape[1] != M.shape[2]:
             raise StructuralError(
                 f"need {n} square matrices, got shape {M.shape}")
-        if not (isinstance(self.chart_radius, (int, float))
-                and self.chart_radius > 0):
-            raise StructuralError("chart radius must be positive")
         M.flags.writeable = False
         stack = M.reshape(n, -1).T          # (m*m, n), columns are basis mats
         stack.flags.writeable = False
         object.__setattr__(self, "matrices", M)
-        object.__setattr__(self, "chart_radius", float(self.chart_radius))
         object.__setattr__(self, "basis_stack", stack)
         object.__setattr__(self, "_pinv", np.linalg.pinv(stack))
 
@@ -111,10 +105,10 @@ class MatrixRep:
                 f"expected {self.algebra.dim} coordinates, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise StructuralError("coordinates must be finite")
-        if np.linalg.norm(c) >= self.chart_radius:
+        if np.linalg.norm(c) >= CHART_RADIUS:
             raise ChartError(
                 f"coordinates of norm {np.linalg.norm(c):.3f} are outside the "
-                f"chart ball of radius {self.chart_radius}")
+                f"chart ball of radius {CHART_RADIUS}")
         return GroupElement(c, expm(self.algebra_matrix(c)))
 
     def identity(self) -> GroupElement:
@@ -163,12 +157,18 @@ def working_rep(rep: MatrixRep, action: ModuleAction) -> MatrixRep:
     big = np.zeros((n, m + d, m + d))
     big[:, :m, :m] = rep.matrices
     big[:, m:, m:] = action.action_matrices
-    return MatrixRep(rep.algebra, big, rep.chart_radius)
+    return MatrixRep(rep.algebra, big)
 
 
 # ---------------------------------------------------------------------------
-# Matrix logarithm
+# Matrix exponential and logarithm
 # ---------------------------------------------------------------------------
+
+def expm(A) -> np.ndarray:
+    """scipy's matrix exponential, imported on the first call (never in verify)."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(A)
+
 
 def _sqrt_denman_beavers(A: np.ndarray) -> np.ndarray:
     """Principal matrix square root by the Denman-Beavers iteration."""
@@ -234,7 +234,7 @@ def group_mul(g1: GroupElement, g2: GroupElement, rep: MatrixRep) -> GroupElemen
     """Product in the chart: multiply matrices, log, recover coordinates."""
     M = g1.matrix @ g2.matrix
     coords = rep.coords_of(log_matrix(M), DEFAULT_TOL)
-    if np.linalg.norm(coords) >= rep.chart_radius:
+    if np.linalg.norm(coords) >= CHART_RADIUS:
         raise ChartError("product left the coordinate chart")
     return GroupElement(coords, M)
 

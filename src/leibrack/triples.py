@@ -380,11 +380,10 @@ def scaling_crossed_module(lam: float) -> LieAlgebraCrossedModule:
     adjoint weight 1; for lam != 1 equivariance fails off span(b) and the
     crossed module only exists relative to that restriction.
     """
-    m = catalog.abelian(1)
-    n = catalog.nonabelian2()
-    eta = ModuleAction(n, 1, np.array([[[float(lam)]], [[0.0]]]))
+    n, eta, theta = _scaling_parts(lam)
     n_prime = None if lam == 1.0 else SubspaceBasis(2, [[0.0, 1.0]])
-    return LieAlgebraCrossedModule(m, n, np.array([[0.0], [1.0]]), eta, n_prime)
+    return LieAlgebraCrossedModule(catalog.abelian(1), n, theta.matrix, eta,
+                                   n_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +410,14 @@ def _ideal_action(alg: LieAlgebraData, sub: SubspaceBasis):
     return ModuleAction(alg, sub.dim, np.swapaxes(A, 1, 2)), m_C
 
 
+def _scaling_parts(lam: float, eps: float = 0.0) -> tuple:
+    """The nonabelian two-dimensional algebra, its action on a line by lam
+    (a acts by the scalar lam, b by 0) and the embedding (eps, 1)^T."""
+    alg = catalog.nonabelian2()
+    action = ModuleAction(alg, 1, np.array([[[float(lam)]], [[0.0]]]))
+    return alg, action, EmbeddingTensor(np.array([[float(eps)], [1.0]]))
+
+
 def scaling_triple(lam: float) -> LieLeibnizTriple:
     """The one-parameter triple over the nonabelian two-dimensional algebra.
 
@@ -418,10 +425,7 @@ def scaling_triple(lam: float) -> LieLeibnizTriple:
     scalar lam.  Valid for every lam; strict exactly at lam = 1, where the
     action agrees with the adjoint weight of b.
     """
-    alg = catalog.nonabelian2()
-    action = ModuleAction(alg, 1, np.array([[[float(lam)]], [[0.0]]]))
-    theta = EmbeddingTensor(np.array([[0.0], [1.0]]))
-    return build_triple(alg, action, theta)
+    return build_triple(*_scaling_parts(lam))
 
 
 def ideal_triple(alg: LieAlgebraData, sub: SubspaceBasis,
@@ -471,9 +475,6 @@ def random_triple(seed: int, family: str, **params):
         lam = params.get("lam")
         if lam is None:
             lam = float(rng.choice(_PERTURBED_GRID))
-        alg = catalog.nonabelian2()
-        action = ModuleAction(alg, 1, np.array([[[float(lam)]], [[0.0]]]))
-        theta = EmbeddingTensor(np.array([[float(eps)], [1.0]]))
-        return alg, action, theta
+        return _scaling_parts(lam, eps)
     raise StructuralError(
         f"unknown family {family!r}; known: {RANDOM_FAMILIES}")

@@ -1,0 +1,129 @@
+"""The catalog against hand-entered data: bracket entries, representation
+matrices, the quaternion product rule, the even permutations of four points
+and the scaling family's arrays, compared bit for bit (sign of zero too)."""
+
+from __future__ import annotations
+
+from itertools import permutations
+
+import numpy as np
+
+from leibrack import catalog, random_triple, scaling_crossed_module, \
+    scaling_triple
+
+# name: (labels, [(i, j, k, C[i,j,k]), ...]); C[j,i,k] = -C[i,j,k]
+BRACKETS = {
+    "abelian3": (("e0", "e1", "e2"), []),
+    "nonabelian2": (("a", "b"), [(0, 1, 1, 1.0)]),
+    "heisenberg": (("x", "y", "z"), [(0, 1, 2, 1.0)]),
+    "sl2": (("h", "e", "f"), [(0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0)]),
+    "ut3": (("d1", "d2", "d3", "u12", "u13", "u23"),
+            [(0, 3, 3, 1.0), (0, 4, 4, 1.0), (1, 3, 3, -1.0), (1, 5, 5, 1.0),
+             (2, 4, 4, -1.0), (2, 5, 5, -1.0), (3, 5, 4, 1.0)]),
+}
+
+
+def _units(m, cells):
+    E = np.zeros((len(cells), m, m))
+    for k, (r, c) in enumerate(cells):
+        E[k, r, c] = 1.0
+    return E
+
+
+REPRESENTATIONS = {
+    "abelian3": _units(3, [(0, 0), (1, 1), (2, 2)]),
+    "nonabelian2": np.array([[[1.0, 0.0], [0.0, 0.0]],
+                             [[0.0, 1.0], [0.0, 0.0]]]),
+    "heisenberg": _units(3, [(0, 1), (1, 2), (0, 2)]),
+    "sl2": np.array([[[1.0, 0.0], [0.0, -1.0]],
+                     [[0.0, 1.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0]]]),
+    "ut3": _units(3, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]),
+}
+
+QUATERNION_PRODUCTS = {
+    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
+    ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
+    ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
+    ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
+    ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
+    ("i", "k"): (-1, "j"),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def oracle_constants(name):
+    labels, entries = BRACKETS[name]
+    n = len(labels)
+    C = np.zeros((n, n, n))
+    for i, j, k, value in entries:
+        C[i, j, k] = value
+        C[j, i, k] = -value
+    return C
+
+
+def test_algebras_and_representations_match_hand_data():
+    assert sorted(catalog.ALGEBRA_BUILDERS) == sorted(BRACKETS)
+    for name, (labels, _) in BRACKETS.items():
+        for alg in (catalog.algebra_by_name(name), catalog.ALGEBRA_BUILDERS[name]()):
+            assert alg.dim == len(labels) and alg.basis_labels == labels, name
+            assert same_bits(alg.structure_constants, oracle_constants(name)), name
+        assert same_bits(catalog.faithful_rep_matrices(name),
+                         REPRESENTATIONS[name]), name
+    named = {"nonabelian2": catalog.nonabelian2(), "heisenberg": catalog.heisenberg(),
+             "sl2": catalog.sl2(), "ut3": catalog.upper_triangular3(),
+             "abelian3": catalog.abelian(3)}
+    for name, alg in named.items():
+        assert alg.basis_labels == BRACKETS[name][0], name
+        assert same_bits(alg.structure_constants, oracle_constants(name)), name
+
+
+def test_quaternion_group_matches_the_product_rule():
+    elems = [(s, u) for u in "1ijk" for s in (1, -1)]
+    mul = np.empty((8, 8), dtype=np.int64)
+    for i, (s1, u1) in enumerate(elems):
+        for j, (s2, u2) in enumerate(elems):
+            s3, u3 = QUATERNION_PRODUCTS[(u1, u2)]
+            mul[i, j] = elems.index((s1 * s2 * s3, u3))
+    q8 = catalog.quaternion8()
+    assert same_bits(q8.mul_table, mul)
+    assert same_bits(q8.inverse_table, [0, 1, 3, 2, 5, 4, 7, 6])
+
+
+def test_alternating_group_matches_the_even_permutations():
+    evens = [p for p in permutations(range(4))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    oracle = catalog.group_from_permutations(evens)
+    a4 = catalog.alternating4()
+    assert same_bits(a4.mul_table, oracle.mul_table)
+    assert same_bits(a4.inverse_table, oracle.inverse_table)
+
+
+def test_scaling_family_arrays_match_hand_data():
+    C = oracle_constants("nonabelian2")
+    for lam in (-1.0, 0.0, 0.5, 1.0, 2.0, -0.0):
+        act = np.array([[[float(lam)]], [[0.0]]])
+        tri = scaling_triple(lam)
+        assert same_bits(tri.algebra.structure_constants, C)
+        assert same_bits(tri.action.action_matrices, act)
+        assert same_bits(tri.theta.matrix, [[0.0], [1.0]])
+        cm = scaling_crossed_module(lam)
+        assert same_bits(cm.m.structure_constants, np.zeros((1, 1, 1)))
+        assert same_bits(cm.n.structure_constants, C)
+        assert same_bits(cm.mu, [[0.0], [1.0]])
+        assert same_bits(cm.eta.action_matrices, act)
+        if lam == 1.0:
+            assert cm.n_prime is None
+        else:
+            assert same_bits(cm.n_prime.vectors, [[0.0, 1.0]])
+        for eps in (0.1, -0.0, 0.0):
+            alg, action, theta = random_triple(
+                0, "perturbed_invalid", lam=lam, eps=eps)
+            assert same_bits(alg.structure_constants, C)
+            assert same_bits(action.action_matrices, act)
+            assert same_bits(theta.matrix, [[float(eps)], [1.0]])

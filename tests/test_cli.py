@@ -346,6 +346,18 @@ def test_integrate_invalid_triple_is_axiom_error(tmp_path):
     assert main(["integrate", path]) == EXIT_AXIOM
 
 
+def test_nan_recovery_fails(capsys):
+    # every mixed stencil divides 0 by 4 h^2 = 0, so the recoveries are NaN
+    with np.errstate(invalid="ignore"):
+        code = main(["integrate", "--builtin", "sl2-adjoint", "--step", "1e-200",
+                     "--samples", "5", "--format", "json"])
+    assert code == EXIT_AXIOM
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["defect"]["passed"] is False
+    assert np.isnan(payload["defect"]["max_gap"])
+    assert np.isnan(payload["roundtrip"]["max_residual"])
+
+
 def test_json_output_is_deterministic(capsys):
     args = ["integrate", "--builtin", "sl2-adjoint", "--samples", "20",
             "--format", "json"]

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and
+``verify`` runs without loading scipy.
 
 No lint tool ships with the package, so this reads the sources with ``ast``.
 ``__init__.py`` is exempt: its imports are the package's re-exports.
@@ -7,6 +8,9 @@ No lint tool ships with the package, so this reads the sources with ``ast``.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,16 @@ def test_unused_imports_are_found():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def test_verify_does_not_load_scipy():
+    script = ("import sys\n"
+              "from leibrack.cli import main\n"
+              "code = main(['verify', '--builtin', 'sl2-adjoint'])\n"
+              "print('scipy' in sys.modules, code)\n")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path),
+                         check=True)
+    assert run.stdout.splitlines()[-1] == "False 0"

@@ -99,7 +99,7 @@ def test_group_mul_is_associative_in_chart():
 
 def test_product_outside_chart_raises():
     alg = catalog.abelian(1)
-    rep = MatrixRep(alg, np.array([[[1.0]]]), chart_radius=0.5)
+    rep = MatrixRep(alg, np.array([[[1.0]]]))
     g = rep.element([0.3])
     with pytest.raises(ChartError):
         group_mul(g, g, rep)
@@ -127,8 +127,6 @@ def test_element_requires_chart_ball_and_good_shape():
         rep.element([np.inf, 0.0, 0.0])
     with pytest.raises(StructuralError):
         MatrixRep(catalog.sl2(), np.zeros((2, 2, 2)))
-    with pytest.raises(StructuralError):
-        MatrixRep(catalog.sl2(), np.zeros((3, 3, 3)), chart_radius=0.0)
 
 
 def test_adjoint_weight_on_sl2():
