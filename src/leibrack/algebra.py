@@ -35,9 +35,22 @@ from .report import Collector, ValidityReport
 DEFAULT_TOL = 1e-9
 
 
+def full_rank(M: np.ndarray, rank: int) -> tuple:
+    """Whether M has rank ``rank``, and the ratio of its smallest to its
+    largest singular value that decides it: the rank is full when the ratio
+    exceeds max(M.shape) * eps.  The ratio is 0.0 when M is zero or has
+    fewer than ``rank`` singular values (fewer rows or columns)."""
+    s = np.linalg.svd(M, compute_uv=False)
+    ratio = float(s[-1] / s[0]) if s.size == rank and s[0] > 0 else 0.0
+    return ratio > max(M.shape) * np.finfo(float).eps, ratio
+
+
 def frozen_array(values, shape=None, what="array") -> np.ndarray:
     """Copy ``values`` into a read-only float64 array, checking the shape."""
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise StructuralError(f"{what}: entries must be numeric") from None
     if shape is not None and arr.shape != tuple(shape):
         raise StructuralError(f"{what}: expected shape {tuple(shape)}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -111,10 +124,6 @@ class ModuleAction:
         """Matrix of the action of the algebra element with coordinates x."""
         return np.einsum("i,iab->ab", np.asarray(x, float), self.action_matrices)
 
-    def apply(self, x, v) -> np.ndarray:
-        """x . v"""
-        return self.act(x) @ np.asarray(v, float)
-
 
 @dataclass(frozen=True, eq=False)
 class LeibnizAlgebraData:
@@ -155,12 +164,10 @@ class SubspaceBasis:
         if V.ndim != 2 or V.shape[1] != self.ambient_dim:
             raise StructuralError(
                 f"subspace vectors must be rows of length {self.ambient_dim}")
-        if V.shape[0] > 0:
-            s = np.linalg.svd(V, compute_uv=False)
-            if s[0] == 0.0 or s[-1] <= max(V.shape) * np.finfo(float).eps * s[0]:
-                raise StructuralError("subspace vectors are linearly dependent")
         if not np.all(np.isfinite(V)):
             raise StructuralError("subspace vectors must be finite")
+        if V.shape[0] and not full_rank(V, V.shape[0])[0]:
+            raise StructuralError("subspace vectors are linearly dependent")
         V.flags.writeable = False
         object.__setattr__(self, "vectors", V)
 
@@ -184,15 +191,12 @@ class SubspaceBasis:
     def contains(self, vec, tol: float = DEFAULT_TOL) -> bool:
         return self.distance(vec) <= tol
 
-    def contains_all(self, vectors, tol: float = DEFAULT_TOL) -> bool:
-        return bool(np.all(self.distance(np.atleast_2d(vectors)) <= tol))
-
     def spans_same(self, other: "SubspaceBasis", tol: float = DEFAULT_TOL) -> bool:
         """True when both spans contain each other's basis vectors."""
         if self.ambient_dim != other.ambient_dim:
             raise StructuralError("ambient dimensions differ")
-        return (self.contains_all(other.vectors, tol) if other.dim else True) and \
-               (other.contains_all(self.vectors, tol) if self.dim else True)
+        return bool(np.all(self.distance(other.vectors) <= tol)
+                    and np.all(other.distance(self.vectors) <= tol))
 
 
 def check_lie_algebra(alg: LieAlgebraData, tol: float = DEFAULT_TOL) -> ValidityReport:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, SubspaceBasis, \
-    homomorphism_residuals
+    full_rank, homomorphism_residuals
 from .errors import AxiomError, CapabilityError, ChartError, MembershipError, \
     StructuralError
 from .report import Collector, ValidityReport
@@ -121,10 +121,7 @@ def check_rep(rep: MatrixRep, tol: float = DEFAULT_TOL) -> ValidityReport:
     col = Collector(tol)
     col.scan("representation-homomorphism", homomorphism_residuals(
         rep.algebra.structure_constants, rep.matrices))
-    s = np.linalg.svd(rep.basis_stack, compute_uv=False)
-    n = rep.algebra.dim
-    ratio = float(s[-1] / s[0]) if s.size == n and s[0] > 0 else 0.0
-    faithful = ratio > max(rep.basis_stack.shape) * np.finfo(float).eps
+    faithful, ratio = full_rank(rep.basis_stack, rep.algebra.dim)
     if not faithful:
         col.add("faithful")
     return col.report({"matrix_dim": rep.matrix_dim,
@@ -135,9 +132,7 @@ def adjoint_rep(algebra: LieAlgebraData) -> MatrixRep:
     """The adjoint representation; CapabilityError when it is not faithful
     (nontrivial center), in which case a representation must be supplied."""
     mats = np.stack([algebra.ad(e) for e in np.eye(algebra.dim)])
-    s = np.linalg.svd(mats.reshape(algebra.dim, -1), compute_uv=False)
-    if s.size < algebra.dim or s[0] == 0.0 or \
-            s[-1] <= max(algebra.dim ** 2, algebra.dim) * np.finfo(float).eps * s[0]:
+    if not full_rank(mats.reshape(algebra.dim, -1), algebra.dim)[0]:
         raise CapabilityError(
             "adjoint representation is not faithful (the algebra has a "
             "nontrivial center); supply a faithful matrix representation")

@@ -22,7 +22,8 @@ def int_table(values, shape, bound, what="table") -> np.ndarray:
     """Copy ``values`` into a read-only integer array with entries in [0, bound)."""
     try:
         arr = np.array(values)
-        cast = arr.astype(np.int64)
+        with np.errstate(invalid="ignore"):     # a huge float fails below
+            cast = arr.astype(np.int64)
     except (TypeError, ValueError, OverflowError):
         raise StructuralError(f"{what}: entries must be integers") from None
     if arr.shape != tuple(shape):
@@ -52,9 +53,6 @@ class FiniteRack:
             if not (0 <= int(self.basepoint) < self.size):
                 raise StructuralError("basepoint out of range")
             object.__setattr__(self, "basepoint", int(self.basepoint))
-
-    def op(self, x: int, y: int) -> int:
-        return int(self.op_table[x, y])
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +121,9 @@ class GroupRackTriple:
         if not isinstance(self.x_size, int) or self.x_size <= 0:
             raise StructuralError("x_size must be a positive integer")
         A = int_table(self.action_table, (self.group.size, self.x_size),
-                      self.x_size, "action table")
+                      self.x_size, "action_table")
         T = int_table(self.theta_table, (self.x_size,), self.group.size,
-                      "embedding table")
+                      "theta_table")
         if not (0 <= int(self.basepoint) < self.x_size):
             raise StructuralError("basepoint out of range")
         object.__setattr__(self, "action_table", A)

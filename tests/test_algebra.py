@@ -170,6 +170,12 @@ def test_dependent_vectors_rejected():
         SubspaceBasis(3, [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
 
 
+def test_more_vectors_than_dimensions_rejected():
+    # three rows in R^2 have two nonzero singular values, yet are dependent
+    with pytest.raises(StructuralError, match="linearly dependent"):
+        SubspaceBasis(2, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
 def test_bracket_closure_check():
     sl2 = catalog.sl2()
     assert bracket_closure_check(sl2, SubspaceBasis(3, [[1, 0, 0], [0, 1, 0]]))

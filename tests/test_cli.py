@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,15 +236,16 @@ def test_integrate_rejects_samples_below_one_from_config(tmp_path, capsys):
         assert f"config.{key}" in capsys.readouterr().err
 
 
-def _malformed(cmd, field, doc, *path_and_value):
-    """A spec ``doc`` with the entry at ``path`` replaced by ``value``."""
+def _malformed(cmd, field, doc, *path_and_value, case=None):
+    """A spec ``doc`` with the entry at ``path`` replaced by ``value``; the
+    test id is ``case``, else the field."""
     *path, value = path_and_value
     doc = json.loads(json.dumps(doc))       # scaling_doc shares inner lists
     target = doc
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    return pytest.param(cmd, field, doc, id=field)
+    return pytest.param(cmd, field, doc, id=case or field)
 
 
 NAN = float("nan")
@@ -282,6 +284,43 @@ MALFORMED = [
                "lie_algebra", "structure_constants", 5),
     _malformed("integrate", "config.seed", scaling_doc(1.0, config={}),
                "config", "seed", -3),
+    # one integer rule: a JSON integer, never a boolean and never a float
+    _malformed("verify", "lie_algebra.dim", scaling_doc(1.0),
+               "lie_algebra", "dim", True),
+    _malformed("verify", "module.dim_v", scaling_doc(1.0),
+               "module", "dim_v", True),
+    _malformed("verify", "lie_algebra.structure_constants[0]", scaling_doc(1.0),
+               "lie_algebra", "structure_constants", 0, 0, True),
+    _malformed("verify", "basepoint", rack_doc(), "basepoint", True,
+               case="basepoint=true"),
+    _malformed("verify", "x_size", rack_doc(), "x_size", 6.5,
+               case="x_size=6.5"),
+    _malformed("integrate", "config.samples", scaling_doc(1.0, config={}),
+               "config", "samples", 2.5, case="config.samples=2.5"),
+    _malformed("integrate", "config.samples", scaling_doc(1.0, config={}),
+               "config", "samples", True, case="config.samples=true"),
+    # the whole spec is parsed at load, whatever the command and the verdict
+    _malformed("integrate", "morphism.target",
+               scaling_doc(1.0, morphism={"phi": np.eye(2).tolist(),
+                                          "psi": [[1.0]]}),
+               "morphism", "target", 5, case="integrate:morphism.target"),
+    _malformed("verify", "morphism.target",
+               scaling_doc(1.5, theta={"matrix": [[0.1], [1.0]]},
+                           morphism={"phi": np.eye(2).tolist(),
+                                     "psi": [[1.0]]}),
+               "morphism", "target", 5, case="morphism.target/failing-source"),
+    # constructor errors carry the spec field
+    _malformed("verify", "module.action_matrices", scaling_doc(1.0),
+               "module", "action_matrices", [[[1.0]], [[0.0]], [[0.0]]],
+               case="module.action_matrices/shape"),
+    _malformed("verify", "h_basis.vectors",
+               scaling_doc(1.0, h_basis={"vectors": [[0.0, 1.0]]}),
+               "h_basis", "vectors", [[0.0, 1.0, 0.0]],
+               case="h_basis.vectors/length"),
+    _malformed("verify", "h_basis.vectors",
+               scaling_doc(1.0, h_basis={"vectors": [[0.0, 1.0]]}),
+               "h_basis", "vectors", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+               case="h_basis.vectors/overfull"),
 ]
 
 
@@ -292,6 +331,18 @@ def test_malformed_spec_field_is_named(cmd, field, doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd,field,doc", [
+    _malformed("integrate", "config.step", scaling_doc(1.0, config={}),
+               "config", "step", 10 ** 400),
+    _malformed("verify", "lie_algebra.structure_constants[0]", scaling_doc(1.0),
+               "lie_algebra", "structure_constants", 0, 3, 10 ** 400),
+])
+def test_integer_beyond_float_range_is_not_finite(cmd, field, doc, tmp_path,
+                                                  capsys):
+    # a JSON integer where a number goes is converted, and may overflow
+    test_malformed_spec_field_is_named(cmd, field, doc, tmp_path, capsys)
 
 
 def test_integrate_rejects_rack_specs(tmp_path, capsys):
@@ -348,7 +399,8 @@ def test_integrate_invalid_triple_is_axiom_error(tmp_path):
 
 def test_nan_recovery_fails(capsys):
     # every mixed stencil divides 0 by 4 h^2 = 0, so the recoveries are NaN
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the report shows the NaN itself
         code = main(["integrate", "--builtin", "sl2-adjoint", "--step", "1e-200",
                      "--samples", "5", "--format", "json"])
     assert code == EXIT_AXIOM
