@@ -33,7 +33,7 @@ from .algebra import SubspaceBasis, LieAlgebraData, ModuleAction, \
 from .errors import AxiomError, CapabilityError, DomainError, LeibrackError, \
     StructuralError
 from .integrate import DEFAULT_RADIUS, build_model, run_integration_suites
-from .localgroup import DiffConfig, MatrixRep
+from .localgroup import CHART_RADIUS, SCHEMES, DiffConfig, MatrixRep
 from .examples import inclusion_crossed_module_z3_s3, \
     relaxed_crossed_module_z3_s3
 from .racks import FiniteGroup, GroupRackTriple, \
@@ -77,16 +77,21 @@ def load_document(path: str) -> dict:
 _KINDS = {int: "an integer", float: "a number", str: "a string",
           list: "a list", dict: "an object"}
 
-# integrate settings: config key -> (kind, least value)
-CONFIG = {"step": (float, None), "scheme": (str, None), "samples": (int, 1),
-          "seed": (int, 0), "tolerance": (float, None),
-          "radius": (float, None)}
+_POSITIVE = (lambda v: v > 0, "positive")
+# integrate settings: config key -> (kind, least value, rule)
+CONFIG = {"step": (float, None, _POSITIVE),
+          "scheme": (str, None, (SCHEMES.__contains__, " or ".join(SCHEMES))),
+          "samples": (int, 1, None), "seed": (int, 0, None),
+          "tolerance": (float, None, _POSITIVE),
+          "radius": (float, None, (lambda v: 0 < v <= CHART_RADIUS,
+                                   f"in (0, {CHART_RADIUS}]"))}
 
 
-def _value(value, field: str, kind=None, low=None):
+def _value(value, field: str, kind=None, low=None, rule=None):
     """Every spec field and flag is read here: ``value`` as ``kind`` (int,
     float, str, list or dict), else as a finite read-only float array, of
-    shape ``kind`` when that is a tuple; at least ``low`` when one is given.
+    shape ``kind`` when that is a tuple; at least ``low`` when one is given,
+    and passing the ``rule`` (a test and what it asks) when one is given.
     One integer rule: a JSON integer, never a boolean and never a float.  A
     StructuralError names ``field`` when the value does not fit."""
     if kind is None or type(kind) is tuple:
@@ -99,11 +104,13 @@ def _value(value, field: str, kind=None, low=None):
         raise StructuralError(f"{field} must be finite")
     if low is not None and value < low:
         raise StructuralError(f"{field} must be at least {low}, got {value}")
+    if rule is not None and not rule[0](value):
+        raise StructuralError(f"{field} must be {rule[1]}, got {value!r}")
     return value
 
 
 def _read(block: dict, path: str, where: str = "", kind=None, default=None,
-          low=None):
+          low=None, rule=None):
     """The entry at the dotted ``path`` in ``block`` through :func:`_value`,
     named ``where.path``; ``default`` when its last key is absent, which is an
     error when no default is given.  Every block on the way is an object."""
@@ -112,7 +119,8 @@ def _read(block: dict, path: str, where: str = "", kind=None, default=None,
         block = _read(block, name, where, dict)
         where = f"{where}.{name}" if where else name
     if key in block:
-        return _value(block[key], f"{where}.{key}" if where else key, kind, low)
+        return _value(block[key], f"{where}.{key}" if where else key, kind,
+                      low, rule)
     if default is None:
         raise StructuralError(f"{where or 'spec'}: missing key {key!r}")
     return default
@@ -168,8 +176,8 @@ def triple_parts_from_doc(doc: dict, where: str = "") -> dict:
         "action": ModuleAction(alg, dim_v, _read(
             doc, "module.action_matrices", where, (n, dim_v, dim_v))),
         "theta": EmbeddingTensor(_read(doc, "theta.matrix", where, (n, dim_v))),
-        "config": {key: _value(config[key], f"{at}config.{key}", kind, low)
-                   for key, (kind, low) in CONFIG.items() if key in config}}
+        "config": {key: _value(config[key], f"{at}config.{key}", *CONFIG[key])
+                   for key in CONFIG if key in config}}
     if "faithful_rep" in doc:
         parts["rep"] = _built(f"{at}faithful_rep.matrices", MatrixRep, alg,
                               _read(doc, "faithful_rep.matrices", where))
@@ -191,7 +199,8 @@ def rack_triple_from_doc(doc: dict) -> GroupRackTriple:
     size = _read(doc, "group.size", kind=int, low=1)
     group = _built("group.mul_table", FiniteGroup.from_mul_table,
                    _read(doc, "group.mul_table", kind=(size, size)),
-                   _read(doc, "group.unit", kind=int, default=0, low=0))
+                   _read(doc, "group.unit", kind=int, default=0, low=0, rule=(
+                       lambda u: u < size, f"less than group.size {size}")))
     return GroupRackTriple(group, _read(doc, "x_size", kind=int, low=1),
                            _read(doc, "action_table"), _read(doc, "theta_table"),
                            _read(doc, "basepoint", kind=int, default=0, low=0))
@@ -358,21 +367,16 @@ def cmd_integrate(args) -> int:
             "use 'verify' for those")
 
     def pick(key, fallback):
-        """The flag, else the config entry, else ``fallback``; and the name
-        of the field it came from."""
+        """The flag, else the config entry, else ``fallback``."""
         flag = getattr(args, key)
         if flag is None:
-            return parts["config"].get(key, fallback), f"config.{key}"
-        return _value(flag, f"--{key}", *CONFIG[key]), f"--{key}"
+            return parts["config"].get(key, fallback)
+        return _value(flag, f"--{key}", *CONFIG[key])
 
-    step, _ = pick("step", 1e-4)
-    scheme, _ = pick("scheme", "central")
-    samples, _ = pick("samples", 200)
-    seed, _ = pick("seed", 0)
-    tolerance, field = pick("tolerance", 1e-4)
-    if not tolerance > 0:
-        raise StructuralError(f"{field} must be positive, got {tolerance}")
-    radius, _ = pick("radius", DEFAULT_RADIUS)
+    step, scheme, samples, seed, tolerance, radius = (
+        pick(key, fallback) for key, fallback in (
+            ("step", 1e-4), ("scheme", "central"), ("samples", 200),
+            ("seed", 0), ("tolerance", 1e-4), ("radius", DEFAULT_RADIUS)))
 
     triple = build_triple(parts["algebra"], parts["action"], parts["theta"])
     cfg = DiffConfig(step=step, scheme=scheme)
@@ -390,7 +394,9 @@ def cmd_integrate(args) -> int:
         f"(equivariant subalgebra dim {report.h_dim} of {triple.dim_g})",
     ]
     for name, law in report.laws.items():
-        lines.append(_check_line(f"law suite {name}", law))
+        lines.append(_check_line(f"law suite {name}", law) +
+                     f" ({law.info['samples_used']} used, "
+                     f"{law.info['samples_skipped']} skipped)")
     rt = report.roundtrip
     lines.append(
         f"[{'PASS' if rt['passed'] else 'FAIL'}] tensor round trip: "
@@ -535,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="round-trip tolerance (default 1e-4)")
     p_int.add_argument("--radius", type=float, default=None)
     p_int.add_argument("--step", type=float, default=None)
-    p_int.add_argument("--scheme", choices=("central", "richardson"),
-                       default=None)
+    p_int.add_argument("--scheme", default=None, help=" or ".join(SCHEMES))
     p_int.add_argument("--samples", type=int, default=None)
     p_int.add_argument("--seed", type=int, default=None)
     p_int.add_argument("--format", choices=("text", "json"), default="text")

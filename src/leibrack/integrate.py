@@ -12,6 +12,11 @@ is only declared when the moved point stays inside the radius (DomainError
 otherwise).  Embedding a point exponentiates its algebra component, and the
 rack product is x > y = q(embed(x), y).
 
+The law suites run batched on (k, d) points and (k, m, m) group matrices,
+drawn in the RNG order of one draw per sample: each step of a trial is one
+stacked call, and a per-sample mask skips a sample from the first step that
+leaves the domain, keeping the residuals it measured before that step.
+
 Recovery runs the construction backwards with finite differences: the
 derivative of embedded curves returns the embedding tensor, mixed second
 derivatives of the action and of the rack product return the action matrices
@@ -33,14 +38,16 @@ import numpy as np
 from .algebra import SubspaceBasis
 from .errors import AxiomError, DomainError, MembershipError, StructuralError
 from .localgroup import CHART_RADIUS, DiffConfig, GroupElement, MatrixRep, \
-    adjoint_rep, check_rep, derivative_at_identity, group_inverse, group_mul, \
-    log_matrix, mixed_second_derivative, working_rep
+    adjoint_rep, chart_products, check_rep, derivative_at_identity, \
+    group_inverse, group_mul, log_matrix, mixed_second_derivative, norms, \
+    working_rep
 from .report import Collector, ValidityReport
 from .triples import LieLeibnizTriple, RelaxedAugmentation, \
     check_relaxed_augmentation, equivariance_defect, max_strictness_subalgebra
 
 DEFAULT_RADIUS = min(0.3, 0.6 * CHART_RADIUS)
 _UNDO_TOL = 1e-9
+_BATCH = 100            # samples per stacked trial, which bounds its memory
 _DEFECT_TOL = 1e-4
 
 
@@ -79,13 +86,19 @@ class LocalRackModel:
         if self.rep.matrix_dim != self.base_dim + self.triple.dim_v:
             raise StructuralError("block representation has the wrong size")
 
+    def shadows(self, v):
+        """theta(v) of a vector or of each of a stack (k, d), and whether it
+        lies outside the model radius."""
+        shadow = np.matvec(self.triple.theta.matrix, v)
+        return shadow, norms(shadow) >= self.radius
+
     def point(self, v) -> RackPoint:
         """The model point over v; MembershipError outside the radius."""
         v = np.asarray(v, dtype=float)
-        shadow = self.triple.theta.matrix @ v
-        if np.linalg.norm(shadow) >= self.radius:
+        shadow, outside = self.shadows(v)
+        if outside:
             raise MembershipError(
-                f"theta(v) has norm {np.linalg.norm(shadow):.3f}, outside "
+                f"theta(v) has norm {norms(shadow):.3f}, outside "
                 f"the model radius {self.radius}")
         return RackPoint(v, shadow)
 
@@ -130,19 +143,25 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
                           rep.matrix_dim, h_basis, float(radius), cfg)
 
 
+def _act(model: LocalRackModel, G, v):
+    """rho_g v for a group matrix and a vector, or stacks (k, m, m) and (k, d)
+    of both: the moved vectors, their shadows and whether they left the
+    model radius."""
+    moved = np.matvec(G[..., model.base_dim:, model.base_dim:], v)
+    return (moved, *model.shadows(moved))
+
+
 def in_action_domain(model: LocalRackModel, g: GroupElement,
                      p: RackPoint) -> bool:
     """Whether (g, p) is composable: the moved shadow stays inside the radius."""
-    moved = model.fiber_matrix(g) @ p.v
-    return bool(np.linalg.norm(model.triple.theta.matrix @ moved) < model.radius)
+    return not _act(model, g.matrix, p.v)[2]
 
 
 def local_action(model: LocalRackModel, g: GroupElement,
                  p: RackPoint) -> RackPoint:
     """q(g, p) = (rho_g v, theta(rho_g v)); DomainError outside the domain."""
-    moved = model.fiber_matrix(g) @ p.v
-    shadow = model.triple.theta.matrix @ moved
-    if np.linalg.norm(shadow) >= model.radius:
+    moved, shadow, outside = _act(model, g.matrix, p.v)
+    if outside:
         raise DomainError("the moved point left the model neighbourhood")
     return RackPoint(moved, shadow)
 
@@ -170,22 +189,20 @@ def _sample_direction(rng, basis: np.ndarray, scale: float) -> np.ndarray:
     return w * (scale * float(rng.uniform(0.2, 1.0)) / nrm)
 
 
-def _sample_point(model: LocalRackModel, rng, frac: float) -> RackPoint:
-    """A model point whose shadow norm is at most frac * radius."""
+def _sample_point(model: LocalRackModel, rng, frac: float) -> np.ndarray:
+    """A module vector whose shadow norm is at most frac * radius."""
     v = rng.standard_normal(model.triple.dim_v)
-    shadow = model.triple.theta.matrix @ v
-    nrm = float(np.linalg.norm(shadow))
+    nrm = float(np.linalg.norm(model.triple.theta.matrix @ v))
     if nrm > 0.0:
-        v = v * (frac * model.radius / nrm) * float(rng.uniform(0.2, 1.0))
-    else:
-        v = v / max(1.0, float(np.linalg.norm(v)))
-    return model.point(v)
+        return v * (frac * model.radius / nrm) * float(rng.uniform(0.2, 1.0))
+    return v / max(1.0, float(np.linalg.norm(v)))
 
 
-def _gap(p: RackPoint, q: RackPoint) -> float:
-    """Largest entrywise difference of two points, over both components."""
-    return max(float(np.max(np.abs(p.v - q.v))),
-               float(np.max(np.abs(p.u - q.u))))
+def _gap(p, q) -> np.ndarray:
+    """Largest entrywise difference of two stacks of points (v, u), over both
+    components, per sample."""
+    return np.maximum(np.abs(p[0] - q[0]).max(axis=-1),
+                      np.abs(p[1] - q[1]).max(axis=-1))
 
 
 def _conjugate(model: LocalRackModel, g: GroupElement,
@@ -201,26 +218,31 @@ def _conjugate(model: LocalRackModel, g: GroupElement,
 
 def _run_suite(samples: int, seed: int, tol: float, draw, trial,
                **info) -> ValidityReport:
-    """Run ``trial(col, k, *draw(rng))`` for k < samples on one seeded RNG.
+    """Draw ``draw(rng)`` for each of ``samples`` samples on one seeded RNG
+    and run ``trial`` on the stacked draws, _BATCH samples at a time.
 
-    A sample whose trial leaves the model domain, the chart or the model
-    neighbourhood is skipped; a suite that used no sample fails under the
-    law ``samples-used``.  ``info`` gains the used and skipped counts.
+    ``trial`` returns the mask of samples that stayed in the model domain,
+    the chart and the model neighbourhood at every step, and its laws as
+    ``(law, residuals, reached, tol)``: a sample is measured against a law
+    it reached, so a sample skipped at a later step keeps its earlier
+    residuals, and a law with ``tol`` None is exact.  Violations are listed
+    sample by sample; a suite that used no sample fails under the law
+    ``samples-used``.  ``info`` gains the used and skipped counts.
     """
     rng = np.random.default_rng(seed)
-    col = Collector(tol)
-    used = skipped = 0
-    for k in range(samples):
-        drawn = draw(rng)
-        try:
-            trial(col, k, *drawn)
-        except DomainError:
-            skipped += 1
-        else:
-            used += 1
+    col, used = Collector(tol), 0
+    for start in range(0, samples, _BATCH):
+        drawn = [draw(rng) for _ in range(min(_BATCH, samples - start))]
+        done, laws = trial(*map(np.array, zip(*drawn)))
+        laws = [(law, np.where(reached, res, 0.0), law_tol)
+                for law, res, reached, law_tol in laws]
+        col.tables(*[(law, ~(res <= 0.0) if law_tol is None else res > law_tol,
+                      res) for law, res, law_tol in laws], start=start)
+        used += int(np.count_nonzero(done))
     if used == 0:
         col.add("samples-used")
-    return col.report(dict(info, samples_used=used, samples_skipped=skipped))
+    return col.report(dict(info, samples_used=used,
+                           samples_skipped=max(samples, 0) - used))
 
 
 def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
@@ -229,20 +251,22 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
     """Composability of the action: q(g1 g2, p) = q(g1, q(g2, p)) on samples,
     and exactness of the unit law q(e, p) = p."""
     full = np.eye(model.triple.dim_g)
-    ident = model.rep.identity()
 
     def draw(rng):
-        return (model.rep.element(_sample_direction(rng, full, 0.05)),
-                model.rep.element(_sample_direction(rng, full, 0.05)),
+        return (_sample_direction(rng, full, 0.05),
+                _sample_direction(rng, full, 0.05),
                 _sample_point(model, rng, 0.25))
 
-    def trial(col, k, g1, g2, p):
-        onestep = local_action(model, group_mul(g1, g2, model.rep), p)
-        twostep = local_action(model, g1, local_action(model, g2, p))
-        col.measure("group-set-composition", (k,), _gap(onestep, twostep))
-        fixed = local_action(model, ident, p)
-        if not (np.array_equal(fixed.v, p.v) and np.array_equal(fixed.u, p.u)):
-            col.add("unit-acts-trivially", (k,), _gap(fixed, p))
+    def trial(xi1, xi2, v):
+        p = (v, model.shadows(v)[0])
+        (g1, _), (g2, _) = model.rep.element(xi1), model.rep.element(xi2)
+        g12, _, off = chart_products(g1, g2, model.rep)
+        onestep, inner = _act(model, g12, v), _act(model, g2, v)
+        twostep = _act(model, g1, inner[0])
+        used = ~(off | onestep[2] | inner[2] | twostep[2])
+        fixed = _act(model, model.rep.identity().matrix, v)
+        return used, [("group-set-composition", _gap(onestep, twostep), used, tol),
+                      ("unit-acts-trivially", _gap(fixed, p), used, None)]
 
     return _run_suite(samples, seed, tol, draw, trial)
 
@@ -255,31 +279,30 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
     samples whose intermediate products all stay in the domain; the left
     translation is checked by undoing x > y with the inverse group element;
     the basepoint laws hold exactly in floating point and are asserted so.
+    Every shadow inside the model radius lies in the chart ball, so
+    embedding a point never leaves the chart.
     """
-    base = model.basepoint()
-
     def draw(rng):
         return [_sample_point(model, rng, 0.2) for _ in range(3)]
 
-    def trial(col, k, x, y, z):
-        xy = rack_product(model, x, y)
-        yz = rack_product(model, y, z)
-        xz = rack_product(model, x, z)
-        lhs, rhs = rack_product(model, x, yz), rack_product(model, xy, xz)
-        col.measure("self-distributivity", (k,), _gap(lhs, rhs))
-
-        undone = local_action(
-            model, group_inverse(embed_point(model, x), model.rep), xy)
-        col.measure("left-translation-undo", (k,),
-                    np.max(np.abs(undone.v - y.v)), _UNDO_TOL)
-
-        trivial = rack_product(model, base, y)
-        if not np.array_equal(trivial.v, y.v):
-            col.add("basepoint-acts-trivially", (k,),
-                    np.max(np.abs(trivial.v - y.v)))
-        fixed = rack_product(model, x, base)
-        if not (np.all(fixed.v == 0.0) and np.all(fixed.u == 0.0)):
-            col.add("basepoint-fixed", (k,), np.max(np.abs(fixed.v)))
+    def trial(x, y, z):
+        ux, uy = model.shadows(x)[0], model.shadows(y)[0]
+        ex, ey = model.rep.element(ux)[0], model.rep.element(uy)[0]
+        xy, yz, xz = _act(model, ex, y), _act(model, ey, z), _act(model, ex, z)
+        lhs = _act(model, ex, yz[0])
+        rhs = _act(model, model.rep.element(xy[1])[0], xz[0])
+        distributes = ~(xy[2] | yz[2] | xz[2] | lhs[2] | rhs[2])
+        undone = _act(model, model.rep.element(-ux)[0], xy[0])
+        used = distributes & ~undone[2]
+        trivial = _act(model, model.rep.identity().matrix, y)[0]
+        fixed = _act(model, ex, np.zeros_like(x))[0]
+        return used, [
+            ("self-distributivity", _gap(lhs, rhs), distributes, tol),
+            ("left-translation-undo", np.abs(undone[0] - y).max(axis=1), used,
+             _UNDO_TOL),
+            ("basepoint-acts-trivially", np.abs(trivial - y).max(axis=1), used,
+             None),
+            ("basepoint-fixed", np.abs(fixed).max(axis=1), used, None)]
 
     return _run_suite(samples, seed, tol, draw, trial, undo_tolerance=_UNDO_TOL)
 
@@ -292,18 +315,24 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
     of the algebra (a strict triple) this amounts to chart-wide sampling of
     the law Phi(q(h, p)) = h Phi(p) h^-1.  The conjugated side is computed
     through matrix products and logarithms, independent of the embedded
-    side's stored coordinates.  A zero subalgebra leaves nothing to sample.
+    side's coordinates, which are the moved shadow.  A zero subalgebra
+    leaves nothing to sample.
     """
     h_dim = model.h_basis.dim
 
     def draw(rng):
-        xi = _sample_direction(rng, model.h_basis.vectors, 0.05)
-        return model.rep.element(xi), _sample_point(model, rng, 0.25)
+        return (_sample_direction(rng, model.h_basis.vectors, 0.05),
+                _sample_point(model, rng, 0.25))
 
-    def trial(col, k, h, p):
-        moved = embed_point(model, local_action(model, h, p)).coords
-        col.measure("embedding-equivariance", (k,),
-                    np.max(np.abs(moved - _conjugate(model, h, p).coords)))
+    def trial(xi, v):
+        h, hinv = model.rep.element(xi)[0], model.rep.element(-xi)[0]
+        moved = _act(model, h, v)
+        hp, _, off = chart_products(
+            h, model.rep.element(model.shadows(v)[0])[0], model.rep)
+        _, conj, off_inv = chart_products(hp, hinv, model.rep)
+        used = ~(moved[2] | off | off_inv)
+        return used, [("embedding-equivariance",
+                       np.abs(moved[1] - conj).max(axis=1), used, tol)]
 
     return _run_suite(samples if h_dim else 0, seed, tol, draw, trial,
                       strict=h_dim == model.triple.dim_g, h_dim=int(h_dim))

@@ -7,10 +7,17 @@ logarithm, and recover coordinates by least squares against the stacked
 representation basis; a product that leaves the chart or the representation
 span raises ChartError instead of returning garbage.
 
+``expm``, ``log_matrix``, ``MatrixRep.coords_of`` and ``MatrixRep.element``
+also take a stack of k matrices (k, m, m) or coordinate vectors (k, n) and
+give bit for bit the results of k single calls; where a single call raises
+ChartError, a stacked call returns a per-slice failure mask instead.
+
 The logarithm uses inverse scaling and squaring: Denman-Beavers square roots
 until ||M - I||_F < 0.25, then the alternating series for log(I + X), then
-multiply back by 2^k.  Matrices outside the principal-log domain fail the
-square-root phase within the iteration cap.
+multiply back by 2^k; each slice of a stack stops when it converges.
+Matrices outside the principal-log domain fail the square-root phase within
+the iteration cap.  The exponential is scipy's, which takes stacks as they
+are (see the README for why it stays).
 
 The finite-difference engine lives here too: central differences (O(h^2)
 truncation) and a Richardson-extrapolated variant (O(h^4) truncation, eight
@@ -32,6 +39,7 @@ from .errors import AxiomError, CapabilityError, ChartError, MembershipError, \
 from .report import Collector, ValidityReport
 
 CHART_RADIUS = 0.5
+SCHEMES = ("central", "richardson")
 _SERIES_THRESHOLD = 0.25
 _MAX_SQUARE_ROOTS = 40
 _SQRT_TOL = 1e-15
@@ -83,31 +91,44 @@ class MatrixRep:
         return self.matrices.shape[1]
 
     def algebra_matrix(self, coords) -> np.ndarray:
-        """The represented algebra element sum_i coords_i R_i."""
-        return np.einsum("i,iab->ab", np.asarray(coords, float), self.matrices)
+        """The represented algebra element sum_i coords_i R_i (of each row of
+        a stack of coordinates)."""
+        return np.einsum("...i,iab->...ab", np.asarray(coords, float),
+                         self.matrices)
 
-    def coords_of(self, mat, tol: float) -> np.ndarray:
-        """Least-squares preimage of a matrix; ChartError when the projection
-        residual exceeds tol * max(1, ||mat||), i.e. the matrix left the span."""
-        vec = np.asarray(mat, float).ravel()
-        coords = self._pinv @ vec
-        residual = float(np.linalg.norm(self.basis_stack @ coords - vec))
-        if residual > tol * max(1.0, float(np.linalg.norm(vec))):
+    def coords_of(self, mat, tol: float):
+        """Least-squares preimage of a matrix, or of each of a stack.  A matrix
+        left the span when the projection residual exceeds tol * max(1,
+        ||mat||): one matrix then raises ChartError, a stack returns the
+        coordinates and the mask of such matrices."""
+        mats = np.asarray(mat, float)
+        vec = mats.reshape(mats.shape[:-2] + (-1,))
+        coords = np.matvec(self._pinv, vec)
+        residual = norms(np.matvec(self.basis_stack, coords) - vec)
+        off = residual > tol * np.maximum(1.0, norms(vec))
+        if mats.ndim == 3:
+            return coords, off
+        if off:
             raise ChartError(
                 f"matrix left the representation span (residual {residual:.3e})")
         return coords
 
-    def element(self, coords) -> GroupElement:
-        """exp of an algebra element; ChartError outside the chart ball."""
+    def element(self, coords):
+        """exp of an algebra element; ChartError outside the chart ball.  On a
+        stack of coordinates (k, n): the matrices (k, m, m), the identity
+        where the coordinates left the ball, and the mask of those."""
         c = np.asarray(coords, dtype=float)
-        if c.shape != (self.algebra.dim,):
+        if c.ndim not in (1, 2) or c.shape[-1] != self.algebra.dim:
             raise StructuralError(
                 f"expected {self.algebra.dim} coordinates, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise StructuralError("coordinates must be finite")
-        if np.linalg.norm(c) >= CHART_RADIUS:
+        out = norms(c) >= CHART_RADIUS
+        if c.ndim == 2:
+            return expm(self.algebra_matrix(np.where(out[:, None], 0.0, c))), out
+        if out:
             raise ChartError(
-                f"coordinates of norm {np.linalg.norm(c):.3f} are outside the "
+                f"coordinates of norm {norms(c):.3f} are outside the "
                 f"chart ball of radius {CHART_RADIUS}")
         return GroupElement(c, expm(self.algebra_matrix(c)))
 
@@ -160,76 +181,141 @@ def working_rep(rep: MatrixRep, action: ModuleAction) -> MatrixRep:
 # ---------------------------------------------------------------------------
 
 def expm(A) -> np.ndarray:
-    """scipy's matrix exponential, imported on the first call (never in verify)."""
+    """scipy's matrix exponential, of one matrix or each of a stack, imported
+    on the first call (never in verify)."""
     from scipy.linalg import expm as scipy_expm
     return scipy_expm(A)
 
 
-def _sqrt_denman_beavers(A: np.ndarray) -> np.ndarray:
-    """Principal matrix square root by the Denman-Beavers iteration."""
-    Y = A.copy()
-    Z = np.eye(A.shape[0])
+def norms(X, matrices: bool = False):
+    """2-norms of the vectors of a stack, or Frobenius norms of its matrices,
+    each the root of one dot product: bit for bit ``np.linalg.norm``."""
+    if matrices:
+        X = X.reshape(X.shape[:-2] + (X.shape[-2] * X.shape[-1],))
+    return np.sqrt(np.vecdot(X, X))
+
+
+# why a logarithm failed, indexed by its failure code (0: it did not)
+_SINGULAR, _DIVERGED, _STALLED, _FAR = 1, 2, 3, 4
+_LOG_FAILURES = ("", "square-root iteration hit a singular iterate; matrix is "
+                 "outside the principal-log domain",
+                 "square-root iteration diverged",
+                 "square-root iteration did not converge",
+                 "matrix stayed far from the identity after "
+                 f"{_MAX_SQUARE_ROOTS} square roots")
+
+
+def _inverses(Y: np.ndarray):
+    """Inverse of each matrix of a stack and the mask of singular ones, left
+    as they are; ``np.linalg.inv`` raises for a whole stack, so halve it."""
+    try:
+        return np.linalg.inv(Y), np.zeros(len(Y), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(Y) == 1:
+            return Y, np.ones(1, dtype=bool)
+        halves = _inverses(Y[:len(Y) // 2]), _inverses(Y[len(Y) // 2:])
+        return tuple(np.concatenate(part) for part in zip(*halves))
+
+
+def _sqrt_denman_beavers(A: np.ndarray):
+    """Principal square roots of a stack by the Denman-Beavers iteration, each
+    slice until it converges; the roots and a failure code per slice."""
+    roots, code = A.copy(), np.full(len(A), _STALLED)
+    live, Y, Z = np.arange(len(A)), A, np.broadcast_to(np.eye(A.shape[1]), A.shape)
     for _ in range(_SQRT_MAX_ITER):
-        try:
-            Yi = np.linalg.inv(Y)
-            Zi = np.linalg.inv(Z)
-        except np.linalg.LinAlgError as exc:
-            raise ChartError("square-root iteration hit a singular iterate; "
-                             "matrix is outside the principal-log domain") from exc
-        Yn = 0.5 * (Y + Zi)
-        Zn = 0.5 * (Z + Yi)
-        delta = np.linalg.norm(Yn - Y, "fro")
-        Y, Z = Yn, Zn
-        if not np.all(np.isfinite(Y)):
-            raise ChartError("square-root iteration diverged")
-        if delta <= _SQRT_TOL * max(1.0, np.linalg.norm(Y, "fro")):
-            return Y
-    raise ChartError("square-root iteration did not converge")
+        (Yi, sy), (Zi, sz) = _inverses(Y), _inverses(Z)
+        Yn, Z = 0.5 * (Y + Zi), 0.5 * (Z + Yi)
+        delta, Y = norms(Yn - Y, matrices=True), Yn
+        scale = np.maximum(1.0, norms(Y, matrices=True))
+        # each slice's code after this step; -1 while it still iterates
+        now = np.select([sy | sz, ~np.isfinite(Y).all(axis=(1, 2)),
+                         delta <= _SQRT_TOL * scale], [_SINGULAR, _DIVERGED, 0], -1)
+        stop = now >= 0
+        if stop.any():
+            code[live[stop]], roots[live[stop]] = now[stop], Y[stop]
+            live, Y, Z = live[~stop], Y[~stop], Z[~stop]
+            if not live.size:
+                break
+    return roots, code
 
 
-def log_matrix(M) -> np.ndarray:
-    """Principal logarithm by inverse scaling and squaring.
+def log_matrix(M):
+    """Principal logarithm by inverse scaling and squaring, of one matrix or
+    of each of a stack (k, m, m).
 
     Square-roots the input until it is within Frobenius distance 0.25 of the
     identity, runs the alternating series for log(I + X), and scales back.
-    Raises ChartError for inputs outside the principal-log domain (such as
-    matrices with eigenvalues on the closed negative real axis), where the
-    square roots stop contracting toward the identity.
+    Outside the principal-log domain (such as eigenvalues on the closed
+    negative real axis) the square roots stop contracting toward the
+    identity: one matrix raises ChartError, a stack returns the logarithms
+    (0 where they failed) and the mask of failed slices.
     """
     A = np.array(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise StructuralError("logarithm needs a square matrix")
-    if not np.all(np.isfinite(A)):
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise StructuralError("logarithm needs a square matrix or a stack of them")
+    if not np.isfinite(A).all():
         raise StructuralError("logarithm needs finite entries")
-    I = np.eye(A.shape[0])
-    roots = 0
-    while np.linalg.norm(A - I, "fro") >= _SERIES_THRESHOLD:
-        if roots >= _MAX_SQUARE_ROOTS:
-            raise ChartError("matrix stayed far from the identity after "
-                             f"{_MAX_SQUARE_ROOTS} square roots")
-        A = _sqrt_denman_beavers(A)
-        roots += 1
-    X = A - I
-    term = X.copy()
-    total = X.copy()
-    # ||X|| < 0.25 gives at least a factor-4 decay per term
+    S, m = A.reshape((-1,) + A.shape[-2:]), A.shape[-1]
+    roots, code = np.zeros(len(S), dtype=int), np.zeros(len(S), dtype=int)
+    X = S.copy()
+    X.reshape(len(S), m * m)[:, ::m + 1] -= 1.0     # S - I, bit for bit
+    far = (norms(X, matrices=True) >= _SERIES_THRESHOLD).nonzero()[0]
+    scaled = far.size > 0
+    while far.size:
+        code[far[roots[far] >= _MAX_SQUARE_ROOTS]] = _FAR
+        far = far[code[far] == 0]
+        S[far], code[far] = _sqrt_denman_beavers(S[far])
+        roots[far] += 1
+        X[far] = S[far] - np.eye(m)
+        X[code > 0] = 0.0                   # a failed slice keeps the log 0
+        far = far[(code[far] == 0) &
+                  (norms(X[far], matrices=True) >= _SERIES_THRESHOLD)]
+    # ||X|| < 0.25 bounds every partial sum by -log(0.75) < 1 and gives at
+    # least a factor-4 decay per term, so a term stops the series once it is
+    # below 1e-17 in absolute size
+    live, term, total = np.arange(len(S)), X, X.copy()
+    logs = total
     for p in range(2, 64):
         term = term @ X
         total += ((-1.0) ** (p - 1) / p) * term
-        if np.linalg.norm(term, "fro") / p <= 1e-17 * max(1.0, np.linalg.norm(total, "fro")):
+        size = norms(term, matrices=True).tolist()
+        if max(size, default=0.0) / p <= 1e-17:
             break
-    return float(2 ** roots) * total
+        if min(size) / p <= 1e-17:
+            done = np.array(size) / p <= 1e-17
+            logs[live[done]] = total[done]
+            live, X, term, total = live[~done], X[~done], term[~done], total[~done]
+    if total is not logs:
+        logs[live] = total
+    if scaled:
+        logs *= (2.0 ** roots)[:, None, None]
+    if A.ndim == 3:
+        return logs, code > 0
+    if code[0]:
+        raise ChartError(_LOG_FAILURES[code[0]])
+    return logs[0]
 
 
 # ---------------------------------------------------------------------------
 # Group operations
 # ---------------------------------------------------------------------------
 
+def chart_products(A, B, rep: MatrixRep):
+    """Products of two stacks of group matrices in the chart: the product
+    matrices, their coordinates, and the mask of products that left the
+    log domain, the representation span or the chart ball."""
+    M = A @ B
+    L, failed = log_matrix(M)
+    coords, off = rep.coords_of(L, DEFAULT_TOL)
+    return M, coords, failed | off | (norms(coords) >= CHART_RADIUS)
+
+
 def group_mul(g1: GroupElement, g2: GroupElement, rep: MatrixRep) -> GroupElement:
-    """Product in the chart: multiply matrices, log, recover coordinates."""
+    """Product in the chart: multiply matrices, log, recover coordinates; the
+    single-pair form of :func:`chart_products`."""
     M = g1.matrix @ g2.matrix
     coords = rep.coords_of(log_matrix(M), DEFAULT_TOL)
-    if np.linalg.norm(coords) >= CHART_RADIUS:
+    if norms(coords) >= CHART_RADIUS:
         raise ChartError("product left the coordinate chart")
     return GroupElement(coords, M)
 
@@ -290,7 +376,7 @@ class DiffConfig:
     def __post_init__(self):
         if not (self.step > 0):
             raise StructuralError("step must be positive")
-        if self.scheme not in ("central", "richardson"):
+        if self.scheme not in SCHEMES:
             raise StructuralError("scheme must be 'central' or 'richardson'")
 
 

@@ -83,6 +83,8 @@ class FiniteGroup:
         except TypeError:
             raise StructuralError("mul table: expected a square table") from None
         mul = int_table(mul_table, (size, size), size, "mul table")
+        if not 0 <= unit < size:
+            raise StructuralError("unit out of range")
         inv = np.full(size, -1, dtype=np.int64)
         for g in range(size):
             hits = np.where((mul[g] == unit) & (mul[:, g] == unit))[0]

@@ -113,15 +113,20 @@ class Collector:
         if hits.size and residuals is None:
             self._fold(1.0)
 
-    def tables(self, *laws):
+    def tables(self, *laws, start: int = 0):
         """Several ``(law, bad)`` tables sharing their first axis, listed
-        index by index along that axis."""
+        index by index along that axis, which is numbered from ``start``.  A
+        ``(law, bad, residuals)`` table folds its residuals into the maximum
+        and lists them with its violations."""
         rows = np.zeros(len(laws[0][1]), dtype=bool)
-        for _, bad in laws:
+        for _, bad, *residuals in laws:
             rows |= np.reshape(bad, (len(rows), -1)).any(axis=1)
+            for res in residuals:
+                self._fold(float(np.max(res, initial=0.0)))
         for i in np.flatnonzero(rows):
-            for law, bad in laws:
-                self.table(law, bad[i], lead=(i,))
+            for law, bad, *residuals in laws:
+                self.table(law, bad[i], *(res[i] for res in residuals),
+                           lead=(start + i,))
 
     def merge(self, report: ValidityReport, prefix: str = ""):
         """Fold in a sub-check's report, renaming its laws with ``prefix``."""

@@ -1,0 +1,172 @@
+"""The per-sample law suites, kept as a test oracle for the batched ones.
+
+This is the integrate law-suite code as it ran before the suites were
+batched: one Python trial per sample on ``GroupElement`` and ``RackPoint``
+objects, with the scalar kernels, and a sample skipped when its trial raises
+``DomainError`` (``ChartError`` and ``MembershipError`` included).  The
+suite functions take the same arguments as ``leibrack.integrate``'s and
+return the same reports; ``tests/test_batched_suites.py`` compares them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from leibrack.errors import DomainError
+from leibrack.integrate import LocalRackModel, RackPoint, _UNDO_TOL, \
+    embed_point, local_action, rack_product
+from leibrack.localgroup import GroupElement, group_inverse, group_mul
+from leibrack.report import Collector, ValidityReport
+
+
+# ---------------------------------------------------------------------------
+# sampling helpers
+# ---------------------------------------------------------------------------
+
+def _sample_direction(rng, basis: np.ndarray, scale: float) -> np.ndarray:
+    """Random combination of the given row vectors, scaled to norm <= scale."""
+    w = rng.standard_normal(basis.shape[0]) @ basis
+    nrm = np.linalg.norm(w)
+    if nrm == 0.0:
+        return w
+    return w * (scale * float(rng.uniform(0.2, 1.0)) / nrm)
+
+
+def _sample_point(model: LocalRackModel, rng, frac: float) -> RackPoint:
+    """A model point whose shadow norm is at most frac * radius."""
+    v = rng.standard_normal(model.triple.dim_v)
+    shadow = model.triple.theta.matrix @ v
+    nrm = float(np.linalg.norm(shadow))
+    if nrm > 0.0:
+        v = v * (frac * model.radius / nrm) * float(rng.uniform(0.2, 1.0))
+    else:
+        v = v / max(1.0, float(np.linalg.norm(v)))
+    return model.point(v)
+
+
+def _gap(p: RackPoint, q: RackPoint) -> float:
+    """Largest entrywise difference of two points, over both components."""
+    return max(float(np.max(np.abs(p.v - q.v))),
+               float(np.max(np.abs(p.u - q.u))))
+
+
+def _conjugate(model: LocalRackModel, g: GroupElement,
+               p: RackPoint) -> GroupElement:
+    """g Phi(p) g^-1, through matrix products and logarithms."""
+    return group_mul(group_mul(g, embed_point(model, p), model.rep),
+                     group_inverse(g, model.rep), model.rep)
+
+
+# ---------------------------------------------------------------------------
+# law suites
+# ---------------------------------------------------------------------------
+
+def _run_suite(samples: int, seed: int, tol: float, draw, trial,
+               **info) -> ValidityReport:
+    """Run ``trial(col, k, *draw(rng))`` for k < samples on one seeded RNG.
+
+    A sample whose trial leaves the model domain, the chart or the model
+    neighbourhood is skipped; a suite that used no sample fails under the
+    law ``samples-used``.  ``info`` gains the used and skipped counts.
+    """
+    rng = np.random.default_rng(seed)
+    col = Collector(tol)
+    used = skipped = 0
+    for k in range(samples):
+        drawn = draw(rng)
+        try:
+            trial(col, k, *drawn)
+        except DomainError:
+            skipped += 1
+        else:
+            used += 1
+    if used == 0:
+        col.add("samples-used")
+    return col.report(dict(info, samples_used=used, samples_skipped=skipped))
+
+
+def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
+                               seed: int = 0,
+                               tol: float = 1e-9) -> ValidityReport:
+    """Composability of the action: q(g1 g2, p) = q(g1, q(g2, p)) on samples,
+    and exactness of the unit law q(e, p) = p."""
+    full = np.eye(model.triple.dim_g)
+    ident = model.rep.identity()
+
+    def draw(rng):
+        return (model.rep.element(_sample_direction(rng, full, 0.05)),
+                model.rep.element(_sample_direction(rng, full, 0.05)),
+                _sample_point(model, rng, 0.25))
+
+    def trial(col, k, g1, g2, p):
+        onestep = local_action(model, group_mul(g1, g2, model.rep), p)
+        twostep = local_action(model, g1, local_action(model, g2, p))
+        col.measure("group-set-composition", (k,), _gap(onestep, twostep))
+        fixed = local_action(model, ident, p)
+        if not (np.array_equal(fixed.v, p.v) and np.array_equal(fixed.u, p.u)):
+            col.add("unit-acts-trivially", (k,), _gap(fixed, p))
+
+    return _run_suite(samples, seed, tol, draw, trial)
+
+
+def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
+                          seed: int = 0, tol: float = 1e-8) -> ValidityReport:
+    """Self-distributivity, invertible left translation, and pointed laws.
+
+    Self-distributivity x > (y > z) = (x > y) > (x > z) is compared on
+    samples whose intermediate products all stay in the domain; the left
+    translation is checked by undoing x > y with the inverse group element;
+    the basepoint laws hold exactly in floating point and are asserted so.
+    """
+    base = model.basepoint()
+
+    def draw(rng):
+        return [_sample_point(model, rng, 0.2) for _ in range(3)]
+
+    def trial(col, k, x, y, z):
+        xy = rack_product(model, x, y)
+        yz = rack_product(model, y, z)
+        xz = rack_product(model, x, z)
+        lhs, rhs = rack_product(model, x, yz), rack_product(model, xy, xz)
+        col.measure("self-distributivity", (k,), _gap(lhs, rhs))
+
+        undone = local_action(
+            model, group_inverse(embed_point(model, x), model.rep), xy)
+        col.measure("left-translation-undo", (k,),
+                    np.max(np.abs(undone.v - y.v)), _UNDO_TOL)
+
+        trivial = rack_product(model, base, y)
+        if not np.array_equal(trivial.v, y.v):
+            col.add("basepoint-acts-trivially", (k,),
+                    np.max(np.abs(trivial.v - y.v)))
+        fixed = rack_product(model, x, base)
+        if not (np.all(fixed.v == 0.0) and np.all(fixed.u == 0.0)):
+            col.add("basepoint-fixed", (k,), np.max(np.abs(fixed.v)))
+
+    return _run_suite(samples, seed, tol, draw, trial, undo_tolerance=_UNDO_TOL)
+
+
+def check_equivariance(model: LocalRackModel, samples: int = 200,
+                       seed: int = 0, tol: float = 1e-8) -> ValidityReport:
+    """Phi intertwines the local action with conjugation.
+
+    Directions are sampled from the equivariant subalgebra; when that is all
+    of the algebra (a strict triple) this amounts to chart-wide sampling of
+    the law Phi(q(h, p)) = h Phi(p) h^-1.  The conjugated side is computed
+    through matrix products and logarithms, independent of the embedded
+    side's stored coordinates.  A zero subalgebra leaves nothing to sample.
+    """
+    h_dim = model.h_basis.dim
+
+    def draw(rng):
+        xi = _sample_direction(rng, model.h_basis.vectors, 0.05)
+        return model.rep.element(xi), _sample_point(model, rng, 0.25)
+
+    def trial(col, k, h, p):
+        moved = embed_point(model, local_action(model, h, p)).coords
+        col.measure("embedding-equivariance", (k,),
+                    np.max(np.abs(moved - _conjugate(model, h, p).coords)))
+
+    return _run_suite(samples if h_dim else 0, seed, tol, draw, trial,
+                      strict=h_dim == model.triple.dim_g, h_dim=int(h_dim))
+

@@ -226,6 +226,18 @@ def test_integrate_rejects_samples_below_one_from_flag(flag, value, capsys):
     assert "[PASS]" not in captured.out
 
 
+@pytest.mark.parametrize("flag,value", [
+    pytest.param("--step", "-1", id="step=-1"),
+    pytest.param("--step", "0", id="step=0"),
+    pytest.param("--scheme", "upwind", id="scheme=upwind"),
+    pytest.param("--radius", "0.7", id="radius=0.7"),
+    pytest.param("--radius", "0", id="radius=0"),
+])
+def test_integrate_settings_out_of_range_name_their_flag(flag, value, capsys):
+    # checked where the flag is read, not by the constructors that use it
+    test_integrate_rejects_samples_below_one_from_flag(flag, value, capsys)
+
+
 def test_integrate_rejects_samples_below_one_from_config(tmp_path, capsys):
     # samples below one, and round-trip tolerances not positive or NaN
     for key, value in (("samples", 0), ("tolerance", -1.0),
@@ -284,6 +296,22 @@ MALFORMED = [
                "lie_algebra", "structure_constants", 5),
     _malformed("integrate", "config.seed", scaling_doc(1.0, config={}),
                "config", "seed", -3),
+    # integrate settings out of range name their field, not the constructor
+    _malformed("integrate", "config.step", scaling_doc(1.0, config={}),
+               "config", "step", -1, case="config.step=-1"),
+    _malformed("integrate", "config.step", scaling_doc(1.0, config={}),
+               "config", "step", 0, case="config.step=0"),
+    _malformed("integrate", "config.scheme", scaling_doc(1.0, config={}),
+               "config", "scheme", "upwind", case="config.scheme=upwind"),
+    _malformed("integrate", "config.radius", scaling_doc(1.0, config={}),
+               "config", "radius", 0.6, case="config.radius=0.6"),
+    _malformed("integrate", "config.radius", scaling_doc(1.0, config={}),
+               "config", "radius", 0, case="config.radius=0"),
+    # the unit is checked before the inverses are looked for
+    _malformed("verify", "group.unit", rack_doc(), "group", "unit", 7,
+               case="group.unit=7"),
+    _malformed("verify", "group.unit", rack_doc(), "group", "unit", 6,
+               case="group.unit=6"),
     # one integer rule: a JSON integer, never a boolean and never a float
     _malformed("verify", "lie_algebra.dim", scaling_doc(1.0),
                "lie_algebra", "dim", True),
@@ -343,6 +371,18 @@ def test_integer_beyond_float_range_is_not_finite(cmd, field, doc, tmp_path,
                                                   capsys):
     # a JSON integer where a number goes is converted, and may overflow
     test_malformed_spec_field_is_named(cmd, field, doc, tmp_path, capsys)
+
+
+def test_integrate_text_counts_used_and_skipped_samples(capsys):
+    assert main(["integrate", "--builtin", "scaling:-40", "--radius", "0.29",
+                 "--samples", "100", "--scheme", "richardson",
+                 "--step", "2e-3"]) == EXIT_PASS
+    suites = [line for line in capsys.readouterr().out.splitlines()
+              if "law suite" in line]
+    assert len(suites) == 3
+    assert suites[0].startswith("[PASS] law suite group_set")
+    assert suites[0].endswith("(96 used, 4 skipped)")
+    assert suites[1].endswith("(100 used, 0 skipped)")
 
 
 def test_integrate_rejects_rack_specs(tmp_path, capsys):

@@ -109,6 +109,14 @@ def test_group_missing_inverse_rejected():
     assert "group-inverse-law" in str(err.value)
 
 
+def test_group_unit_out_of_range_is_a_structural_error():
+    # checked before the inverses are looked for, which would find none
+    M = np.array(catalog.symmetric3().mul_table)
+    for unit in (6, 7, -1):
+        with pytest.raises(StructuralError, match="unit out of range"):
+            FiniteGroup.from_mul_table(M, unit)
+
+
 def test_group_associativity_violation_named():
     M = np.array(catalog.symmetric3().mul_table)
     M[5, 5] = 1 if M[5, 5] != 1 else 2
