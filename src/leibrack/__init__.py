@@ -10,14 +10,12 @@ from .errors import (AxiomError, CapabilityError, ChartError, DomainError,
 from .integrate import (IntegrationReport, LocalRackModel, RackPoint,
                         build_model, check_equivariance,
                         check_local_group_set_laws, check_local_rack_laws,
-                        embed_point, in_action_domain, local_action,
-                        rack_product, recover_equivariance_defect,
-                        recover_tangent_triple, run_integration_suites)
-from .localgroup import (DiffConfig, GroupElement, MatrixRep, adjoint,
-                         adjoint_rep, adjoint_via_rep, chart_section,
-                         check_rep, derivative_at_identity, group_inverse,
-                         group_mul, log_matrix, mixed_second_derivative,
-                         working_rep)
+                        embed_point, local_action, rack_product,
+                        recover_equivariance_defect, recover_tangent_triple,
+                        run_integration_suites)
+from .localgroup import (DiffConfig, GroupElement, MatrixRep, adjoint_rep,
+                         check_rep, derivative_at_identity, log_matrix,
+                         mixed_second_derivative, working_rep)
 from .racks import (FiniteGroup, FiniteRack, GroupCrossedModule,
                     GroupRackTriple, augmented_rack_from_crossed_module,
                     check_group, check_group_crossed_module,

@@ -407,6 +407,9 @@ def cmd_integrate(args) -> int:
         f"[{'PASS' if df['passed'] else 'FAIL'}] defect recovery: "
         f"max gap {df['max_gap']:.3e} over {df['pairs']} basis pairs "
         f"(tolerance {df['tolerance']:.1e})")
+    shrank, directions = report.shrank
+    lines.append(f"stencils: step {step:g}, {shrank} of {directions} directions "
+                 f"shrank" + (f" to {step / 10.0:g}" if shrank else ""))
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     _emit(report.to_dict(), lines, args.format)
     return EXIT_PASS if report.passed else EXIT_AXIOM

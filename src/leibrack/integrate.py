@@ -27,11 +27,15 @@ and the derived bracket, and the mixed derivative of the group-valued defect
 returns the infinitesimal defect map of the triple.  All group coordinates
 used in derivatives are re-extracted from matrices through the logarithm, so
 the round trip genuinely exercises exp and log rather than echoing inputs.
+Each tensor is one stencil call over all its basis directions, on the same
+stacked kernels as the suites; a direction with a stencil point outside the
+chart, the model radius or the action domain reruns at a tenth of the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,8 +43,7 @@ from .algebra import SubspaceBasis
 from .errors import AxiomError, DomainError, MembershipError, StructuralError
 from .localgroup import CHART_RADIUS, DiffConfig, GroupElement, MatrixRep, \
     adjoint_rep, chart_products, check_rep, derivative_at_identity, \
-    group_inverse, group_mul, log_matrix, mixed_second_derivative, norms, \
-    working_rep
+    log_matrix, mixed_second_derivative, norms, working_rep
 from .report import Collector, ValidityReport
 from .triples import LieLeibnizTriple, RelaxedAugmentation, \
     check_relaxed_augmentation, equivariance_defect, max_strictness_subalgebra
@@ -48,6 +51,7 @@ from .triples import LieLeibnizTriple, RelaxedAugmentation, \
 DEFAULT_RADIUS = min(0.3, 0.6 * CHART_RADIUS)
 _UNDO_TOL = 1e-9
 _BATCH = 100            # samples per stacked trial, which bounds its memory
+_CHUNK = 20_000         # matrix entries per stacked stencil call, likewise
 _DEFECT_TOL = 1e-4
 
 
@@ -92,10 +96,13 @@ class LocalRackModel:
         shadow = np.matvec(self.triple.theta.matrix, v)
         return shadow, norms(shadow) >= self.radius
 
-    def point(self, v) -> RackPoint:
-        """The model point over v; MembershipError outside the radius."""
+    def point(self, v):
+        """The model point over v; MembershipError outside the radius.  On a
+        stack (k, d): the shadows and the mask of those outside."""
         v = np.asarray(v, dtype=float)
         shadow, outside = self.shadows(v)
+        if v.ndim == 2:
+            return shadow, outside
         if outside:
             raise MembershipError(
                 f"theta(v) has norm {norms(shadow):.3f}, outside "
@@ -104,10 +111,6 @@ class LocalRackModel:
 
     def basepoint(self) -> RackPoint:
         return self.point(np.zeros(self.triple.dim_v))
-
-    def fiber_matrix(self, g: GroupElement) -> np.ndarray:
-        """Module transport rho_g: the lower block of the represented element."""
-        return g.matrix[self.base_dim:, self.base_dim:]
 
 
 def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
@@ -146,24 +149,18 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
 def _act(model: LocalRackModel, G, v):
     """rho_g v for a group matrix and a vector, or stacks (k, m, m) and (k, d)
     of both: the moved vectors, their shadows and whether they left the
-    model radius."""
+    model radius, which one vector that left raises as DomainError."""
     moved = np.matvec(G[..., model.base_dim:, model.base_dim:], v)
-    return (moved, *model.shadows(moved))
-
-
-def in_action_domain(model: LocalRackModel, g: GroupElement,
-                     p: RackPoint) -> bool:
-    """Whether (g, p) is composable: the moved shadow stays inside the radius."""
-    return not _act(model, g.matrix, p.v)[2]
+    shadow, outside = model.shadows(moved)
+    if np.ndim(v) == 1 and outside:
+        raise DomainError("the moved point left the model neighbourhood")
+    return moved, shadow, outside
 
 
 def local_action(model: LocalRackModel, g: GroupElement,
                  p: RackPoint) -> RackPoint:
     """q(g, p) = (rho_g v, theta(rho_g v)); DomainError outside the domain."""
-    moved, shadow, outside = _act(model, g.matrix, p.v)
-    if outside:
-        raise DomainError("the moved point left the model neighbourhood")
-    return RackPoint(moved, shadow)
+    return RackPoint(*_act(model, g.matrix, p.v)[:2])
 
 
 def embed_point(model: LocalRackModel, p: RackPoint) -> GroupElement:
@@ -203,13 +200,6 @@ def _gap(p, q) -> np.ndarray:
     components, per sample."""
     return np.maximum(np.abs(p[0] - q[0]).max(axis=-1),
                       np.abs(p[1] - q[1]).max(axis=-1))
-
-
-def _conjugate(model: LocalRackModel, g: GroupElement,
-               p: RackPoint) -> GroupElement:
-    """g Phi(p) g^-1, through matrix products and logarithms."""
-    return group_mul(group_mul(g, embed_point(model, p), model.rep),
-                     group_inverse(g, model.rep), model.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -342,70 +332,111 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
 # recovery
 # ---------------------------------------------------------------------------
 
-def _shrink_once(run, cfg: DiffConfig, *args):
-    """Run the stencil ``run(*args, cfg)``; if it exits the domain, shrink the
-    step by 10 and retry once."""
-    try:
-        return run(*args, cfg)
-    except DomainError:
-        return run(*args, DiffConfig(cfg.step / 10.0, cfg.scheme))
+def _recover(model: LocalRackModel, stencil, points, *dirs):
+    """Differentiate ``points`` along k directions with one ``stencil``
+    call: the derivatives and the mask of directions that shrank.  ``dirs``
+    holds one (k, .) stack of directions per stencil offset, and
+    ``points(model, step, *scaled)`` gets offsets times directions, in
+    chunks of _CHUNK matrix entries; it makes each kernel call that can fail
+    as ``step(kernel, *args)``, which keeps the failure mask.  A direction
+    with a failed point reruns at a tenth of the step; if it fails again,
+    the first failed call at its first failed point (first direction first)
+    reruns as a single call on that slice, which raises its error."""
+    per = max(1, _CHUNK // model.rep.matrix_dim ** 2)
+
+    def evaluate(rows, check, *offsets):
+        s, k, steps, vals, bad = len(offsets[0]), len(rows), [], [], []
+        args = [np.tile(t, k)[:, None] * np.repeat(d[rows], s, axis=0)
+                for t, d in zip(offsets, dirs)]
+
+        def step(kernel, *xs):
+            *out, failed = kernel(*xs)
+            steps.append((failed, kernel, xs))
+            return out
+        for i in range(0, s * k, per):
+            steps.clear()
+            vals.append(points(model, step, *(x[i:i + per] for x in args)))
+            bad.append(np.logical_or.reduce([b for b, _, _ in steps]))
+            if check and bad[-1].any():
+                j = bad[-1].argmax()
+                kernel, xs = next((f, xs) for b, f, xs in steps if b[j])
+                kernel(*(x[j] if isinstance(x, np.ndarray) else x for x in xs))
+        return (np.concatenate(vals).reshape(k, s, -1).swapaxes(0, 1),
+                np.concatenate(bad).reshape(k, s).T)
+
+    rows = np.arange(len(dirs[0]))
+    value, shrank = stencil(partial(evaluate, rows, False), model.cfg)
+    if shrank.any():
+        cfg = DiffConfig(model.cfg.step / 10.0, model.cfg.scheme)
+        value[shrank] = stencil(partial(evaluate, rows[shrank], True), cfg)[0]
+    return value, shrank
+
+
+def _theta_points(model, step, v):              # log exp theta(v)
+    E = model.rep.element(step(model.point, v)[0])[0]
+    return step(model.rep.coords_of, step(log_matrix, E)[0], 1e-8)[0]
+
+
+def _action_points(model, step, v, c):          # exp(c) moving the point v
+    G = step(model.rep.element, c)[0]
+    step(model.point, v)
+    return step(_act, model, G, v)[0]
+
+
+def _bracket_points(model, step, x, y):         # x > y
+    G = model.rep.element(step(model.point, x)[0])[0]
+    step(model.point, y)
+    return step(_act, model, G, y)[0]
+
+
+def _defect_points(model, step, c, v):
+    """(g Phi(p) g^-1) Phi(q(g, p))^-1 for g = exp(c) and the point p over v."""
+    rep, G = model.rep, step(model.rep.element, c)[0]
+    gp = step(chart_products, G, rep.element(step(model.point, v)[0])[0], rep)
+    conj = step(chart_products, gp[0], rep.element(-c)[0], rep)[0]
+    moved = rep.element(-step(_act, model, G, v)[1])[0]
+    return step(chart_products, conj, moved, rep)[1]
+
+
+def _pairs(n: int, d: int):
+    """Every pair of basis vectors of R^n and R^d, the first outer, as two
+    stacks (n d, n) and (n d, d)."""
+    return np.repeat(np.eye(n), d, axis=0), np.tile(np.eye(d), (n, 1))
+
+
+def _tangent_triple(model: LocalRackModel):
+    """:func:`recover_tangent_triple` and the mask of its d + n d + d^2
+    directions that shrank."""
+    n, d = model.triple.dim_g, model.triple.dim_v
+    theta, s1 = _recover(model, derivative_at_identity, _theta_points, np.eye(d))
+    # the action's point takes the first stencil offset, its group the second
+    action, s2 = _recover(model, mixed_second_derivative, _action_points,
+                          *_pairs(n, d)[::-1])
+    bracket, s3 = _recover(model, mixed_second_derivative, _bracket_points,
+                           *_pairs(d, d))
+    return (theta.T, action.reshape(n, d, d).swapaxes(1, 2),
+            bracket.reshape(d, d, d)), np.concatenate([s1, s2, s3])
 
 
 def recover_tangent_triple(model: LocalRackModel):
-    """Differentiate the model back to (theta, action, bracket) tensors.
-
-    Returns the triple of arrays in the same layout the triple stores them:
-    the embedding matrix (n, d), the action stack (n, d, d) and the derived
-    bracket tensor (d, d, d).
-    """
-    n, d = model.triple.dim_g, model.triple.dim_v
-    eye_g, eye_v = np.eye(n), np.eye(d)
-
-    theta_rec = np.empty((n, d))
-    for j in range(d):
-        def curve(t, ej=eye_v[j]):
-            g = embed_point(model, model.point(t * ej))
-            return model.rep.coords_of(log_matrix(g.matrix), 1e-8)
-        theta_rec[:, j] = _shrink_once(derivative_at_identity, model.cfg, curve)
-
-    action_rec = np.empty((n, d, d))
-    for i in range(n):
-        for j in range(d):
-            def surface(t1, t2, ai=eye_g[i], ej=eye_v[j]):
-                g = model.rep.element(t2 * ai)
-                return local_action(model, g, model.point(t1 * ej)).v
-            action_rec[i, :, j] = _shrink_once(mixed_second_derivative,
-                                               model.cfg, surface)
-
-    bracket_rec = np.empty((d, d, d))
-    for a in range(d):
-        for b in range(d):
-            def surface(t1, t2, ea=eye_v[a], eb=eye_v[b]):
-                return rack_product(model, model.point(t1 * ea),
-                                    model.point(t2 * eb)).v
-            bracket_rec[a, b, :] = _shrink_once(mixed_second_derivative,
-                                                model.cfg, surface)
-    return theta_rec, action_rec, bracket_rec
+    """Differentiate the model back to (theta, action, bracket) tensors, in
+    the layout the triple stores them: the embedding matrix (n, d), the
+    action stack (n, d, d) and the derived bracket tensor (d, d, d)."""
+    return _tangent_triple(model)[0]
 
 
-def recover_equivariance_defect(model: LocalRackModel, a, v) -> np.ndarray:
+def recover_equivariance_defect(model: LocalRackModel, a, v):
     """The defect map recovered from the group-valued defect of the model.
 
     Differentiates (g Phi(p) g^-1) Phi(q(g, p))^-1 in the group direction a
     and the point direction v; the mixed derivative equals
-    [a, theta(v)] - theta(a . v).
+    [a, theta(v)] - theta(a . v).  Stacks (k, n) and (k, d) of directions
+    give the k derivatives and the mask of pairs whose stencil shrank.
     """
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-
-    def surface(t1, t2):
-        g = model.rep.element(t1 * a)
-        p = model.point(t2 * v)
-        conj = _conjugate(model, g, p)
-        moved = embed_point(model, local_action(model, g, p))
-        return group_mul(conj, group_inverse(moved, model.rep), model.rep).coords
-
-    return _shrink_once(mixed_second_derivative, model.cfg, surface)
+    a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
+    out = _recover(model, mixed_second_derivative, _defect_points,
+                   np.atleast_2d(a), np.atleast_2d(v))
+    return out if a.ndim == 2 else out[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +455,7 @@ class IntegrationReport:
     laws: dict
     roundtrip: dict
     defect: dict
+    shrank: tuple                   # directions whose stencil shrank, of all
 
     def to_dict(self) -> dict:
         return {
@@ -451,15 +483,17 @@ def run_integration_suites(model: LocalRackModel, samples: int = 200,
     tr = model.triple
     exact = {"theta": tr.theta.matrix, "action": tr.action.action_matrices,
              "bracket": tr.derived_bracket.bracket_tensor}
+    tangent, shrank = _tangent_triple(model)
     roundtrip = {f"{name}_residual": float(np.max(np.abs(rec - exact[name])))
-                 for name, rec in zip(exact, recover_tangent_triple(model))}
+                 for name, rec in zip(exact, tangent)}
     r_max = float(np.max(list(roundtrip.values())))     # a NaN propagates
     roundtrip.update(max_residual=r_max, tolerance=roundtrip_tol,
                      passed=bool(r_max <= roundtrip_tol))
 
     algebraic = equivariance_defect(tr, np.eye(tr.dim_g))   # one per basis element
-    numeric = np.array([[recover_equivariance_defect(model, a, v)
-                         for v in np.eye(tr.dim_v)] for a in np.eye(tr.dim_g)])
+    numeric, defect_shrank = recover_equivariance_defect(
+        model, *_pairs(tr.dim_g, tr.dim_v))
+    numeric = numeric.reshape(tr.dim_g, tr.dim_v, tr.dim_g)
     gap = float(np.max(np.abs(numeric - np.swapaxes(algebraic, 1, 2))))
     defect = {
         "max_gap": gap,
@@ -479,4 +513,6 @@ def run_integration_suites(model: LocalRackModel, samples: int = 200,
         laws=laws,
         roundtrip=roundtrip,
         defect=defect,
+        shrank=(int(shrank.sum() + defect_shrank.sum()),
+                shrank.size + defect_shrank.size),
     )

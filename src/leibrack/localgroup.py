@@ -2,15 +2,17 @@
 
 A group element is a coordinate vector xi with ||xi|| < CHART_RADIUS together
 with the matrix exp(sum_i xi_i R_i) of a faithful representation.
-Products are computed honestly: multiply the matrices, take the principal
-logarithm, and recover coordinates by least squares against the stacked
-representation basis; a product that leaves the chart or the representation
-span raises ChartError instead of returning garbage.
+Products (``chart_products``) are computed honestly: multiply the matrices,
+take the principal logarithm, and recover coordinates by least squares
+against the stacked representation basis; a product that leaves the chart or
+the representation span is flagged instead of returning garbage.
 
-``expm``, ``log_matrix``, ``MatrixRep.coords_of`` and ``MatrixRep.element``
-also take a stack of k matrices (k, m, m) or coordinate vectors (k, n) and
-give bit for bit the results of k single calls; where a single call raises
-ChartError, a stacked call returns a per-slice failure mask instead.
+``expm``, ``log_matrix``, ``MatrixRep.coords_of``, ``MatrixRep.element`` and
+``chart_products`` take a stack of k matrices (k, m, m) or coordinate
+vectors (k, n) and give bit for bit the results of k single calls; where a
+single call raises ChartError, a stacked call returns a per-slice failure
+mask instead.  There is no other group product or inverse: the inverse is
+the element of the negated coordinates.
 
 The logarithm uses inverse scaling and squaring: Denman-Beavers square roots
 until ||M - I||_F < 0.25, then the alternating series for log(I + X), then
@@ -21,9 +23,10 @@ are (see the README for why it stays).
 
 The finite-difference engine lives here too: central differences (O(h^2)
 truncation) and a Richardson-extrapolated variant (O(h^4) truncation, eight
-evaluations for mixed derivatives).  With float64, central first derivatives
-at h = 1e-4 carry roughly 1e-8 total error; the Richardson scheme prefers a
-larger step (around 1e-3..1e-2) so rounding noise eps/h^2 stays small.
+evaluations for mixed derivatives), each evaluating all its offsets in one
+call.  With float64, central first derivatives at h = 1e-4 carry roughly
+1e-8 total error; the Richardson scheme prefers a larger step (around
+1e-3..1e-2) so rounding noise eps/h^2 stays small.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, SubspaceBasis, \
-    full_rank, homomorphism_residuals
-from .errors import AxiomError, CapabilityError, ChartError, MembershipError, \
-    StructuralError
+from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, full_rank, \
+    homomorphism_residuals
+from .errors import CapabilityError, ChartError, StructuralError
 from .report import Collector, ValidityReport
 
 CHART_RADIUS = 0.5
@@ -303,63 +305,17 @@ def log_matrix(M):
 def chart_products(A, B, rep: MatrixRep):
     """Products of two stacks of group matrices in the chart: the product
     matrices, their coordinates, and the mask of products that left the
-    log domain, the representation span or the chart ball."""
+    log domain, the representation span or the chart ball.  For one pair of
+    matrices a product that left raises ChartError instead."""
     M = A @ B
+    if M.ndim == 2:
+        coords = rep.coords_of(log_matrix(M), DEFAULT_TOL)
+        if norms(coords) >= CHART_RADIUS:
+            raise ChartError("product left the coordinate chart")
+        return M, coords, False
     L, failed = log_matrix(M)
     coords, off = rep.coords_of(L, DEFAULT_TOL)
     return M, coords, failed | off | (norms(coords) >= CHART_RADIUS)
-
-
-def group_mul(g1: GroupElement, g2: GroupElement, rep: MatrixRep) -> GroupElement:
-    """Product in the chart: multiply matrices, log, recover coordinates; the
-    single-pair form of :func:`chart_products`."""
-    M = g1.matrix @ g2.matrix
-    coords = rep.coords_of(log_matrix(M), DEFAULT_TOL)
-    if norms(coords) >= CHART_RADIUS:
-        raise ChartError("product left the coordinate chart")
-    return GroupElement(coords, M)
-
-
-def group_inverse(g: GroupElement, rep: MatrixRep) -> GroupElement:
-    """Inversion is coordinate negation in the exponential chart."""
-    return GroupElement(-g.coords, expm(rep.algebra_matrix(-g.coords)))
-
-
-def adjoint(g: GroupElement, xi, rep: MatrixRep) -> np.ndarray:
-    """Adjoint action of g on an algebra vector, via exp(ad of log g).
-
-    The result is cross-checked against the independent route through the
-    representation: conjugate the represented xi by the group matrix and
-    pull back by least squares.  Disagreement raises AxiomError since it
-    means the two routes diverged.
-    """
-    xi = np.asarray(xi, dtype=float)
-    out = expm(rep.algebra.ad(g.coords)) @ xi
-    gap = float(np.max(np.abs(out - adjoint_via_rep(g, xi, rep))))
-    if gap > DEFAULT_TOL * max(1.0, float(np.linalg.norm(out))):
-        raise AxiomError("adjoint-route-agreement", gap)
-    return out
-
-
-def adjoint_via_rep(g: GroupElement, xi, rep: MatrixRep) -> np.ndarray:
-    """Adjoint action computed by matrix conjugation in the representation."""
-    R = rep.algebra_matrix(np.asarray(xi, float))
-    return rep.coords_of(g.matrix @ R @ np.linalg.inv(g.matrix), 1e-8)
-
-
-def chart_section(g: GroupElement,
-                  subspace: SubspaceBasis | None = None) -> np.ndarray:
-    """Read off chart coordinates, optionally checking subspace membership.
-
-    In exponential coordinates the section of the chart over a subalgebra is
-    the identity on coordinates; the content is the membership check.
-    """
-    if subspace is not None:
-        r = subspace.distance(g.coords)
-        if r > DEFAULT_TOL * max(1.0, float(np.linalg.norm(g.coords))):
-            raise MembershipError(
-                f"coordinates are {r:.3e} away from the section subspace")
-    return np.array(g.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -380,31 +336,34 @@ class DiffConfig:
             raise StructuralError("scheme must be 'central' or 'richardson'")
 
 
-def derivative_at_identity(curve, cfg: DiffConfig = DiffConfig()) -> np.ndarray:
-    """d/dt curve(t) at t = 0.
+def derivative_at_identity(curve, cfg: DiffConfig = DiffConfig()):
+    """d/dt curve(t) at t = 0, from one call of ``curve`` on the array of
+    stencil offsets, which gives the values (offsets first) and their
+    failure mask; the derivative and where any offset failed.
 
     central:    (f(h) - f(-h)) / 2h, truncation O(h^2)
     richardson: (-f(2h) + 8 f(h) - 8 f(-h) + f(-2h)) / 12h, truncation O(h^4)
     """
-    h = cfg.step
-    f = lambda t: np.asarray(curve(t), dtype=float)
-    if cfg.scheme == "richardson":
-        return (-f(2 * h) + 8.0 * f(h) - 8.0 * f(-h) + f(-2 * h)) / (12.0 * h)
-    return (f(h) - f(-h)) / (2.0 * h)
+    h, rich = cfg.step, cfg.scheme == "richardson"
+    f, bad = curve(h * np.array([2.0, 1.0, -1.0, -2.0] if rich else [1.0, -1.0]))
+    if rich:
+        return (-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h), bad.any(0)
+    return (f[0] - f[1]) / (2.0 * h), bad.any(0)
 
 
-def mixed_second_derivative(surface, cfg: DiffConfig = DiffConfig()) -> np.ndarray:
-    """d^2/dt1 dt2 surface(t1, t2) at the origin.
+def mixed_second_derivative(surface, cfg: DiffConfig = DiffConfig()):
+    """d^2/dt1 dt2 surface(t1, t2) at the origin, from one call of
+    ``surface`` on the arrays of offsets, as :func:`derivative_at_identity`.
 
     The central stencil uses four evaluations with O(h^2) truncation; the
     Richardson variant combines two stencil widths (eight evaluations) for
     O(h^4).  Rounding error grows like eps / h^2, so very small steps hurt.
     """
-    f = lambda a, b: np.asarray(surface(a, b), dtype=float)
-
-    def cross(h):
-        return (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4.0 * h * h)
-
-    if cfg.scheme == "richardson":
-        return (4.0 * cross(cfg.step) - cross(2.0 * cfg.step)) / 3.0
-    return cross(cfg.step)
+    hs = [cfg.step, 2.0 * cfg.step][:1 + (cfg.scheme == "richardson")]
+    f, bad = surface(np.outer(hs, [1.0, 1.0, -1.0, -1.0]).ravel(),
+                     np.outer(hs, [1.0, -1.0, 1.0, -1.0]).ravel())
+    cross = [(f[i] - f[i + 1] - f[i + 2] + f[i + 3]) / (4.0 * h * h)
+             for i, h in zip((0, 4), hs)]
+    if len(hs) == 2:
+        return (4.0 * cross[0] - cross[1]) / 3.0, bad.any(0)
+    return cross[0], bad.any(0)

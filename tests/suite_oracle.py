@@ -2,7 +2,8 @@
 
 This is the integrate law-suite code as it ran before the suites were
 batched: one Python trial per sample on ``GroupElement`` and ``RackPoint``
-objects, with the scalar kernels, and a sample skipped when its trial raises
+objects, with the scalar kernels and the group operations of
+``recovery_oracle.py``, and a sample skipped when its trial raises
 ``DomainError`` (``ChartError`` and ``MembershipError`` included).  The
 suite functions take the same arguments as ``leibrack.integrate``'s and
 return the same reports; ``tests/test_batched_suites.py`` compares them.
@@ -15,8 +16,8 @@ import numpy as np
 from leibrack.errors import DomainError
 from leibrack.integrate import LocalRackModel, RackPoint, _UNDO_TOL, \
     embed_point, local_action, rack_product
-from leibrack.localgroup import GroupElement, group_inverse, group_mul
 from leibrack.report import Collector, ValidityReport
+from recovery_oracle import _conjugate, group_inverse, group_mul
 
 
 # ---------------------------------------------------------------------------
@@ -48,13 +49,6 @@ def _gap(p: RackPoint, q: RackPoint) -> float:
     """Largest entrywise difference of two points, over both components."""
     return max(float(np.max(np.abs(p.v - q.v))),
                float(np.max(np.abs(p.u - q.u))))
-
-
-def _conjugate(model: LocalRackModel, g: GroupElement,
-               p: RackPoint) -> GroupElement:
-    """g Phi(p) g^-1, through matrix products and logarithms."""
-    return group_mul(group_mul(g, embed_point(model, p), model.rep),
-                     group_inverse(g, model.rep), model.rep)
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,18 @@ def test_nan_recovery_fails(capsys):
     assert np.isnan(payload["roundtrip"]["max_residual"])
 
 
+@pytest.mark.parametrize("argv,line", [
+    pytest.param(["--step", "0.25"],
+                 "stencils: step 0.25, 8 of 30 directions shrank to 0.025",
+                 id="8-of-30"),
+    pytest.param([], "stencils: step 0.0001, 0 of 30 directions shrank",
+                 id="none"),
+])
+def test_integrate_text_says_which_stencils_shrank(argv, line, capsys):
+    main(["integrate", "--builtin", "sl2-adjoint", "--samples", "5", *argv])
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_json_output_is_deterministic(capsys):
     args = ["integrate", "--builtin", "sl2-adjoint", "--samples", "20",
             "--format", "json"]

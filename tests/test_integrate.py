@@ -11,12 +11,10 @@ from leibrack import (AxiomError, DiffConfig, DomainError, EmbeddingTensor,
                       SubspaceBasis, build_model, build_triple,
                       check_equivariance, check_local_group_set_laws,
                       check_local_rack_laws, embed_point, equivariance_defect,
-                      ideal_triple, in_action_domain, local_action,
-                      rack_product, recover_equivariance_defect,
-                      recover_tangent_triple, run_integration_suites,
-                      scaling_triple)
+                      ideal_triple, local_action, rack_product,
+                      recover_equivariance_defect, recover_tangent_triple,
+                      run_integration_suites, scaling_triple)
 from leibrack import catalog
-from leibrack.integrate import _shrink_once
 
 
 def sl2_adjoint_model(**kw):
@@ -96,7 +94,8 @@ def test_local_action_matches_directly_exponentiated_transport():
     xi = np.array([0.1, -0.05, 0.2])
     g = model.rep.element(xi)
     A = np.einsum("i,iab->ab", xi, model.triple.action.action_matrices)
-    assert np.max(np.abs(model.fiber_matrix(g) - scipy.linalg.expm(A))) <= 1e-12
+    transport = g.matrix[model.base_dim:, model.base_dim:]
+    assert np.max(np.abs(transport - scipy.linalg.expm(A))) <= 1e-12
     p = model.point([0.05, 0.0, -0.02])
     q = local_action(model, g, p)
     assert np.max(np.abs(q.v - scipy.linalg.expm(A) @ p.v)) <= 1e-12
@@ -106,12 +105,11 @@ def test_action_domain_boundary():
     model = scaling_model(2.0)
     g = model.rep.element([0.4, 0.0])        # transport scales by e^{0.8}
     p = model.point([0.9 * model.radius])
-    assert not in_action_domain(model, g, p)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="left the model neighbourhood"):
         local_action(model, g, p)
     shrunk = model.point([0.3 * model.radius])
-    assert in_action_domain(model, g, shrunk)
-    local_action(model, g, shrunk)
+    assert np.array_equal(local_action(model, g, shrunk).v,
+                          g.matrix[-1:, -1:] @ shrunk.v)
 
 
 def test_law_suites_pass_on_models():
@@ -197,26 +195,6 @@ def test_defect_recovery_zero_for_strict_triple():
     numeric = recover_equivariance_defect(model, [0.0, 1.0, 0.0],
                                           [0.0, 0.0, 1.0])
     assert np.max(np.abs(numeric)) <= 1e-4
-
-
-def test_shrink_once_retries_then_propagates():
-    calls = []
-
-    def flaky(cfg):
-        calls.append(cfg.step)
-        if len(calls) == 1:
-            raise DomainError("first pass leaves the neighbourhood")
-        return cfg.step
-
-    got = _shrink_once(flaky, DiffConfig(step=1e-3))
-    assert got == pytest.approx(1e-4)
-    assert calls == [1e-3, pytest.approx(1e-4)]
-
-    def hopeless(cfg):
-        raise DomainError("still outside")
-
-    with pytest.raises(DomainError):
-        _shrink_once(hopeless, DiffConfig(step=1e-3))
 
 
 def test_run_integration_suites_full_report():

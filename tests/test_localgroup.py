@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from leibrack import (AxiomError, CapabilityError, ChartError, DiffConfig,
-                      MatrixRep, MembershipError, StructuralError,
-                      SubspaceBasis, adjoint, adjoint_rep, adjoint_via_rep,
-                      chart_section, check_rep, derivative_at_identity,
-                      group_inverse, group_mul, lie_algebra, log_matrix,
+from leibrack import (CapabilityError, ChartError, DiffConfig, MatrixRep,
+                      StructuralError, adjoint_rep, check_rep,
+                      derivative_at_identity, log_matrix,
                       mixed_second_derivative, working_rep)
 from leibrack import catalog
+from leibrack.localgroup import chart_products
 from leibrack.report import MAX_LISTED_VIOLATIONS
 
 
@@ -23,6 +22,17 @@ def heisenberg_rep() -> MatrixRep:
 
 def sl2_adjoint() -> MatrixRep:
     return adjoint_rep(catalog.sl2())
+
+
+def product(rep, *coords):
+    """The chart product of the elements with these coordinates, left to
+    right, through one-slice stacks: its coordinates and whether any
+    product on the way left the chart."""
+    G, off = rep.element(np.atleast_2d(coords[0]))
+    for c in coords[1:]:
+        G, xi, left = chart_products(G, rep.element(np.atleast_2d(c))[0], rep)
+        off = off | left
+    return xi[0], bool(off[0])
 
 
 def test_log_agrees_with_scipy_on_random_group_elements():
@@ -65,44 +75,45 @@ def test_heisenberg_product_matches_closed_form():
         y = rng.standard_normal(3)
         x *= 0.2 / np.linalg.norm(x)
         y *= 0.2 / np.linalg.norm(y)
-        g = group_mul(rep.element(x), rep.element(y), rep)
+        xi, off = product(rep, x, y)
         expected = x + y
         expected = expected + 0.5 * np.array(
             [0.0, 0.0, x[0] * y[1] - x[1] * y[0]])
-        assert np.max(np.abs(g.coords - expected)) <= 1e-14
+        assert not off
+        assert np.max(np.abs(xi - expected)) <= 1e-14
 
 
 def test_group_identity_and_inverse():
     rep = sl2_adjoint()
-    g = rep.element([0.1, -0.2, 0.15])
-    e = rep.identity()
+    x = np.array([0.1, -0.2, 0.15])
     # multiplying by the identity leaves the matrix untouched; coordinates
     # are re-extracted through the logarithm, hence rounding-level residue
-    assert np.max(np.abs(group_mul(g, e, rep).coords - g.coords)) <= 1e-13
-    assert np.max(np.abs(group_mul(e, g, rep).coords - g.coords)) <= 1e-13
-    ginv = group_inverse(g, rep)
-    assert np.array_equal(ginv.coords, -g.coords)
-    back = group_mul(g, ginv, rep)
-    assert np.max(np.abs(back.coords)) <= 1e-14
+    assert np.max(np.abs(product(rep, x, np.zeros(3))[0] - x)) <= 1e-13
+    assert np.max(np.abs(product(rep, np.zeros(3), x)[0] - x)) <= 1e-13
+    # the inverse is coordinate negation
+    back, off = product(rep, x, -x)
+    assert not off
+    assert np.max(np.abs(back)) <= 1e-14
 
 
 def test_group_mul_is_associative_in_chart():
     rep = sl2_adjoint()
     rng = np.random.default_rng(9)
     for _ in range(5):
-        a, b, c = (rep.element(0.08 * rng.standard_normal(3))
-                   for _ in range(3))
-        left = group_mul(group_mul(a, b, rep), c, rep)
-        right = group_mul(a, group_mul(b, c, rep), rep)
-        assert np.max(np.abs(left.coords - right.coords)) <= 1e-12
+        a, b, c = (0.08 * rng.standard_normal(3) for _ in range(3))
+        left = product(rep, product(rep, a, b)[0], c)[0]
+        right = product(rep, a, product(rep, b, c)[0])[0]
+        assert np.max(np.abs(left - right)) <= 1e-12
 
 
 def test_product_outside_chart_raises():
     alg = catalog.abelian(1)
     rep = MatrixRep(alg, np.array([[[1.0]]]))
-    g = rep.element([0.3])
-    with pytest.raises(ChartError):
-        group_mul(g, g, rep)
+    assert product(rep, [0.3], [0.3])[1]
+    assert not product(rep, [0.2], [0.2])[1]
+    g = rep.element([0.3]).matrix
+    with pytest.raises(ChartError, match="product left the coordinate chart"):
+        chart_products(g, g, rep)
 
 
 def test_product_leaving_representation_span_raises():
@@ -113,8 +124,10 @@ def test_product_leaving_representation_span_raises():
     Y = np.zeros((3, 3)); Y[1, 2] = 1.0
     rep = MatrixRep(alg, np.stack([X, Y]))
     assert not check_rep(rep).passed
-    with pytest.raises(ChartError):
-        group_mul(rep.element([0.2, 0.0]), rep.element([0.0, 0.2]), rep)
+    assert product(rep, [0.2, 0.0], [0.0, 0.2])[1]
+    with pytest.raises(ChartError, match="representation span"):
+        chart_products(rep.element([0.2, 0.0]).matrix,
+                       rep.element([0.0, 0.2]).matrix, rep)
 
 
 def test_element_requires_chart_ball_and_good_shape():
@@ -129,50 +142,31 @@ def test_element_requires_chart_ball_and_good_shape():
         MatrixRep(catalog.sl2(), np.zeros((2, 2, 2)))
 
 
+def conjugated(rep, x, xi):
+    """Coordinates of exp(x) exp(xi) exp(-x) through the chart products."""
+    return product(rep, x, xi, -np.asarray(x, dtype=float))[0]
+
+
 def test_adjoint_weight_on_sl2():
     # conjugating by exp(t h) scales e by exp(2 t)
     rep = sl2_adjoint()
-    g = rep.element([0.1, 0.0, 0.0])
-    out = adjoint(g, [0.0, 1.0, 0.0], rep)
-    expected = np.array([0.0, np.exp(0.2), 0.0])
+    out = conjugated(rep, [0.1, 0.0, 0.0], [0.0, 0.2, 0.0])
+    expected = np.array([0.0, 0.2 * np.exp(0.2), 0.0])
     assert np.max(np.abs(out - expected)) <= 1e-12
-    alt = adjoint_via_rep(g, [0.0, 1.0, 0.0], rep)
-    assert np.max(np.abs(alt - expected)) <= 1e-12
 
 
 def test_adjoint_routes_agree_on_random_samples():
+    # log(g exp(xi) g^-1) = exp(ad log g) xi: chart conjugation against the
+    # exponential of the adjoint matrix
     rep = sl2_adjoint()
     rng = np.random.default_rng(13)
     for _ in range(10):
         w = rng.standard_normal(3)
-        g = rep.element(0.2 * w / np.linalg.norm(w))
-        xi = rng.standard_normal(3)
-        a = adjoint(g, xi, rep)
-        b = adjoint_via_rep(g, xi, rep)
+        x = 0.2 * w / np.linalg.norm(w)
+        xi = 0.05 * rng.standard_normal(3)
+        a = scipy.linalg.expm(rep.algebra.ad(x)) @ xi
+        b = conjugated(rep, x, xi)
         assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.linalg.norm(a))
-
-
-def test_adjoint_route_disagreement_is_detected():
-    # a fake "representation" by commuting matrices: the conjugation route
-    # returns xi unchanged while exp(ad) does not; the cross-check must trip
-    mats = np.stack([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
-                     np.diag([0.0, 0.0, 1.0])])
-    fake = MatrixRep(catalog.sl2(), mats)
-    g = fake.element([0.1, 0.0, 0.0])
-    with pytest.raises(AxiomError) as err:
-        adjoint(g, [0.0, 1.0, 0.0], fake)
-    assert "adjoint-route-agreement" in str(err.value)
-
-
-def test_chart_section_membership():
-    rep = sl2_adjoint()
-    g = rep.element([0.2, 0.0, 0.0])
-    line = SubspaceBasis(3, [[1.0, 0.0, 0.0]])
-    assert np.array_equal(chart_section(g, line), g.coords)
-    assert np.array_equal(chart_section(g), g.coords)
-    off = rep.element([0.1, 0.1, 0.0])
-    with pytest.raises(MembershipError):
-        chart_section(off, line)
 
 
 def test_check_rep_catalog_representations():
@@ -230,25 +224,45 @@ def test_working_rep_blocks():
 
 def test_derivative_of_known_curve():
     w = np.array([1.0, -2.0, 0.5])
-    curve = lambda t: np.sin(3.0 * t) * w
-    got = derivative_at_identity(curve, DiffConfig(step=1e-4))
+    offsets = []
+
+    def curve(t):
+        offsets.append(t)
+        return np.sin(3.0 * t)[:, None] * w, t > 0.015
+
+    got, bad = derivative_at_identity(curve, DiffConfig(step=1e-4))
     assert np.max(np.abs(got - 3.0 * w)) <= 1e-6
-    rich = derivative_at_identity(curve,
-                                  DiffConfig(step=1e-2, scheme="richardson"))
-    cent = derivative_at_identity(curve, DiffConfig(step=1e-2))
+    assert not bad
+    rich, bad = derivative_at_identity(curve,
+                                       DiffConfig(step=1e-2, scheme="richardson"))
+    cent = derivative_at_identity(curve, DiffConfig(step=1e-2))[0]
     assert np.max(np.abs(rich - 3.0 * w)) <= 1e-6
     assert np.max(np.abs(rich - 3.0 * w)) < np.max(np.abs(cent - 3.0 * w))
+    assert bad                                # the offset 2h = 0.02 failed
+    # one call per stencil, on the offsets in the order of the formula
+    assert [list(t) for t in offsets] == [[1e-4, -1e-4],
+                                          [2e-2, 1e-2, -1e-2, -2e-2],
+                                          [1e-2, -1e-2]]
 
 
 def test_mixed_derivative_of_known_surface():
-    surface = lambda a, b: np.array([np.sin(2.0 * a) * np.sin(5.0 * b)])
-    got = mixed_second_derivative(surface, DiffConfig(step=1e-3))
+    calls = []
+
+    def surface(a, b):
+        calls.append((a, b))
+        return (np.sin(2.0 * a) * np.sin(5.0 * b))[:, None], np.zeros(len(a), bool)
+
+    got, bad = mixed_second_derivative(surface, DiffConfig(step=1e-3))
     assert abs(got[0] - 10.0) <= 1e-4
+    assert not bad
     rich = mixed_second_derivative(surface,
-                                   DiffConfig(step=1e-2, scheme="richardson"))
-    cent = mixed_second_derivative(surface, DiffConfig(step=1e-2))
+                                   DiffConfig(step=1e-2, scheme="richardson"))[0]
+    cent = mixed_second_derivative(surface, DiffConfig(step=1e-2))[0]
     assert abs(rich[0] - 10.0) <= 1e-5
     assert abs(rich[0] - 10.0) < abs(cent[0] - 10.0)
+    h = 1e-3
+    assert [list(t) for t in calls[0]] == [[h, h, -h, -h], [h, -h, h, -h]]
+    assert len(calls) == 3 and len(calls[1][0]) == 8
 
 
 def test_conjugation_surface_recovers_structure_constants():
@@ -262,11 +276,14 @@ def test_conjugation_surface_recovers_structure_constants():
     for i in range(3):
         for j in range(3):
             def surface(t1, t2, i=i, j=j):
-                g = rep.element(t1 * basis[i])
-                h = rep.element(t2 * basis[j])
-                return group_mul(group_mul(g, h, rep),
-                                 group_inverse(g, rep), rep).coords
-            got = mixed_second_derivative(surface, cfg)
+                G = rep.element(t1[:, None] * basis[i])[0]
+                H = rep.element(t2[:, None] * basis[j])[0]
+                Ginv = rep.element(-t1[:, None] * basis[i])[0]
+                GH, _, off = chart_products(G, H, rep)
+                _, xi, off_inv = chart_products(GH, Ginv, rep)
+                return xi, off | off_inv
+            got, bad = mixed_second_derivative(surface, cfg)
+            assert not bad.any()
             assert np.max(np.abs(got - C[i, j])) <= 1e-6, (i, j)
 
 

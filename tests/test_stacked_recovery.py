@@ -1,0 +1,151 @@
+"""The stacked recovery against the scalar oracle in recovery_oracle.py.
+
+Every recovered number must be bit for bit the oracle's: the tangent
+tensors (theta, action, bracket) and the stack of the n d defects of basis
+pairs, on the builtins, the catalog ideal triples and gl(2)..gl(5) under
+both schemes, on steps at which some or all stencils shrink, and on a step
+so small that every mixed stencil gives NaN.  Where a stencil fails again
+after shrinking, both must raise the same error with the same message, and
+the stacked recovery must shrink as many directions as the oracle retried.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import recovery_oracle as oracle
+from leibrack import (DiffConfig, DomainError, EmbeddingTensor, MatrixRep,
+                      build_model, build_triple, catalog, ideal_triple,
+                      lie_algebra, recover_equivariance_defect,
+                      recover_tangent_triple)
+from leibrack.cli import builtin_parts
+from leibrack.integrate import _tangent_triple
+
+BUILTINS = ("sl2-adjoint", "heisenberg-ideal", "scaling:2.0", "scaling:1.0",
+            "scaling:-1.0", "scaling:-0.7")
+SCHEMES = (("central", 1e-4), ("richardson", 2e-3))
+
+
+def builtin_triple(name):
+    _, parts = builtin_parts(name)
+    return (build_triple(parts["algebra"], parts["action"], parts["theta"]),
+            parts["rep"])
+
+
+def ideal_model_parts(name, ideal):
+    alg = catalog.algebra_by_name(name)
+    return (ideal_triple(alg, catalog.ideal_subspace(name, ideal)),
+            MatrixRep(alg, catalog.faithful_rep_matrices(name)))
+
+
+def gl_parts(n):
+    """gl(n) in the matrix-unit basis E_ij -> i n + j, as its adjoint triple
+    with the natural representation: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    d = n * n
+    C, units = np.zeros((d, d, d)), np.zeros((d, n, n))
+    for i in range(n):
+        for j in range(n):
+            units[i * n + j, i, j] = 1.0
+            for k in range(n):
+                C[i * n + j, j * n + k, i * n + k] += 1.0
+                C[i * n + j, k * n + i, k * n + j] -= 1.0
+    alg = lie_algebra(C)
+    return (build_triple(alg, alg.adjoint_action(), EmbeddingTensor(np.eye(d))),
+            MatrixRep(alg, units))
+
+
+TARGETS = {name: (lambda name=name: builtin_triple(name)) for name in BUILTINS}
+TARGETS.update({f"{n}/{i}": (lambda n=n, i=i: ideal_model_parts(n, i))
+                for n, i in catalog.IDEAL_CHOICES})
+TARGETS.update({f"gl{n}": (lambda n=n: gl_parts(n)) for n in (2, 3, 4, 5)})
+
+RUNS = [pytest.param(target, scheme, step, id=f"{target}/{scheme}")
+        for scheme, step in SCHEMES for target in TARGETS]
+RUNS += [pytest.param(target, scheme, step, id=f"{target}@{step}/{scheme}")
+         for target, scheme, step in (
+             ("scaling:2.0", "richardson", 0.5),     # every stencil shrinks
+             ("sl2-adjoint", "central", 0.25),       # 8 of 30 shrink
+             ("sl2-adjoint", "central", 0.4),
+             ("sl2-adjoint", "central", 1e-200))]    # NaN everywhere
+FAILING = [pytest.param(target, scheme, step, id=f"{target}@{step}/{scheme}")
+           for target, scheme, step in (
+               ("sl2-adjoint", "central", 5.0),
+               ("sl2-adjoint", "richardson", 3.5),
+               ("scaling:2.0", "central", 4.0),
+               ("heisenberg-ideal", "central", 4.0))]
+
+
+def model_for(target, scheme, step):
+    triple, rep = TARGETS[target]()
+    return build_model(triple, rep=rep, cfg=DiffConfig(step, scheme))
+
+
+def basis_pairs(model):
+    """Every (a, v) of basis vectors, a outer, as two stacks."""
+    n, d = model.triple.dim_g, model.triple.dim_v
+    return np.repeat(np.eye(n), d, axis=0), np.tile(np.eye(d), (n, 1))
+
+
+def oracle_shrinks(model, monkeypatch):
+    """The oracle's tangent tensors and defects, and how many of its stencils
+    ran again at a smaller step."""
+    shrunk = []
+    for name in ("derivative_at_identity", "mixed_second_derivative"):
+        def counted(*args, stencil=getattr(oracle, name)):
+            shrunk.append(args[-1].step < model.cfg.step)
+            return stencil(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    tangent = oracle.recover_tangent_triple(model)
+    defects = np.array([oracle.recover_equivariance_defect(model, a, v)
+                        for a, v in zip(*basis_pairs(model))])
+    return tangent, defects, sum(shrunk)
+
+
+@pytest.mark.parametrize("target, scheme, step", RUNS)
+def test_stacked_recovery_matches_the_scalar_oracle(target, scheme, step,
+                                                    monkeypatch):
+    model = model_for(target, scheme, step)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_tangent, want_defects, want_shrunk = oracle_shrinks(
+            model, monkeypatch)
+        tangent, shrank = _tangent_triple(model)
+        defects, defect_shrank = recover_equivariance_defect(
+            model, *basis_pairs(model))
+    for got, want in zip(tangent, want_tangent):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(defects, want_defects, equal_nan=True)
+    assert int(shrank.sum() + defect_shrank.sum()) == want_shrunk
+    a, v = basis_pairs(model)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one = recover_equivariance_defect(model, a[-1], v[-1])
+    assert np.array_equal(one, want_defects[-1], equal_nan=True)
+
+
+def test_every_stencil_and_a_mixed_set_shrink():
+    for target, step, scheme, count in (("scaling:2.0", 0.5, "richardson", 6),
+                                        ("sl2-adjoint", 0.25, "central", 8)):
+        model = model_for(target, scheme, step)
+        shrank = np.concatenate([_tangent_triple(model)[1],
+                                 recover_equivariance_defect(
+                                     model, *basis_pairs(model))[1]])
+        assert int(shrank.sum()) == count
+
+
+@pytest.mark.parametrize("target, scheme, step", FAILING)
+def test_a_second_failure_raises_the_oracles_error(target, scheme, step):
+    model = model_for(target, scheme, step)
+    pairs = basis_pairs(model)
+    for stacked, scalar in (
+            (lambda: recover_tangent_triple(model),
+             lambda: oracle.recover_tangent_triple(model)),
+            (lambda: recover_equivariance_defect(model, *pairs),
+             lambda: [oracle.recover_equivariance_defect(model, a, v)
+                      for a, v in zip(*pairs)])):
+        with pytest.raises(DomainError) as want:
+            scalar()
+        with pytest.raises(DomainError) as got:
+            stacked()
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
