@@ -12,12 +12,14 @@ matrices of shape (d, d); the action of a general element x is
 sum_i x_i A[i].  A Leibniz algebra is a bare bracket tensor of the same
 layout as C with no antisymmetry requirement.
 
-Constructors validate shapes only and freeze their arrays; the defining
-identities are checked by the ``check_*`` functions, which return a
-:class:`~leibrack.report.ValidityReport` instead of raising.  Each law is one
-residual array over all its basis tuples, evaluated at once with einsum and
-scanned in row-major order; the brackets of whole stacks of vectors come
-from :func:`brackets`, and subspace membership from
+Every constructor of the package checks its values by the two rules stated
+here, :func:`frozen_array` for arrays and tables and :func:`integer` for
+sizes and indices, and raises StructuralError naming the argument at fault;
+the defining identities are checked by the ``check_*`` functions, which
+return a :class:`~leibrack.report.ValidityReport` instead of raising.  Each
+law is one residual array over all its basis tuples, evaluated at once with
+einsum and scanned in row-major order; the brackets of whole stacks of
+vectors come from :func:`brackets`, and subspace membership from
 :meth:`SubspaceBasis.distance` on a stack.  All residuals are absolute and
 compared against a configurable tolerance (default 1e-9, adequate for the
 integer-derived catalog data and well above float64 noise).
@@ -45,18 +47,57 @@ def full_rank(M: np.ndarray, rank: int) -> tuple:
     return ratio > max(M.shape) * np.finfo(float).eps, ratio
 
 
-def frozen_array(values, shape=None, what="array") -> np.ndarray:
-    """Copy ``values`` into a read-only float64 array, checking the shape."""
+def frozen_array(values, shape=None, what="array", bound=None) -> np.ndarray:
+    """``values`` as a read-only copy: finite float64 numbers, or with
+    ``bound`` int64 integers in [0, bound).  A ``None`` entry of ``shape``
+    accepts any length; an empty input fits a shape with one such entry, as
+    length 0.  Strings, objects and booleans are not numbers."""
     try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise StructuralError(f"{what}: entries must be numeric") from None
-    if shape is not None and arr.shape != tuple(shape):
-        raise StructuralError(f"{what}: expected shape {tuple(shape)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+        arr = np.asarray(values)
+    except ValueError:
+        raise StructuralError(f"{what}: rows must have equal lengths") from None
+    if arr.dtype.kind not in "iuf":
+        raise StructuralError(f"{what}: entries must be numbers")
+    if shape is not None:
+        if arr.size == 0 and shape.count(None) == 1:
+            arr = arr.reshape([s or 0 for s in shape])
+        if arr.ndim != len(shape) or any(s not in (None, a)
+                                         for s, a in zip(shape, arr.shape)):
+            raise StructuralError(
+                f"{what}: expected shape {tuple(shape)}, got {arr.shape}")
+    if not np.isfinite(arr).all():
         raise StructuralError(f"{what}: entries must be finite")
-    arr.flags.writeable = False
-    return arr
+    if bound is not None and arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise StructuralError(f"{what}: entries must lie in [0, {bound})")
+    out = arr.astype(float if bound is None else np.int64)
+    if not np.array_equal(out, arr):                # a fraction cast to int
+        raise StructuralError(f"{what}: entries must be integers")
+    out.flags.writeable = False
+    return out
+
+
+def integer(value, what: str, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int: a Python or NumPy integer, never a boolean, in
+    [low, high), or at least ``low`` when ``high`` is None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise StructuralError(f"{what} must be an integer, got {type(value).__name__}")
+    if value < low or (high is not None and value >= high):
+        raise StructuralError(f"{what} out of range: {value} is not in "
+                              f"[{low}, {'inf' if high is None else high})")
+    return int(value)
+
+
+def set_frozen(obj, **fields):
+    """Store validated ``fields`` on a frozen dataclass instance."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
+def same_algebra(a: LieAlgebraData, b: LieAlgebraData, what: str):
+    """StructuralError unless ``a`` and ``b`` are one algebra: the same object
+    or the same structure constants."""
+    if a is not b and not np.array_equal(a.structure_constants, b.structure_constants):
+        raise StructuralError(f"{what} is over a different algebra")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,15 +109,13 @@ class LieAlgebraData:
     structure_constants: np.ndarray
 
     def __post_init__(self):
-        n = self.dim
-        if not isinstance(n, int) or n <= 0:
-            raise StructuralError("dim must be a positive integer")
-        labels = tuple(str(s) for s in self.basis_labels)
+        n = integer(self.dim, "dim")
+        labels = self.basis_labels
+        labels = tuple(map(str, labels)) if np.iterable(labels) else ()
         if len(labels) != n:
             raise StructuralError(f"need {n} basis labels, got {len(labels)}")
         C = frozen_array(self.structure_constants, (n, n, n), "structure constants")
-        object.__setattr__(self, "basis_labels", labels)
-        object.__setattr__(self, "structure_constants", C)
+        set_frozen(self, dim=n, basis_labels=labels, structure_constants=C)
 
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] for coordinate vectors x, y."""
@@ -95,13 +134,11 @@ class LieAlgebraData:
 
 def lie_algebra(structure_constants, labels=None) -> LieAlgebraData:
     """Build a LieAlgebraData from a raw tensor, defaulting labels to e0.. ."""
-    C = np.asarray(structure_constants, dtype=float)
-    if C.ndim != 3 or len(set(C.shape)) != 1:
-        raise StructuralError(f"structure constants must be cubic, got shape {C.shape}")
+    C = frozen_array(structure_constants, (None,) * 3, "structure constants")
     n = C.shape[0]
     if labels is None:
         labels = tuple(f"e{i}" for i in range(n))
-    return LieAlgebraData(n, tuple(labels), C)
+    return LieAlgebraData(n, labels, C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,12 +150,9 @@ class ModuleAction:
     action_matrices: np.ndarray
 
     def __post_init__(self):
-        d = self.dim_v
-        if not isinstance(d, int) or d <= 0:
-            raise StructuralError("dim_v must be a positive integer")
-        A = frozen_array(self.action_matrices, (self.algebra.dim, d, d),
-                         "action matrices")
-        object.__setattr__(self, "action_matrices", A)
+        d = integer(self.dim_v, "dim_v")
+        set_frozen(self, dim_v=d, action_matrices=frozen_array(
+            self.action_matrices, (self.algebra.dim, d, d), "action matrices"))
 
     def act(self, x) -> np.ndarray:
         """Matrix of the action of the algebra element with coordinates x."""
@@ -133,11 +167,9 @@ class LeibnizAlgebraData:
     bracket_tensor: np.ndarray
 
     def __post_init__(self):
-        d = self.dim
-        if not isinstance(d, int) or d <= 0:
-            raise StructuralError("dim must be a positive integer")
-        B = frozen_array(self.bracket_tensor, (d, d, d), "bracket tensor")
-        object.__setattr__(self, "bracket_tensor", B)
+        d = integer(self.dim, "dim")
+        set_frozen(self, dim=d, bracket_tensor=frozen_array(
+            self.bracket_tensor, (d, d, d), "bracket tensor"))
 
     def bracket(self, x, y) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float),
@@ -156,20 +188,11 @@ class SubspaceBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.ambient_dim, int) or self.ambient_dim <= 0:
-            raise StructuralError("ambient_dim must be a positive integer")
-        V = np.array(self.vectors, dtype=float)
-        if V.size == 0:
-            V = V.reshape(0, self.ambient_dim)
-        if V.ndim != 2 or V.shape[1] != self.ambient_dim:
-            raise StructuralError(
-                f"subspace vectors must be rows of length {self.ambient_dim}")
-        if not np.all(np.isfinite(V)):
-            raise StructuralError("subspace vectors must be finite")
+        n = integer(self.ambient_dim, "ambient_dim")
+        V = frozen_array(self.vectors, (None, n), "subspace vectors")
         if V.shape[0] and not full_rank(V, V.shape[0])[0]:
             raise StructuralError("subspace vectors are linearly dependent")
-        V.flags.writeable = False
-        object.__setattr__(self, "vectors", V)
+        set_frozen(self, ambient_dim=n, vectors=V)
 
     @property
     def dim(self) -> int:

@@ -29,10 +29,10 @@ import numpy as np
 
 from . import catalog
 from .algebra import SubspaceBasis, LieAlgebraData, ModuleAction, \
-    frozen_array
+    frozen_array, integer
 from .errors import AxiomError, CapabilityError, DomainError, LeibrackError, \
     StructuralError
-from .integrate import DEFAULT_RADIUS, build_model, run_integration_suites
+from .integrate import build_model, run_integration_suites
 from .localgroup import CHART_RADIUS, SCHEMES, DiffConfig, MatrixRep
 from .examples import inclusion_crossed_module_z3_s3, \
     relaxed_crossed_module_z3_s3
@@ -74,11 +74,11 @@ def load_document(path: str) -> dict:
     return doc
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string",
-          list: "a list", dict: "an object"}
+_KINDS = {float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 _POSITIVE = (lambda v: v > 0, "positive")
-# integrate settings: config key -> (kind, least value, rule)
+_NONNEGATIVE = (lambda v: v >= 0, "at least 0")
+# integrate settings: config key -> (kind, least integer, rule)
 CONFIG = {"step": (float, None, _POSITIVE),
           "scheme": (str, None, (SCHEMES.__contains__, " or ".join(SCHEMES))),
           "samples": (int, 1, None), "seed": (int, 0, None),
@@ -87,30 +87,31 @@ CONFIG = {"step": (float, None, _POSITIVE),
                                    f"in (0, {CHART_RADIUS}]"))}
 
 
-def _value(value, field: str, kind=None, low=None, rule=None):
+def _value(value, field: str, kind=None, low=1, rule=None, high=None):
     """Every spec field and flag is read here: ``value`` as ``kind`` (int,
-    float, str, list or dict), else as a finite read-only float array, of
-    shape ``kind`` when that is a tuple; at least ``low`` when one is given,
-    and passing the ``rule`` (a test and what it asks) when one is given.
-    One integer rule: a JSON integer, never a boolean and never a float.  A
-    StructuralError names ``field`` when the value does not fit."""
+    float, str, list or dict), else by the constructors' array rule
+    :func:`frozen_array`, of shape ``kind`` when that is a tuple.  An int
+    goes by their integer rule :func:`integer`, in [low, high): a JSON
+    integer, never a boolean and never a float.  Any other value passes the
+    ``rule`` (a test and what it asks) when one is given.  A StructuralError
+    names ``field`` when the value does not fit."""
     if kind is None or type(kind) is tuple:
         return frozen_array(value, kind, field)
+    if kind is int:
+        return integer(value, field, low, high)
     if kind is float and type(value) is int:
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if type(value) is not kind:
         raise StructuralError(f"{field} must be {_KINDS[kind]}")
     if kind is float and not math.isfinite(value):
         raise StructuralError(f"{field} must be finite")
-    if low is not None and value < low:
-        raise StructuralError(f"{field} must be at least {low}, got {value}")
     if rule is not None and not rule[0](value):
         raise StructuralError(f"{field} must be {rule[1]}, got {value!r}")
     return value
 
 
 def _read(block: dict, path: str, where: str = "", kind=None, default=None,
-          low=None, rule=None):
+          low=1, high=None):
     """The entry at the dotted ``path`` in ``block`` through :func:`_value`,
     named ``where.path``; ``default`` when its last key is absent, which is an
     error when no default is given.  Every block on the way is an object."""
@@ -120,7 +121,7 @@ def _read(block: dict, path: str, where: str = "", kind=None, default=None,
         where = f"{where}.{name}" if where else name
     if key in block:
         return _value(block[key], f"{where}.{key}" if where else key, kind,
-                      low, rule)
+                      low, high=high)
     if default is None:
         raise StructuralError(f"{where or 'spec'}: missing key {key!r}")
     return default
@@ -150,15 +151,11 @@ def algebra_from_doc(doc: dict, where: str = "lie_algebra") -> LieAlgebraData:
         field = f"{where}.structure_constants[{pos}]"
         if type(entry) is not list or len(entry) != 4:
             raise StructuralError(f"{field}: need [i, j, k, value]")
-        i, j, k, value = entry
-        for idx in (i, j, k):
-            if type(idx) is not int or not 0 <= idx < dim:
-                raise StructuralError(
-                    f"{field}: index {idx!r} is not an integer in [0, {dim})")
+        i, j, k = (integer(idx, f"{field} index", 0, dim) for idx in entry[:3])
         if (i, j, k) in seen:
             raise StructuralError(f"{field}: duplicate entry ({i}, {j}, {k})")
         seen.add((i, j, k))
-        C[i, j, k] = _value(value, field, float)
+        C[i, j, k] = _value(entry[3], field, float)
     labels = _read(doc, "labels", where, list, [f"e{i}" for i in range(dim)])
     return _built(where, LieAlgebraData, dim, tuple(labels), C)
 
@@ -199,8 +196,7 @@ def rack_triple_from_doc(doc: dict) -> GroupRackTriple:
     size = _read(doc, "group.size", kind=int, low=1)
     group = _built("group.mul_table", FiniteGroup.from_mul_table,
                    _read(doc, "group.mul_table", kind=(size, size)),
-                   _read(doc, "group.unit", kind=int, default=0, low=0, rule=(
-                       lambda u: u < size, f"less than group.size {size}")))
+                   _read(doc, "group.unit", kind=int, default=0, low=0, high=size))
     return GroupRackTriple(group, _read(doc, "x_size", kind=int, low=1),
                            _read(doc, "action_table"), _read(doc, "theta_table"),
                            _read(doc, "basepoint", kind=int, default=0, low=0))
@@ -348,7 +344,7 @@ def _verify_triple(parts: dict, tol: float, fmt: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _value(args.tolerance, "--tolerance", float, 0)
+    tol = _value(args.tolerance, "--tolerance", float, rule=_NONNEGATIVE)
     kind, obj = _load_target(args)
     if kind == "rack":
         return _verify_rack(obj, args.format)
@@ -366,30 +362,29 @@ def cmd_integrate(args) -> int:
             "discrete rack specifications cannot be integrated; "
             "use 'verify' for those")
 
-    def pick(key, fallback):
-        """The flag, else the config entry, else ``fallback``."""
-        flag = getattr(args, key)
-        if flag is None:
-            return parts["config"].get(key, fallback)
-        return _value(flag, f"--{key}", *CONFIG[key])
+    given = dict(parts["config"])       # a flag overrides its config entry
+    for key in CONFIG:
+        if getattr(args, key) is not None:
+            given[key] = _value(getattr(args, key), f"--{key}", *CONFIG[key])
 
-    step, scheme, samples, seed, tolerance, radius = (
-        pick(key, fallback) for key, fallback in (
-            ("step", 1e-4), ("scheme", "central"), ("samples", 200),
-            ("seed", 0), ("tolerance", 1e-4), ("radius", DEFAULT_RADIUS)))
+    def pick(**keys):
+        """parameter=setting pairs as keywords, for the settings given."""
+        return {arg: given[key] for arg, key in keys.items() if key in given}
 
     triple = build_triple(parts["algebra"], parts["action"], parts["theta"])
-    cfg = DiffConfig(step=step, scheme=scheme)
-    # a stencil that divides 0 by 0 gives NaN, which the report shows
-    with np.errstate(divide="ignore", invalid="ignore"):
+    cfg = DiffConfig(**pick(step="step", scheme="scheme"))
+    # a stencil that divides 0 by 0 gives NaN, which the report shows, and a
+    # huge step overflows to a norm that leaves the domain, which is reported
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         model = build_model(triple, rep=parts["rep"], h_basis=parts["h_basis"],
-                            radius=radius, cfg=cfg)
-        report = run_integration_suites(model, samples=samples, seed=seed,
-                                        roundtrip_tol=tolerance)
+                            cfg=cfg, **pick(radius="radius"))
+        report = run_integration_suites(model, **pick(
+            samples="samples", seed="seed", roundtrip_tol="tolerance"))
 
+    step = model.cfg.step
     lines = [
         f"model: algebra dim {triple.dim_g}, module dim {triple.dim_v}, "
-        f"radius {model.radius:g}, scheme {scheme}, step {step:g}",
+        f"radius {model.radius:g}, scheme {model.cfg.scheme}, step {step:g}",
         f"strict: {'yes' if report.strict else 'no'} "
         f"(equivariant subalgebra dim {report.h_dim} of {triple.dim_g})",
     ]

@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import SubspaceBasis
+from .algebra import SubspaceBasis, frozen_array, integer, same_algebra, set_frozen
 from .errors import AxiomError, DomainError, MembershipError, StructuralError
 from .localgroup import CHART_RADIUS, DiffConfig, GroupElement, MatrixRep, \
     adjoint_rep, chart_products, check_rep, derivative_at_identity, \
@@ -50,8 +50,7 @@ from .triples import LieLeibnizTriple, RelaxedAugmentation, \
 
 DEFAULT_RADIUS = min(0.3, 0.6 * CHART_RADIUS)
 _UNDO_TOL = 1e-9
-_BATCH = 100            # samples per stacked trial, which bounds its memory
-_CHUNK = 20_000         # matrix entries per stacked stencil call, likewise
+_CHUNK = 20_000         # matrix entries per stacked kernel call, bounding its memory
 _DEFECT_TOL = 1e-4
 
 
@@ -63,14 +62,8 @@ class RackPoint:
     u: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.v, dtype=float)
-        u = np.array(self.u, dtype=float)
-        if v.ndim != 1 or u.ndim != 1:
-            raise StructuralError("point components must be vectors")
-        v.flags.writeable = False
-        u.flags.writeable = False
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u", u)
+        set_frozen(self, v=frozen_array(self.v, (None,), "point vector v"),
+                   u=frozen_array(self.u, (None,), "point shadow u"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +78,13 @@ class LocalRackModel:
     cfg: DiffConfig
 
     def __post_init__(self):
-        if not (0 < self.radius <= CHART_RADIUS):
+        radius = float(frozen_array(self.radius, (), "radius"))
+        if not 0 < radius <= CHART_RADIUS:
             raise StructuralError("radius must lie in (0, chart radius]")
-        if self.rep.matrix_dim != self.base_dim + self.triple.dim_v:
+        base = integer(self.base_dim, "base_dim")
+        if self.rep.matrix_dim != base + self.triple.dim_v:
             raise StructuralError("block representation has the wrong size")
+        set_frozen(self, radius=radius, base_dim=base)
 
     def shadows(self, v):
         """theta(v) of a vector or of each of a stack (k, d), and whether it
@@ -105,7 +101,7 @@ class LocalRackModel:
             return shadow, outside
         if outside:
             raise MembershipError(
-                f"theta(v) has norm {norms(shadow):.3f}, outside "
+                f"theta(v) has norm {norms(shadow):.3e}, outside "
                 f"the model radius {self.radius}")
         return RackPoint(v, shadow)
 
@@ -116,7 +112,7 @@ class LocalRackModel:
 def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
                 h_basis: SubspaceBasis | None = None,
                 radius: float = DEFAULT_RADIUS,
-                cfg: DiffConfig | None = None) -> LocalRackModel:
+                cfg: DiffConfig = DiffConfig()) -> LocalRackModel:
     """Assemble a local model, validating every ingredient.
 
     Without an explicit representation the adjoint one is used when faithful
@@ -126,10 +122,7 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
     if rep is None:
         rep = adjoint_rep(triple.algebra)
     else:
-        if rep.algebra.dim != triple.dim_g or not np.array_equal(
-                rep.algebra.structure_constants,
-                triple.algebra.structure_constants):
-            raise StructuralError("representation is over a different algebra")
+        same_algebra(rep.algebra, triple.algebra, "representation")
         rep_report = check_rep(rep)
         if not rep_report.passed:
             raise AxiomError("matrix-representation", rep_report.max_residual,
@@ -140,10 +133,8 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
         aug = check_relaxed_augmentation(RelaxedAugmentation(triple, h_basis))
         if not aug.passed:
             raise AxiomError("relaxed-augmentation", aug.max_residual, aug)
-    if cfg is None:
-        cfg = DiffConfig()
     return LocalRackModel(triple, working_rep(rep, triple.action),
-                          rep.matrix_dim, h_basis, float(radius), cfg)
+                          rep.matrix_dim, h_basis, radius, cfg)
 
 
 def _act(model: LocalRackModel, G, v):
@@ -206,10 +197,15 @@ def _gap(p, q) -> np.ndarray:
 # law suites
 # ---------------------------------------------------------------------------
 
-def _run_suite(samples: int, seed: int, tol: float, draw, trial,
-               **info) -> ValidityReport:
+def _per_call(model: LocalRackModel) -> int:
+    """Stacked slices per kernel call: _CHUNK entries of the model's matrices."""
+    return max(1, _CHUNK // model.rep.matrix_dim ** 2)
+
+
+def _run_suite(model: LocalRackModel, samples: int, seed: int, tol: float,
+               draw, trial, **info) -> ValidityReport:
     """Draw ``draw(rng)`` for each of ``samples`` samples on one seeded RNG
-    and run ``trial`` on the stacked draws, _BATCH samples at a time.
+    and run ``trial`` on the stacked draws, :func:`_per_call` samples at a time.
 
     ``trial`` returns the mask of samples that stayed in the model domain,
     the chart and the model neighbourhood at every step, and its laws as
@@ -219,10 +215,10 @@ def _run_suite(samples: int, seed: int, tol: float, draw, trial,
     sample by sample; a suite that used no sample fails under the law
     ``samples-used``.  ``info`` gains the used and skipped counts.
     """
-    rng = np.random.default_rng(seed)
+    rng, batch = np.random.default_rng(seed), _per_call(model)
     col, used = Collector(tol), 0
-    for start in range(0, samples, _BATCH):
-        drawn = [draw(rng) for _ in range(min(_BATCH, samples - start))]
+    for start in range(0, samples, batch):
+        drawn = [draw(rng) for _ in range(min(batch, samples - start))]
         done, laws = trial(*map(np.array, zip(*drawn)))
         laws = [(law, np.where(reached, res, 0.0), law_tol)
                 for law, res, reached, law_tol in laws]
@@ -258,7 +254,7 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
         return used, [("group-set-composition", _gap(onestep, twostep), used, tol),
                       ("unit-acts-trivially", _gap(fixed, p), used, None)]
 
-    return _run_suite(samples, seed, tol, draw, trial)
+    return _run_suite(model, samples, seed, tol, draw, trial)
 
 
 def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
@@ -294,7 +290,7 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
              None),
             ("basepoint-fixed", np.abs(fixed).max(axis=1), used, None)]
 
-    return _run_suite(samples, seed, tol, draw, trial, undo_tolerance=_UNDO_TOL)
+    return _run_suite(model, samples, seed, tol, draw, trial, undo_tolerance=_UNDO_TOL)
 
 
 def check_equivariance(model: LocalRackModel, samples: int = 200,
@@ -324,7 +320,7 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
         return used, [("embedding-equivariance",
                        np.abs(moved[1] - conj).max(axis=1), used, tol)]
 
-    return _run_suite(samples if h_dim else 0, seed, tol, draw, trial,
+    return _run_suite(model, samples if h_dim else 0, seed, tol, draw, trial,
                       strict=h_dim == model.triple.dim_g, h_dim=int(h_dim))
 
 
@@ -342,7 +338,7 @@ def _recover(model: LocalRackModel, stencil, points, *dirs):
     with a failed point reruns at a tenth of the step; if it fails again,
     the first failed call at its first failed point (first direction first)
     reruns as a single call on that slice, which raises its error."""
-    per = max(1, _CHUNK // model.rep.matrix_dim ** 2)
+    per = _per_call(model)
 
     def evaluate(rows, check, *offsets):
         s, k, steps, vals, bad = len(offsets[0]), len(rows), [], [], []

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, full_rank, \
-    homomorphism_residuals
+from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, \
+    frozen_array, full_rank, homomorphism_residuals, same_algebra, set_frozen
 from .errors import CapabilityError, ChartError, StructuralError
 from .report import Collector, ValidityReport
 
@@ -56,14 +56,10 @@ class GroupElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coords, dtype=float)
-        m = np.array(self.matrix, dtype=float)
-        if c.ndim != 1 or m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StructuralError("bad group element shapes")
-        c.flags.writeable = False
-        m.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-        object.__setattr__(self, "matrix", m)
+        m = frozen_array(self.matrix, (None, None), "group element matrix")
+        if m.shape[0] != m.shape[1]:
+            raise StructuralError("group element matrix must be square")
+        set_frozen(self, coords=frozen_array(self.coords, (None,), "coords"), matrix=m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +73,11 @@ class MatrixRep:
 
     def __post_init__(self):
         n = self.algebra.dim
-        M = np.array(self.matrices, dtype=float)
-        if M.ndim != 3 or M.shape[0] != n or M.shape[1] != M.shape[2]:
-            raise StructuralError(
-                f"need {n} square matrices, got shape {M.shape}")
-        M.flags.writeable = False
+        M = frozen_array(self.matrices, (n, None, None), "representation matrices")
+        if M.shape[1] != M.shape[2]:
+            raise StructuralError(f"need {n} square matrices, got shape {M.shape}")
         stack = M.reshape(n, -1).T          # (m*m, n), columns are basis mats
-        stack.flags.writeable = False
-        object.__setattr__(self, "matrices", M)
-        object.__setattr__(self, "basis_stack", stack)
-        object.__setattr__(self, "_pinv", np.linalg.pinv(stack))
+        set_frozen(self, matrices=M, basis_stack=stack, _pinv=np.linalg.pinv(stack))
 
     @property
     def matrix_dim(self) -> int:
@@ -130,7 +121,7 @@ class MatrixRep:
             return expm(self.algebra_matrix(np.where(out[:, None], 0.0, c))), out
         if out:
             raise ChartError(
-                f"coordinates of norm {norms(c):.3f} are outside the "
+                f"coordinates of norm {norms(c):.3e} are outside the "
                 f"chart ball of radius {CHART_RADIUS}")
         return GroupElement(c, expm(self.algebra_matrix(c)))
 
@@ -169,8 +160,7 @@ def working_rep(rep: MatrixRep, action: ModuleAction) -> MatrixRep:
     transport used by the local action; faithfulness is inherited from the
     top-left block.
     """
-    if action.algebra.dim != rep.algebra.dim:
-        raise StructuralError("representation and action algebras differ")
+    same_algebra(action.algebra, rep.algebra, "action")
     n, m, d = rep.algebra.dim, rep.matrix_dim, action.dim_v
     big = np.zeros((n, m + d, m + d))
     big[:, :m, :m] = rep.matrices
@@ -330,9 +320,11 @@ class DiffConfig:
     scheme: str = "central"
 
     def __post_init__(self):
-        if not (self.step > 0):
+        step = float(frozen_array(self.step, (), "step"))
+        if not step > 0:
             raise StructuralError("step must be positive")
-        if self.scheme not in SCHEMES:
+        set_frozen(self, step=step)
+        if not isinstance(self.scheme, str) or self.scheme not in SCHEMES:
             raise StructuralError("scheme must be 'central' or 'richardson'")
 
 

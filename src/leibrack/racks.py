@@ -14,26 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import frozen_array, integer, set_frozen
 from .errors import AxiomError, StructuralError
 from .report import Collector, ValidityReport
-
-
-def int_table(values, shape, bound, what="table") -> np.ndarray:
-    """Copy ``values`` into a read-only integer array with entries in [0, bound)."""
-    try:
-        arr = np.array(values)
-        with np.errstate(invalid="ignore"):     # a huge float fails below
-            cast = arr.astype(np.int64)
-    except (TypeError, ValueError, OverflowError):
-        raise StructuralError(f"{what}: entries must be integers") from None
-    if arr.shape != tuple(shape):
-        raise StructuralError(f"{what}: expected shape {tuple(shape)}, got {arr.shape}")
-    if not np.array_equal(cast, arr):
-        raise StructuralError(f"{what}: entries must be integers")
-    if cast.size and (cast.min() < 0 or cast.max() >= bound):
-        raise StructuralError(f"{what}: entries must lie in [0, {bound})")
-    cast.flags.writeable = False
-    return cast
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,14 +28,11 @@ class FiniteRack:
     basepoint: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size <= 0:
-            raise StructuralError("size must be a positive integer")
-        T = int_table(self.op_table, (self.size, self.size), self.size, "rack table")
-        object.__setattr__(self, "op_table", T)
+        n = integer(self.size, "size")
+        set_frozen(self, size=n,
+                   op_table=frozen_array(self.op_table, (n, n), "rack table", n))
         if self.basepoint is not None:
-            if not (0 <= int(self.basepoint) < self.size):
-                raise StructuralError("basepoint out of range")
-            object.__setattr__(self, "basepoint", int(self.basepoint))
+            set_frozen(self, basepoint=integer(self.basepoint, "basepoint", 0, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,33 +45,24 @@ class FiniteGroup:
     unit: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size <= 0:
-            raise StructuralError("size must be a positive integer")
-        M = int_table(self.mul_table, (self.size, self.size), self.size, "mul table")
-        I = int_table(self.inverse_table, (self.size,), self.size, "inverse table")
-        if not (0 <= int(self.unit) < self.size):
-            raise StructuralError("unit out of range")
-        object.__setattr__(self, "mul_table", M)
-        object.__setattr__(self, "inverse_table", I)
-        object.__setattr__(self, "unit", int(self.unit))
+        n = integer(self.size, "size")
+        set_frozen(self, size=n,
+                   mul_table=frozen_array(self.mul_table, (n, n), "mul table", n),
+                   inverse_table=frozen_array(self.inverse_table, (n,),
+                                              "inverse table", n),
+                   unit=integer(self.unit, "unit", 0, n))
 
     @classmethod
     def from_mul_table(cls, mul_table, unit: int = 0) -> "FiniteGroup":
-        """Derive the inverse table by scanning; raises AxiomError if absent."""
-        try:
-            size = len(mul_table)
-        except TypeError:
-            raise StructuralError("mul table: expected a square table") from None
-        mul = int_table(mul_table, (size, size), size, "mul table")
-        if not 0 <= unit < size:
-            raise StructuralError("unit out of range")
-        inv = np.full(size, -1, dtype=np.int64)
-        for g in range(size):
-            hits = np.where((mul[g] == unit) & (mul[:, g] == unit))[0]
-            if hits.size == 0:
-                raise AxiomError("group-inverse-law", 1.0)
-            inv[g] = hits[0]
-        return cls(size, mul, inv, unit)
+        """Derive the inverse table, each element's first two-sided inverse;
+        raises AxiomError if one is absent."""
+        size = len(frozen_array(mul_table, (None, None), "mul table"))
+        mul = frozen_array(mul_table, (size, size), "mul table", size)
+        unit = integer(unit, "unit", 0, size)
+        inverse = (mul == unit) & (mul.T == unit)       # [g, h]: gh = hg = e
+        if not inverse.any(axis=1).all():
+            raise AxiomError("group-inverse-law", 1.0)
+        return cls(size, mul, inverse.argmax(axis=1), unit)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
@@ -120,17 +91,13 @@ class GroupRackTriple:
     basepoint: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.x_size, int) or self.x_size <= 0:
-            raise StructuralError("x_size must be a positive integer")
-        A = int_table(self.action_table, (self.group.size, self.x_size),
-                      self.x_size, "action_table")
-        T = int_table(self.theta_table, (self.x_size,), self.group.size,
-                      "theta_table")
-        if not (0 <= int(self.basepoint) < self.x_size):
-            raise StructuralError("basepoint out of range")
-        object.__setattr__(self, "action_table", A)
-        object.__setattr__(self, "theta_table", T)
-        object.__setattr__(self, "basepoint", int(self.basepoint))
+        x, g = integer(self.x_size, "x_size"), self.group.size
+        set_frozen(self, x_size=x,
+                   action_table=frozen_array(self.action_table, (g, x),
+                                             "action_table", x),
+                   theta_table=frozen_array(self.theta_table, (x,),
+                                            "theta_table", g),
+                   basepoint=integer(self.basepoint, "basepoint", 0, x))
 
     def act(self, g: int, x: int) -> int:
         return int(self.action_table[g, x])
@@ -155,18 +122,15 @@ class GroupCrossedModule:
     n_prime: tuple | None = None
 
     def __post_init__(self):
-        mu = int_table(self.mu, (self.m.size,), self.n.size, "boundary table")
-        eta = int_table(self.eta, (self.n.size, self.m.size), self.m.size,
-                        "action table")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "eta", eta)
+        m, n = self.m.size, self.n.size
+        set_frozen(self, mu=frozen_array(self.mu, (m,), "boundary table", n),
+                   eta=frozen_array(self.eta, (n, m), "action table", m))
         if self.n_prime is not None:
-            sub = tuple(sorted(int(i) for i in self.n_prime))
+            sub = sorted(frozen_array(self.n_prime, (None,),
+                                      "restriction subgroup", n).tolist())
             if len(set(sub)) != len(sub):
                 raise StructuralError("restriction subgroup has repeats")
-            if any(i < 0 or i >= self.n.size for i in sub):
-                raise StructuralError("restriction subgroup index out of range")
-            object.__setattr__(self, "n_prime", sub)
+            set_frozen(self, n_prime=tuple(sub))
 
 
 def _conjugation_table(group: FiniteGroup) -> np.ndarray:
@@ -356,8 +320,8 @@ def check_rack_triple_morphism(source: GroupRackTriple, target: GroupRackTriple,
     failed report.  The induced rack-map property of psi is a consequence of
     the other laws; it is re-verified and reported under ``derived-rack-map``.
     """
-    phi = int_table(phi_table, (source.group.size,), target.group.size, "phi")
-    psi = int_table(psi_table, (source.x_size,), target.x_size, "psi")
+    phi = frozen_array(phi_table, (source.group.size,), "phi", target.group.size)
+    psi = frozen_array(psi_table, (source.x_size,), "psi", target.x_size)
     Ms, Mt = source.group.mul_table, target.group.mul_table
     not_hom = np.argwhere(phi[Ms] != Mt[phi[:, None], phi])
     if not_hom.size:

@@ -30,7 +30,7 @@ from .algebra import (DEFAULT_TOL, LeibnizAlgebraData, LieAlgebraData,
                       ModuleAction, SubspaceBasis, bracket_closure_check,
                       bracket_map_residuals, brackets, check_leibniz,
                       check_lie_algebra, check_module, frozen_array,
-                      lie_algebra)
+                      lie_algebra, same_algebra, set_frozen)
 from .errors import AxiomError, StructuralError
 from .report import Collector, ValidityReport
 
@@ -42,11 +42,8 @@ class EmbeddingTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = np.array(self.matrix, dtype=float)
-        if M.ndim != 2:
-            raise StructuralError("embedding tensor must be a matrix")
-        M.flags.writeable = False
-        object.__setattr__(self, "matrix", M)
+        set_frozen(self, matrix=frozen_array(self.matrix, (None, None),
+                                             "embedding tensor"))
 
     def __call__(self, v) -> np.ndarray:
         return self.matrix @ np.asarray(v, float)
@@ -72,16 +69,12 @@ class LieLeibnizTriple:
 
     def __post_init__(self):
         n, d = self.algebra.dim, self.action.dim_v
-        if self.action.algebra is not self.algebra:
-            if self.action.algebra.dim != n or not np.array_equal(
-                    self.action.algebra.structure_constants,
-                    self.algebra.structure_constants):
-                raise StructuralError("action is over a different algebra")
+        same_algebra(self.action.algebra, self.algebra, "action")
         if self.theta.matrix.shape != (n, d):
             raise StructuralError(
                 f"embedding tensor must be {(n, d)}, got {self.theta.matrix.shape}")
         B = derived_bracket_tensor(self.action, self.theta)
-        object.__setattr__(self, "derived_bracket", LeibnizAlgebraData(d, B))
+        set_frozen(self, derived_bracket=LeibnizAlgebraData(d, B))
 
     @property
     def dim_g(self) -> int:
@@ -95,20 +88,17 @@ class LieLeibnizTriple:
 def triple_reports(algebra: LieAlgebraData, action: ModuleAction,
                    theta: EmbeddingTensor, tol: float = DEFAULT_TOL) -> tuple:
     """The Lie algebra, module and :func:`check_triple` reports of raw
-    components, each law evaluated once."""
-    n, d = algebra.dim, action.dim_v
-    if theta.matrix.shape != (n, d):
-        raise StructuralError(
-            f"embedding tensor must be {(n, d)}, got {theta.matrix.shape}")
+    components, each law evaluated once; the components must fit together
+    as a :class:`LieLeibnizTriple`."""
+    derived = LieLeibnizTriple(algebra, action, theta).derived_bracket
     alg_rep, mod_rep = check_lie_algebra(algebra, tol), check_module(action, tol)
     col = Collector(tol)
     col.merge(alg_rep)
     col.merge(mod_rep)
 
-    B = derived_bracket_tensor(action, theta)
     col.scan("embedding-intertwines-brackets", bracket_map_residuals(
-        B, algebra.structure_constants, theta.matrix))
-    col.merge(check_leibniz(LeibnizAlgebraData(d, B), tol))
+        derived.bracket_tensor, algebra.structure_constants, theta.matrix))
+    col.merge(check_leibniz(derived, tol))
 
     defect = np.max(np.abs(_defect_stack(algebra, action, theta)))
     return alg_rep, mod_rep, col.report({"strict": bool(defect <= tol),
@@ -221,10 +211,9 @@ class TripleMorphism:
     psi: np.ndarray
 
     def __post_init__(self):
-        phi = frozen_array(self.phi, (self.target.dim_g, self.source.dim_g), "phi")
-        psi = frozen_array(self.psi, (self.target.dim_v, self.source.dim_v), "psi")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
+        src, tgt = self.source, self.target
+        set_frozen(self, phi=frozen_array(self.phi, (tgt.dim_g, src.dim_g), "phi"),
+                   psi=frozen_array(self.psi, (tgt.dim_v, src.dim_v), "psi"))
 
 
 def check_morphism(mor: TripleMorphism, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -273,9 +262,10 @@ class LieAlgebraCrossedModule:
     n_prime: SubspaceBasis | None = None
 
     def __post_init__(self):
-        mu = frozen_array(self.mu, (self.n.dim, self.m.dim), "boundary map")
-        object.__setattr__(self, "mu", mu)
-        if self.eta.algebra.dim != self.n.dim or self.eta.dim_v != self.m.dim:
+        set_frozen(self, mu=frozen_array(self.mu, (self.n.dim, self.m.dim),
+                                         "boundary map"))
+        same_algebra(self.eta.algebra, self.n, "action")
+        if self.eta.dim_v != self.m.dim:
             raise StructuralError("action shape does not match the two algebras")
         if self.n_prime is not None and self.n_prime.ambient_dim != self.n.dim:
             raise StructuralError("restriction subalgebra in wrong ambient space")

@@ -118,8 +118,9 @@ def test_sample_counts_match_the_oracle(samples):
                          ids=["broken-module-block", "sl2x30"])
 def test_batch_boundaries_keep_the_report(make, monkeypatch):
     # with 7 samples per batch, listed violations and skips cross batches
-    monkeypatch.setattr(integrate, "_BATCH", 7)
     model = make()
+    monkeypatch.setattr(integrate, "_CHUNK", 7 * model.rep.matrix_dim ** 2)
+    assert integrate._per_call(model) == 7
     for k, (batched, scalar) in enumerate(SUITES):
         assert_same_report(batched(model, 60, 7 + k), scalar(model, 60, 7 + k))
 

@@ -337,6 +337,17 @@ MALFORMED = [
                            morphism={"phi": np.eye(2).tolist(),
                                      "psi": [[1.0]]}),
                "morphism", "target", 5, case="morphism.target/failing-source"),
+    # a string is no number inside an array or a table, even when it reads
+    # as one
+    _malformed("verify", "module.action_matrices", scaling_doc(1.0),
+               "module", "action_matrices", [[["2.0"]], [[0.0]]],
+               case="module.action_matrices/numeric-string"),
+    _malformed("verify", "theta.matrix", scaling_doc(1.0),
+               "theta", "matrix", [["0"], [" 1 "]], case="theta.matrix/numeric-string"),
+    _malformed("verify", "action_table", rack_doc(), "action_table", 0, 0, "0",
+               case="action_table/numeric-string"),
+    _malformed("verify", "group.mul_table", rack_doc(),
+               "group", "mul_table", 0, 0, "0", case="group.mul_table/numeric-string"),
     # constructor errors carry the spec field
     _malformed("verify", "module.action_matrices", scaling_doc(1.0),
                "module", "action_matrices", [[[1.0]], [[0.0]], [[0.0]]],
@@ -448,6 +459,20 @@ def test_nan_recovery_fails(capsys):
     assert payload["defect"]["passed"] is False
     assert np.isnan(payload["defect"]["max_gap"])
     assert np.isnan(payload["roundtrip"]["max_residual"])
+
+
+@pytest.mark.parametrize("step", ["1e300", "1e154"])
+def test_overflowing_step_is_one_short_domain_error(step, capsys):
+    # the stencil points leave the model radius, and their norm overflows
+    # (1e300) or is huge (1e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["integrate", "--builtin", "sl2-adjoint", "--step", step,
+                     "--samples", "5"])
+    assert code == EXIT_STRUCTURAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 100
+    assert err[0].startswith("domain error: theta(v) has norm ")
 
 
 @pytest.mark.parametrize("argv,line", [
