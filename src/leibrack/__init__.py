@@ -22,7 +22,7 @@ from .racks import (FiniteGroup, FiniteRack, GroupCrossedModule,
                     check_group_rack_triple, check_rack,
                     check_rack_triple_morphism, conjugation_crossed_module,
                     conjugation_rack, conjugation_triple, derived_rack,
-                    group_defect, strict_elements)
+                    group_defect)
 from .report import ValidityReport, Violation
 from .triples import (EmbeddingTensor, LieAlgebraCrossedModule,
                       LieLeibnizTriple, RelaxedAugmentation, TripleMorphism,

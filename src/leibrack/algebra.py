@@ -70,7 +70,7 @@ def frozen_array(values, shape=None, what="array", bound=None) -> np.ndarray:
     if bound is not None and arr.size and (arr.min() < 0 or arr.max() >= bound):
         raise StructuralError(f"{what}: entries must lie in [0, {bound})")
     out = arr.astype(float if bound is None else np.int64)
-    if not np.array_equal(out, arr):                # a fraction cast to int
+    if bound is not None and not np.array_equal(out, arr):  # a fraction cast to int
         raise StructuralError(f"{what}: entries must be integers")
     out.flags.writeable = False
     return out

@@ -87,15 +87,22 @@ CONFIG = {"step": (float, None, _POSITIVE),
                                    f"in (0, {CHART_RADIUS}]"))}
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean (numpy's 0 or 1) or a list holding one."""
+    return type(value) is bool or type(value) is list and any(map(_holds_bool, value))
+
+
 def _value(value, field: str, kind=None, low=1, rule=None, high=None):
     """Every spec field and flag is read here: ``value`` as ``kind`` (int,
     float, str, list or dict), else by the constructors' array rule
-    :func:`frozen_array`, of shape ``kind`` when that is a tuple.  An int
+    :func:`frozen_array` (of shape ``kind`` if a tuple; no boolean).  An int
     goes by their integer rule :func:`integer`, in [low, high): a JSON
     integer, never a boolean and never a float.  Any other value passes the
     ``rule`` (a test and what it asks) when one is given.  A StructuralError
     names ``field`` when the value does not fit."""
     if kind is None or type(kind) is tuple:
+        if _holds_bool(value):
+            raise StructuralError(f"{field}: entries must be numbers")
         return frozen_array(value, kind, field)
     if kind is int:
         return integer(value, field, low, high)
@@ -389,9 +396,10 @@ def cmd_integrate(args) -> int:
         f"(equivariant subalgebra dim {report.h_dim} of {triple.dim_g})",
     ]
     for name, law in report.laws.items():
+        skips = ", ".join(f"{n} {why}" for why, n in report.skips[name].items())
         lines.append(_check_line(f"law suite {name}", law) +
                      f" ({law.info['samples_used']} used, "
-                     f"{law.info['samples_skipped']} skipped)")
+                     f"{law.info['samples_skipped']} skipped{skips and ': ' + skips})")
     rt = report.roundtrip
     lines.append(
         f"[{'PASS' if rt['passed'] else 'FAIL'}] tensor round trip: "

@@ -8,14 +8,15 @@ module action below).  Points of the model are pairs (v, theta(v)) with
     q(g, p) = (rho_g v, theta(rho_g v))
 
 where rho_g is the module block of the represented element, and that action
-is only declared when the moved point stays inside the radius (DomainError
-otherwise).  Embedding a point exponentiates its algebra component, and the
-rack product is x > y = q(embed(x), y).
+is only declared when the moved point stays inside the radius.  Embedding a
+point exponentiates its algebra component, and the rack product is
+x > y = q(embed(x), y); ``point``, ``local_action`` and ``rack_product`` are
+the single-point edge over the stacked ``shadows`` and ``_act``.
 
 The law suites run batched on (k, d) points and (k, m, m) group matrices,
 drawn in the RNG order of one draw per sample: each step of a trial is one
-stacked call, and a per-sample mask skips a sample from the first step that
-leaves the domain, keeping the residuals it measured before that step.
+stacked call, and a sample is skipped (and counted by reason in ``skips``)
+at the first failure of its steps, keeping its earlier residuals.
 
 Recovery runs the construction backwards with finite differences: the
 derivative of embedded curves returns the embedding tensor, mixed second
@@ -28,8 +29,8 @@ returns the infinitesimal defect map of the triple.  All group coordinates
 used in derivatives are re-extracted from matrices through the logarithm, so
 the round trip genuinely exercises exp and log rather than echoing inputs.
 Each tensor is one stencil call over all its basis directions, on the same
-stacked kernels as the suites; a direction with a stencil point outside the
-chart, the model radius or the action domain reruns at a tenth of the step.
+stacked kernels as the suites; a direction with a failed stencil point
+reruns at a tenth of the step, and raises its first failure if it fails again.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from functools import partial
 import numpy as np
 
 from .algebra import SubspaceBasis, frozen_array, integer, same_algebra, set_frozen
-from .errors import AxiomError, DomainError, MembershipError, StructuralError
-from .localgroup import CHART_RADIUS, DiffConfig, GroupElement, MatrixRep, \
-    adjoint_rep, chart_products, check_rep, derivative_at_identity, \
-    log_matrix, mixed_second_derivative, norms, working_rep
+from .errors import AxiomError, StructuralError
+from .localgroup import CHART_RADIUS, FAILURES, MODEL_RADIUS, MOVED, DiffConfig, \
+    GroupElement, MatrixRep, adjoint_rep, chart_products, check_rep, \
+    derivative_at_identity, failures, first_failure, log_matrix, \
+    mixed_second_derivative, norms, raise_failure, working_rep
 from .report import Collector, ValidityReport
 from .triples import LieLeibnizTriple, RelaxedAugmentation, \
     check_relaxed_augmentation, equivariance_defect, max_strictness_subalgebra
@@ -86,24 +88,19 @@ class LocalRackModel:
             raise StructuralError("block representation has the wrong size")
         set_frozen(self, radius=radius, base_dim=base)
 
-    def shadows(self, v):
-        """theta(v) of a vector or of each of a stack (k, d), and whether it
-        lies outside the model radius."""
+    def shadows(self, v, reason: int = MODEL_RADIUS):
+        """theta(v) of each vector of a stack (k, d), and the failures:
+        ``reason`` with the shadow's norm where it is outside the radius."""
         shadow = np.matvec(self.triple.theta.matrix, v)
-        return shadow, norms(shadow) >= self.radius
+        size = norms(shadow)
+        return shadow, failures(reason, size >= self.radius, size)
 
-    def point(self, v):
-        """The model point over v; MembershipError outside the radius.  On a
-        stack (k, d): the shadows and the mask of those outside."""
-        v = np.asarray(v, dtype=float)
-        shadow, outside = self.shadows(v)
-        if v.ndim == 2:
-            return shadow, outside
-        if outside:
-            raise MembershipError(
-                f"theta(v) has norm {norms(shadow):.3e}, outside "
-                f"the model radius {self.radius}")
-        return RackPoint(v, shadow)
+    def point(self, v) -> RackPoint:
+        """The model point over one vector; MembershipError outside the radius."""
+        v = frozen_array([v], (1, self.triple.dim_v), "point vector v")
+        shadow, why = self.shadows(v)
+        raise_failure(why[0], self.radius)
+        return RackPoint(v[0], shadow[0])
 
     def basepoint(self) -> RackPoint:
         return self.point(np.zeros(self.triple.dim_v))
@@ -138,25 +135,23 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
 
 
 def _act(model: LocalRackModel, G, v):
-    """rho_g v for a group matrix and a vector, or stacks (k, m, m) and (k, d)
-    of both: the moved vectors, their shadows and whether they left the
-    model radius, which one vector that left raises as DomainError."""
+    """rho_g v for stacks (k, m, m) of group matrices (or one) and (k, d) of
+    vectors: the moved vectors, their shadows and MOVED failures."""
     moved = np.matvec(G[..., model.base_dim:, model.base_dim:], v)
-    shadow, outside = model.shadows(moved)
-    if np.ndim(v) == 1 and outside:
-        raise DomainError("the moved point left the model neighbourhood")
-    return moved, shadow, outside
+    return (moved, *model.shadows(moved, MOVED))
 
 
 def local_action(model: LocalRackModel, g: GroupElement,
                  p: RackPoint) -> RackPoint:
     """q(g, p) = (rho_g v, theta(rho_g v)); DomainError outside the domain."""
-    return RackPoint(*_act(model, g.matrix, p.v)[:2])
+    moved, shadow, why = _act(model, g.matrix[None], p.v[None])
+    raise_failure(why[0])
+    return RackPoint(moved[0], shadow[0])
 
 
 def embed_point(model: LocalRackModel, p: RackPoint) -> GroupElement:
     """Phi(p): exponentiate the algebra shadow of the point."""
-    return model.rep.element(p.u)
+    return GroupElement.exp(model.rep, p.u)
 
 
 def rack_product(model: LocalRackModel, x: RackPoint, y: RackPoint) -> RackPoint:
@@ -203,37 +198,39 @@ def _per_call(model: LocalRackModel) -> int:
 
 
 def _run_suite(model: LocalRackModel, samples: int, seed: int, tol: float,
-               draw, trial, **info) -> ValidityReport:
+               draw, trial, skips, **info) -> ValidityReport:
     """Draw ``draw(rng)`` for each of ``samples`` samples on one seeded RNG
     and run ``trial`` on the stacked draws, :func:`_per_call` samples at a time.
 
-    ``trial`` returns the mask of samples that stayed in the model domain,
-    the chart and the model neighbourhood at every step, and its laws as
-    ``(law, residuals, reached, tol)``: a sample is measured against a law
-    it reached, so a sample skipped at a later step keeps its earlier
-    residuals, and a law with ``tol`` None is exact.  Violations are listed
-    sample by sample; a suite that used no sample fails under the law
-    ``samples-used``.  ``info`` gains the used and skipped counts.
+    ``trial`` returns each sample's first failure over its steps and its laws
+    as ``(law, residuals, reached, tol)``, ``reached`` the first failure of
+    the steps the law needs: a sample is measured against a law it reached,
+    so a sample skipped at a later step keeps its earlier residuals, and a
+    law with ``tol`` None is exact.  Violations are listed sample by sample;
+    a suite that used no sample fails under the law ``samples-used``.  ``info``
+    gains the used and skipped counts, a ``skips`` dict the skips by reason.
     """
     rng, batch = np.random.default_rng(seed), _per_call(model)
-    col, used = Collector(tol), 0
+    col, counts = Collector(tol), np.zeros(len(FAILURES), dtype=int)
     for start in range(0, samples, batch):
         drawn = [draw(rng) for _ in range(min(batch, samples - start))]
-        done, laws = trial(*map(np.array, zip(*drawn)))
-        laws = [(law, np.where(reached, res, 0.0), law_tol)
+        why, laws = trial(*map(np.array, zip(*drawn)))
+        laws = [(law, np.where(reached["reason"] == 0, res, 0.0), law_tol)
                 for law, res, reached, law_tol in laws]
         col.tables(*[(law, ~(res <= 0.0) if law_tol is None else res > law_tol,
                       res) for law, res, law_tol in laws], start=start)
-        used += int(np.count_nonzero(done))
-    if used == 0:
+        counts += np.bincount(why["reason"], minlength=len(FAILURES))
+    (skips if skips is not None else {}).update(
+        (FAILURES[r][0], int(n)) for r, n in enumerate(counts) if r and n)
+    if counts[0] == 0:
         col.add("samples-used")
-    return col.report(dict(info, samples_used=used,
-                           samples_skipped=max(samples, 0) - used))
+    return col.report(dict(info, samples_used=int(counts[0]),
+                           samples_skipped=int(counts[1:].sum())))
 
 
 def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
-                               seed: int = 0,
-                               tol: float = 1e-9) -> ValidityReport:
+                               seed: int = 0, tol: float = 1e-9,
+                               skips=None) -> ValidityReport:
     """Composability of the action: q(g1 g2, p) = q(g1, q(g2, p)) on samples,
     and exactness of the unit law q(e, p) = p."""
     full = np.eye(model.triple.dim_g)
@@ -249,16 +246,16 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
         g12, _, off = chart_products(g1, g2, model.rep)
         onestep, inner = _act(model, g12, v), _act(model, g2, v)
         twostep = _act(model, g1, inner[0])
-        used = ~(off | onestep[2] | inner[2] | twostep[2])
-        fixed = _act(model, model.rep.identity().matrix, v)
-        return used, [("group-set-composition", _gap(onestep, twostep), used, tol),
-                      ("unit-acts-trivially", _gap(fixed, p), used, None)]
+        why = first_failure(off, onestep[2], inner[2], twostep[2])
+        fixed = _act(model, np.eye(model.rep.matrix_dim), v)
+        return why, [("group-set-composition", _gap(onestep, twostep), why, tol),
+                     ("unit-acts-trivially", _gap(fixed, p), why, None)]
 
-    return _run_suite(model, samples, seed, tol, draw, trial)
+    return _run_suite(model, samples, seed, tol, draw, trial, skips)
 
 
-def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
-                          seed: int = 0, tol: float = 1e-8) -> ValidityReport:
+def check_local_rack_laws(model: LocalRackModel, samples: int = 200, seed: int = 0,
+                          tol: float = 1e-8, skips=None) -> ValidityReport:
     """Self-distributivity, invertible left translation, and pointed laws.
 
     Self-distributivity x > (y > z) = (x > y) > (x > z) is compared on
@@ -277,24 +274,25 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
         xy, yz, xz = _act(model, ex, y), _act(model, ey, z), _act(model, ex, z)
         lhs = _act(model, ex, yz[0])
         rhs = _act(model, model.rep.element(xy[1])[0], xz[0])
-        distributes = ~(xy[2] | yz[2] | xz[2] | lhs[2] | rhs[2])
+        distributes = first_failure(xy[2], yz[2], xz[2], lhs[2], rhs[2])
         undone = _act(model, model.rep.element(-ux)[0], xy[0])
-        used = distributes & ~undone[2]
-        trivial = _act(model, model.rep.identity().matrix, y)[0]
+        why = first_failure(distributes, undone[2])
+        trivial = _act(model, np.eye(model.rep.matrix_dim), y)[0]
         fixed = _act(model, ex, np.zeros_like(x))[0]
-        return used, [
+        return why, [
             ("self-distributivity", _gap(lhs, rhs), distributes, tol),
-            ("left-translation-undo", np.abs(undone[0] - y).max(axis=1), used,
+            ("left-translation-undo", np.abs(undone[0] - y).max(axis=1), why,
              _UNDO_TOL),
-            ("basepoint-acts-trivially", np.abs(trivial - y).max(axis=1), used,
+            ("basepoint-acts-trivially", np.abs(trivial - y).max(axis=1), why,
              None),
-            ("basepoint-fixed", np.abs(fixed).max(axis=1), used, None)]
+            ("basepoint-fixed", np.abs(fixed).max(axis=1), why, None)]
 
-    return _run_suite(model, samples, seed, tol, draw, trial, undo_tolerance=_UNDO_TOL)
+    return _run_suite(model, samples, seed, tol, draw, trial, skips,
+                      undo_tolerance=_UNDO_TOL)
 
 
 def check_equivariance(model: LocalRackModel, samples: int = 200,
-                       seed: int = 0, tol: float = 1e-8) -> ValidityReport:
+                       seed: int = 0, tol: float = 1e-8, skips=None) -> ValidityReport:
     """Phi intertwines the local action with conjugation.
 
     Directions are sampled from the equivariant subalgebra; when that is all
@@ -316,12 +314,12 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
         hp, _, off = chart_products(
             h, model.rep.element(model.shadows(v)[0])[0], model.rep)
         _, conj, off_inv = chart_products(hp, hinv, model.rep)
-        used = ~(moved[2] | off | off_inv)
-        return used, [("embedding-equivariance",
-                       np.abs(moved[1] - conj).max(axis=1), used, tol)]
+        why = first_failure(moved[2], off, off_inv)
+        return why, [("embedding-equivariance",
+                      np.abs(moved[1] - conj).max(axis=1), why, tol)]
 
     return _run_suite(model, samples if h_dim else 0, seed, tol, draw, trial,
-                      strict=h_dim == model.triple.dim_g, h_dim=int(h_dim))
+                      skips, strict=h_dim == model.triple.dim_g, h_dim=int(h_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +332,9 @@ def _recover(model: LocalRackModel, stencil, points, *dirs):
     holds one (k, .) stack of directions per stencil offset, and
     ``points(model, step, *scaled)`` gets offsets times directions, in
     chunks of _CHUNK matrix entries; it makes each kernel call that can fail
-    as ``step(kernel, *args)``, which keeps the failure mask.  A direction
-    with a failed point reruns at a tenth of the step; if it fails again,
-    the first failed call at its first failed point (first direction first)
-    reruns as a single call on that slice, which raises its error."""
+    as ``step(kernel, *args)``, which keeps the failures.  A direction with
+    a failed point reruns at a tenth of the step; if it fails again, the
+    failure of its first failed point (first direction first) is raised."""
     per = _per_call(model)
 
     def evaluate(rows, check, *offsets):
@@ -346,17 +343,16 @@ def _recover(model: LocalRackModel, stencil, points, *dirs):
                 for t, d in zip(offsets, dirs)]
 
         def step(kernel, *xs):
-            *out, failed = kernel(*xs)
-            steps.append((failed, kernel, xs))
+            *out, why = kernel(*xs)
+            steps.append(why)
             return out
         for i in range(0, s * k, per):
             steps.clear()
             vals.append(points(model, step, *(x[i:i + per] for x in args)))
-            bad.append(np.logical_or.reduce([b for b, _, _ in steps]))
+            why = first_failure(*steps)
+            bad.append(why["reason"] > 0)
             if check and bad[-1].any():
-                j = bad[-1].argmax()
-                kernel, xs = next((f, xs) for b, f, xs in steps if b[j])
-                kernel(*(x[j] if isinstance(x, np.ndarray) else x for x in xs))
+                raise_failure(why[bad[-1].argmax()], model.radius)
         return (np.concatenate(vals).reshape(k, s, -1).swapaxes(0, 1),
                 np.concatenate(bad).reshape(k, s).T)
 
@@ -369,26 +365,26 @@ def _recover(model: LocalRackModel, stencil, points, *dirs):
 
 
 def _theta_points(model, step, v):              # log exp theta(v)
-    E = model.rep.element(step(model.point, v)[0])[0]
+    E = model.rep.element(step(model.shadows, v)[0])[0]
     return step(model.rep.coords_of, step(log_matrix, E)[0], 1e-8)[0]
 
 
 def _action_points(model, step, v, c):          # exp(c) moving the point v
     G = step(model.rep.element, c)[0]
-    step(model.point, v)
+    step(model.shadows, v)
     return step(_act, model, G, v)[0]
 
 
 def _bracket_points(model, step, x, y):         # x > y
-    G = model.rep.element(step(model.point, x)[0])[0]
-    step(model.point, y)
+    G = model.rep.element(step(model.shadows, x)[0])[0]
+    step(model.shadows, y)
     return step(_act, model, G, y)[0]
 
 
 def _defect_points(model, step, c, v):
     """(g Phi(p) g^-1) Phi(q(g, p))^-1 for g = exp(c) and the point p over v."""
     rep, G = model.rep, step(model.rep.element, c)[0]
-    gp = step(chart_products, G, rep.element(step(model.point, v)[0])[0], rep)
+    gp = step(chart_products, G, rep.element(step(model.shadows, v)[0])[0], rep)
     conj = step(chart_products, gp[0], rep.element(-c)[0], rep)[0]
     moved = rep.element(-step(_act, model, G, v)[1])[0]
     return step(chart_products, conj, moved, rep)[1]
@@ -427,7 +423,8 @@ def recover_equivariance_defect(model: LocalRackModel, a, v):
     Differentiates (g Phi(p) g^-1) Phi(q(g, p))^-1 in the group direction a
     and the point direction v; the mixed derivative equals
     [a, theta(v)] - theta(a . v).  Stacks (k, n) and (k, d) of directions
-    give the k derivatives and the mask of pairs whose stencil shrank.
+    give the k derivatives and the mask of pairs whose stencil shrank, one
+    pair (a stack of one) its derivative alone.
     """
     a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
     out = _recover(model, mixed_second_derivative, _defect_points,
@@ -452,6 +449,7 @@ class IntegrationReport:
     roundtrip: dict
     defect: dict
     shrank: tuple                   # directions whose stencil shrank, of all
+    skips: dict                     # skipped samples by suite and reason name
 
     def to_dict(self) -> dict:
         return {
@@ -470,11 +468,11 @@ def run_integration_suites(model: LocalRackModel, samples: int = 200,
                            seed: int = 0,
                            roundtrip_tol: float = 1e-4) -> IntegrationReport:
     """Run every law suite, the tensor round trip, and the defect comparison."""
-    laws = {
-        "group_set": check_local_group_set_laws(model, samples, seed),
-        "rack": check_local_rack_laws(model, samples, seed + 1),
-        "equivariance": check_equivariance(model, samples, seed + 2),
-    }
+    suites = {"group_set": check_local_group_set_laws,
+              "rack": check_local_rack_laws, "equivariance": check_equivariance}
+    skips = {name: {} for name in suites}
+    laws = {name: suite(model, samples, seed + k, skips=skips[name])
+            for k, (name, suite) in enumerate(suites.items())}
 
     tr = model.triple
     exact = {"theta": tr.theta.matrix, "action": tr.action.action_matrices,
@@ -511,4 +509,5 @@ def run_integration_suites(model: LocalRackModel, samples: int = 200,
         defect=defect,
         shrank=(int(shrank.sum() + defect_shrank.sum()),
                 shrank.size + defect_shrank.size),
+        skips=skips,
     )

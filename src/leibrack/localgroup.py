@@ -7,12 +7,12 @@ take the principal logarithm, and recover coordinates by least squares
 against the stacked representation basis; a product that leaves the chart or
 the representation span is flagged instead of returning garbage.
 
-``expm``, ``log_matrix``, ``MatrixRep.coords_of``, ``MatrixRep.element`` and
-``chart_products`` take a stack of k matrices (k, m, m) or coordinate
-vectors (k, n) and give bit for bit the results of k single calls; where a
-single call raises ChartError, a stacked call returns a per-slice failure
-mask instead.  There is no other group product or inverse: the inverse is
-the element of the negated coordinates.
+``log_matrix``, ``MatrixRep.coords_of``, ``MatrixRep.element`` and
+``chart_products`` take stacks only, (k, m, m) or (k, n), and return per
+slice a FAILURE record: a reason (0 for none) and the size its message
+quotes.  ``FAILURES`` maps each reason to its exception and message; the
+single-input edge (``GroupElement.exp``) is a stack of one and one
+``raise_failure``.  The inverse is the element of the negated coordinates.
 
 The logarithm uses inverse scaling and squaring: Denman-Beavers square roots
 until ||M - I||_F < 0.25, then the alternating series for log(I + X), then
@@ -37,7 +37,8 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, \
     frozen_array, full_rank, homomorphism_residuals, same_algebra, set_frozen
-from .errors import CapabilityError, ChartError, StructuralError
+from .errors import CapabilityError, ChartError, DomainError, MembershipError, \
+    StructuralError
 from .report import Collector, ValidityReport
 
 CHART_RADIUS = 0.5
@@ -46,6 +47,48 @@ _SERIES_THRESHOLD = 0.25
 _MAX_SQUARE_ROOTS = 40
 _SQRT_TOL = 1e-15
 _SQRT_MAX_ITER = 64
+
+# why a slice failed, by reason (0: none): name, exception, message (its size, radius)
+FAILURES = (None, ("log-singular", ChartError, "square-root iteration hit a singular "
+                   "iterate; matrix is outside the principal-log domain"),
+            ("log-diverged", ChartError, "square-root iteration diverged"),
+            ("log-stalled", ChartError, "square-root iteration did not converge"),
+            ("log-far", ChartError, "matrix stayed far from the identity after "
+             f"{_MAX_SQUARE_ROOTS} square roots"),
+            ("chart-ball", ChartError, "coordinates of norm {size:.3e} are "
+             f"outside the chart ball of radius {CHART_RADIUS}"),
+            ("span", ChartError,
+             "matrix left the representation span (residual {size:.3e})"),
+            ("product-chart", ChartError, "product left the coordinate chart"),
+            ("model-radius", MembershipError,
+             "theta(v) has norm {size:.3e}, outside the model radius {radius}"),
+            ("moved-point", DomainError,
+             "the moved point left the model neighbourhood"))
+(SINGULAR, DIVERGED, STALLED, FAR, CHART_BALL, SPAN, PRODUCT_CHART,
+ MODEL_RADIUS, MOVED) = range(1, len(FAILURES))
+FAILURE = np.dtype([("reason", np.int8), ("size", float)])
+
+
+def failures(reason, failed, size=0.0) -> np.ndarray:
+    """FAILURE records of a stack: ``reason`` and ``size`` where ``failed``."""
+    why = np.empty(len(failed), FAILURE)
+    why["reason"], why["size"] = np.where(failed, reason, 0), size
+    return why
+
+
+def first_failure(*whys) -> np.ndarray:
+    """Per slice, the first failure among stacks of FAILURE records."""
+    first = whys[0].copy()
+    for why in whys[1:]:
+        np.copyto(first, why, where=first["reason"] == 0)
+    return first
+
+
+def raise_failure(why, radius=None):
+    """Raise the exception of one FAILURE record, if it failed."""
+    if why["reason"]:
+        _, error, message = FAILURES[why["reason"]]
+        raise error(message.format(size=why["size"], radius=radius))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +103,13 @@ class GroupElement:
         if m.shape[0] != m.shape[1]:
             raise StructuralError("group element matrix must be square")
         set_frozen(self, coords=frozen_array(self.coords, (None,), "coords"), matrix=m)
+
+    @classmethod
+    def exp(cls, rep: MatrixRep, coords) -> GroupElement:
+        """exp of one coordinate vector; ChartError outside the chart ball."""
+        mats, why = rep.element([coords])
+        raise_failure(why[0])
+        return cls(coords, mats[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,50 +134,28 @@ class MatrixRep:
         return self.matrices.shape[1]
 
     def algebra_matrix(self, coords) -> np.ndarray:
-        """The represented algebra element sum_i coords_i R_i (of each row of
-        a stack of coordinates)."""
+        """sum_i coords_i R_i, of one coordinate vector or of each of a stack."""
         return np.einsum("...i,iab->...ab", np.asarray(coords, float),
                          self.matrices)
 
-    def coords_of(self, mat, tol: float):
-        """Least-squares preimage of a matrix, or of each of a stack.  A matrix
-        left the span when the projection residual exceeds tol * max(1,
-        ||mat||): one matrix then raises ChartError, a stack returns the
-        coordinates and the mask of such matrices."""
-        mats = np.asarray(mat, float)
-        vec = mats.reshape(mats.shape[:-2] + (-1,))
+    def coords_of(self, mats, tol: float):
+        """Least-squares preimages of a stack (k, m, m): the coordinates and
+        SPAN failures, with the residual where it exceeds tol * max(1, ||mat||)."""
+        m = self.matrix_dim
+        vec = frozen_array(mats, (None, m, m), "matrices").reshape(-1, m * m)
         coords = np.matvec(self._pinv, vec)
         residual = norms(np.matvec(self.basis_stack, coords) - vec)
-        off = residual > tol * np.maximum(1.0, norms(vec))
-        if mats.ndim == 3:
-            return coords, off
-        if off:
-            raise ChartError(
-                f"matrix left the representation span (residual {residual:.3e})")
-        return coords
+        return coords, failures(
+            SPAN, residual > tol * np.maximum(1.0, norms(vec)), residual)
 
     def element(self, coords):
-        """exp of an algebra element; ChartError outside the chart ball.  On a
-        stack of coordinates (k, n): the matrices (k, m, m), the identity
-        where the coordinates left the ball, and the mask of those."""
-        c = np.asarray(coords, dtype=float)
-        if c.ndim not in (1, 2) or c.shape[-1] != self.algebra.dim:
-            raise StructuralError(
-                f"expected {self.algebra.dim} coordinates, got shape {c.shape}")
-        if not np.isfinite(c).all():
-            raise StructuralError("coordinates must be finite")
-        out = norms(c) >= CHART_RADIUS
-        if c.ndim == 2:
-            return expm(self.algebra_matrix(np.where(out[:, None], 0.0, c))), out
-        if out:
-            raise ChartError(
-                f"coordinates of norm {norms(c):.3e} are outside the "
-                f"chart ball of radius {CHART_RADIUS}")
-        return GroupElement(c, expm(self.algebra_matrix(c)))
-
-    def identity(self) -> GroupElement:
-        return GroupElement(np.zeros(self.algebra.dim),
-                            np.eye(self.matrix_dim))
+        """exp of each row of a stack (k, n) of coordinates: the matrices, the
+        identity outside the chart ball, and CHART_BALL failures with the norm."""
+        c = frozen_array(coords, (None, self.algebra.dim), "coordinates")
+        size = norms(c)
+        out = size >= CHART_RADIUS
+        return (expm(self.algebra_matrix(np.where(out[:, None], 0.0, c))),
+                failures(CHART_BALL, out, size))
 
 
 def check_rep(rep: MatrixRep, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -187,16 +215,6 @@ def norms(X, matrices: bool = False):
     return np.sqrt(np.vecdot(X, X))
 
 
-# why a logarithm failed, indexed by its failure code (0: it did not)
-_SINGULAR, _DIVERGED, _STALLED, _FAR = 1, 2, 3, 4
-_LOG_FAILURES = ("", "square-root iteration hit a singular iterate; matrix is "
-                 "outside the principal-log domain",
-                 "square-root iteration diverged",
-                 "square-root iteration did not converge",
-                 "matrix stayed far from the identity after "
-                 f"{_MAX_SQUARE_ROOTS} square roots")
-
-
 def _inverses(Y: np.ndarray):
     """Inverse of each matrix of a stack and the mask of singular ones, left
     as they are; ``np.linalg.inv`` raises for a whole stack, so halve it."""
@@ -211,8 +229,8 @@ def _inverses(Y: np.ndarray):
 
 def _sqrt_denman_beavers(A: np.ndarray):
     """Principal square roots of a stack by the Denman-Beavers iteration, each
-    slice until it converges; the roots and a failure code per slice."""
-    roots, code = A.copy(), np.full(len(A), _STALLED)
+    slice until it converges; the roots and a failure reason per slice."""
+    roots, code = A.copy(), np.full(len(A), STALLED)
     live, Y, Z = np.arange(len(A)), A, np.broadcast_to(np.eye(A.shape[1]), A.shape)
     for _ in range(_SQRT_MAX_ITER):
         (Yi, sy), (Zi, sz) = _inverses(Y), _inverses(Z)
@@ -221,7 +239,7 @@ def _sqrt_denman_beavers(A: np.ndarray):
         scale = np.maximum(1.0, norms(Y, matrices=True))
         # each slice's code after this step; -1 while it still iterates
         now = np.select([sy | sz, ~np.isfinite(Y).all(axis=(1, 2)),
-                         delta <= _SQRT_TOL * scale], [_SINGULAR, _DIVERGED, 0], -1)
+                         delta <= _SQRT_TOL * scale], [SINGULAR, DIVERGED, 0], -1)
         stop = now >= 0
         if stop.any():
             code[live[stop]], roots[live[stop]] = now[stop], Y[stop]
@@ -232,29 +250,27 @@ def _sqrt_denman_beavers(A: np.ndarray):
 
 
 def log_matrix(M):
-    """Principal logarithm by inverse scaling and squaring, of one matrix or
-    of each of a stack (k, m, m).
+    """Principal logarithm by inverse scaling and squaring, of each matrix
+    of a stack (k, m, m).
 
     Square-roots the input until it is within Frobenius distance 0.25 of the
     identity, runs the alternating series for log(I + X), and scales back.
     Outside the principal-log domain (such as eigenvalues on the closed
     negative real axis) the square roots stop contracting toward the
-    identity: one matrix raises ChartError, a stack returns the logarithms
-    (0 where they failed) and the mask of failed slices.
+    identity: such a slice keeps the log 0 and fails with a log reason.
     """
-    A = np.array(M, dtype=float)
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
-        raise StructuralError("logarithm needs a square matrix or a stack of them")
-    if not np.isfinite(A).all():
-        raise StructuralError("logarithm needs finite entries")
-    S, m = A.reshape((-1,) + A.shape[-2:]), A.shape[-1]
+    S = frozen_array(M, (None, None, None), "logarithm matrices")
+    m = S.shape[1]
+    if S.shape[2] != m:
+        raise StructuralError(f"logarithm matrices: not square, shape {S.shape}")
+    S.flags.writeable = True            # the value rule's copy is our own
     roots, code = np.zeros(len(S), dtype=int), np.zeros(len(S), dtype=int)
     X = S.copy()
     X.reshape(len(S), m * m)[:, ::m + 1] -= 1.0     # S - I, bit for bit
     far = (norms(X, matrices=True) >= _SERIES_THRESHOLD).nonzero()[0]
     scaled = far.size > 0
     while far.size:
-        code[far[roots[far] >= _MAX_SQUARE_ROOTS]] = _FAR
+        code[far[roots[far] >= _MAX_SQUARE_ROOTS]] = FAR
         far = far[code[far] == 0]
         S[far], code[far] = _sqrt_denman_beavers(S[far])
         roots[far] += 1
@@ -281,11 +297,7 @@ def log_matrix(M):
         logs[live] = total
     if scaled:
         logs *= (2.0 ** roots)[:, None, None]
-    if A.ndim == 3:
-        return logs, code > 0
-    if code[0]:
-        raise ChartError(_LOG_FAILURES[code[0]])
-    return logs[0]
+    return logs, failures(code, code > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +305,13 @@ def log_matrix(M):
 # ---------------------------------------------------------------------------
 
 def chart_products(A, B, rep: MatrixRep):
-    """Products of two stacks of group matrices in the chart: the product
-    matrices, their coordinates, and the mask of products that left the
-    log domain, the representation span or the chart ball.  For one pair of
-    matrices a product that left raises ChartError instead."""
+    """Products of two stacks of group matrices in the chart: the products,
+    their coordinates, and the first failure of log, span and chart ball."""
     M = A @ B
-    if M.ndim == 2:
-        coords = rep.coords_of(log_matrix(M), DEFAULT_TOL)
-        if norms(coords) >= CHART_RADIUS:
-            raise ChartError("product left the coordinate chart")
-        return M, coords, False
     L, failed = log_matrix(M)
     coords, off = rep.coords_of(L, DEFAULT_TOL)
-    return M, coords, failed | off | (norms(coords) >= CHART_RADIUS)
+    return M, coords, first_failure(
+        failed, off, failures(PRODUCT_CHART, norms(coords) >= CHART_RADIUS))
 
 
 # ---------------------------------------------------------------------------

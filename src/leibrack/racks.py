@@ -99,12 +99,6 @@ class GroupRackTriple:
                                             "theta_table", g),
                    basepoint=integer(self.basepoint, "basepoint", 0, x))
 
-    def act(self, g: int, x: int) -> int:
-        return int(self.action_table[g, x])
-
-    def theta(self, x: int) -> int:
-        return int(self.theta_table[x])
-
 
 @dataclass(frozen=True, eq=False)
 class GroupCrossedModule:
@@ -192,13 +186,6 @@ def group_defect(triple: GroupRackTriple, g: int) -> np.ndarray:
     conj = _conjugation_table(G)[g, triple.theta_table]
     moved = triple.theta_table[triple.action_table[g]]
     return G.mul_table[conj, G.inverse_table[moved]]
-
-
-def strict_elements(triple: GroupRackTriple) -> tuple:
-    """Group elements whose defect table is trivial."""
-    bad = _equivariance_table(triple.group, triple.action_table,
-                              triple.theta_table)
-    return tuple(int(g) for g in np.flatnonzero(~bad.any(axis=1)))
 
 
 def check_group_rack_triple(triple: GroupRackTriple) -> ValidityReport:

@@ -2,8 +2,12 @@
 
 This is the integrate recovery code as it ran before its stencils were
 batched: one stencil per basis direction, one ``GroupElement`` and
-``RackPoint`` per stencil point, the scalar group product and inverse, and
-a stencil that raises ``DomainError`` rerun once at a tenth of the step.
+``RackPoint`` per stencil point, the group product and inverse of single
+elements, and a stencil that raises ``DomainError`` rerun once at a tenth
+of the step.  Single elements, points and actions go through the package's
+single-input edge, and the kernels it has no edge for (``log_matrix``,
+``coords_of``, ``chart_products``) run on stacks of one and raise the
+failure of that slice.
 The recovery functions take the same arguments as ``leibrack.integrate``'s
 single forms and return the same arrays; ``tests/test_stacked_recovery.py``
 compares them.  ``suite_oracle.py`` takes its group operations from here.
@@ -13,12 +17,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from leibrack.algebra import DEFAULT_TOL
-from leibrack.errors import ChartError, DomainError
+from leibrack.errors import DomainError
 from leibrack.integrate import LocalRackModel, RackPoint, embed_point, \
     local_action, rack_product
-from leibrack.localgroup import CHART_RADIUS, DiffConfig, GroupElement, \
-    MatrixRep, expm, log_matrix, norms
+from leibrack.localgroup import DiffConfig, GroupElement, MatrixRep, \
+    chart_products, expm, log_matrix, raise_failure
+
+
+def one(kernel, *args):
+    """A stacked kernel on one slice: the first slice of each of its
+    outputs, or the failure of that slice raised.  Every array argument is
+    a single input, given to the kernel as a stack of one."""
+    *out, why = kernel(*(a[None] if isinstance(a, np.ndarray) else a
+                         for a in args))
+    raise_failure(why[0])
+    return [o[0] for o in out]
 
 
 # ---------------------------------------------------------------------------
@@ -26,12 +39,9 @@ from leibrack.localgroup import CHART_RADIUS, DiffConfig, GroupElement, \
 # ---------------------------------------------------------------------------
 
 def group_mul(g1: GroupElement, g2: GroupElement, rep: MatrixRep) -> GroupElement:
-    """Product in the chart: multiply matrices, log, recover coordinates; the
-    single-pair form of :func:`chart_products`."""
-    M = g1.matrix @ g2.matrix
-    coords = rep.coords_of(log_matrix(M), DEFAULT_TOL)
-    if norms(coords) >= CHART_RADIUS:
-        raise ChartError("product left the coordinate chart")
+    """Product in the chart: multiply matrices, log, recover coordinates;
+    :func:`chart_products` on one pair."""
+    M, coords = one(chart_products, g1.matrix, g2.matrix, rep)
     return GroupElement(coords, M)
 
 
@@ -108,14 +118,14 @@ def recover_tangent_triple(model: LocalRackModel):
     for j in range(d):
         def curve(t, ej=eye_v[j]):
             g = embed_point(model, model.point(t * ej))
-            return model.rep.coords_of(log_matrix(g.matrix), 1e-8)
+            return one(model.rep.coords_of, *one(log_matrix, g.matrix), 1e-8)[0]
         theta_rec[:, j] = _shrink_once(derivative_at_identity, model.cfg, curve)
 
     action_rec = np.empty((n, d, d))
     for i in range(n):
         for j in range(d):
             def surface(t1, t2, ai=eye_g[i], ej=eye_v[j]):
-                g = model.rep.element(t2 * ai)
+                g = GroupElement.exp(model.rep, t2 * ai)
                 return local_action(model, g, model.point(t1 * ej)).v
             action_rec[i, :, j] = _shrink_once(mixed_second_derivative,
                                                model.cfg, surface)
@@ -142,7 +152,7 @@ def recover_equivariance_defect(model: LocalRackModel, a, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
 
     def surface(t1, t2):
-        g = model.rep.element(t1 * a)
+        g = GroupElement.exp(model.rep, t1 * a)
         p = model.point(t2 * v)
         conj = _conjugate(model, g, p)
         moved = embed_point(model, local_action(model, g, p))

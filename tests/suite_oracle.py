@@ -4,9 +4,10 @@ This is the integrate law-suite code as it ran before the suites were
 batched: one Python trial per sample on ``GroupElement`` and ``RackPoint``
 objects, with the scalar kernels and the group operations of
 ``recovery_oracle.py``, and a sample skipped when its trial raises
-``DomainError`` (``ChartError`` and ``MembershipError`` included).  The
-suite functions take the same arguments as ``leibrack.integrate``'s and
-return the same reports; ``tests/test_batched_suites.py`` compares them.
+``DomainError`` (``ChartError`` and ``MembershipError`` included), counted
+under the reason whose exception and message it raised.  The suite
+functions take the same arguments as ``leibrack.integrate``'s and return
+the same reports; ``tests/test_batched_suites.py`` compares them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from leibrack.errors import DomainError
 from leibrack.integrate import LocalRackModel, RackPoint, _UNDO_TOL, \
     embed_point, local_action, rack_product
+from leibrack.localgroup import FAILURES, GroupElement
 from leibrack.report import Collector, ValidityReport
 from recovery_oracle import _conjugate, group_inverse, group_mul
 
@@ -55,13 +57,22 @@ def _gap(p: RackPoint, q: RackPoint) -> float:
 # law suites
 # ---------------------------------------------------------------------------
 
-def _run_suite(samples: int, seed: int, tol: float, draw, trial,
+def _reason(exc: DomainError) -> str:
+    """The name of the reason whose exception class and message ``exc``
+    has: the message matches up to the first number it quotes."""
+    return next(name for name, error, message in FAILURES[1:]
+                if type(exc) is error and
+                str(exc).startswith(message.split("{")[0]))
+
+
+def _run_suite(samples: int, seed: int, tol: float, draw, trial, skips,
                **info) -> ValidityReport:
     """Run ``trial(col, k, *draw(rng))`` for k < samples on one seeded RNG.
 
     A sample whose trial leaves the model domain, the chart or the model
-    neighbourhood is skipped; a suite that used no sample fails under the
-    law ``samples-used``.  ``info`` gains the used and skipped counts.
+    neighbourhood is skipped, and ``skips``, unless None, counts it under
+    its reason; a suite that used no sample fails under the law
+    ``samples-used``.  ``info`` gains the used and skipped counts.
     """
     rng = np.random.default_rng(seed)
     col = Collector(tol)
@@ -70,8 +81,10 @@ def _run_suite(samples: int, seed: int, tol: float, draw, trial,
         drawn = draw(rng)
         try:
             trial(col, k, *drawn)
-        except DomainError:
+        except DomainError as exc:
             skipped += 1
+            if skips is not None:
+                skips[_reason(exc)] = skips.get(_reason(exc), 0) + 1
         else:
             used += 1
     if used == 0:
@@ -80,16 +93,17 @@ def _run_suite(samples: int, seed: int, tol: float, draw, trial,
 
 
 def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
-                               seed: int = 0,
-                               tol: float = 1e-9) -> ValidityReport:
+                               seed: int = 0, tol: float = 1e-9,
+                               skips: dict | None = None) -> ValidityReport:
     """Composability of the action: q(g1 g2, p) = q(g1, q(g2, p)) on samples,
     and exactness of the unit law q(e, p) = p."""
     full = np.eye(model.triple.dim_g)
-    ident = model.rep.identity()
+    ident = GroupElement(np.zeros(model.triple.dim_g),
+                         np.eye(model.rep.matrix_dim))
 
     def draw(rng):
-        return (model.rep.element(_sample_direction(rng, full, 0.05)),
-                model.rep.element(_sample_direction(rng, full, 0.05)),
+        return (GroupElement.exp(model.rep, _sample_direction(rng, full, 0.05)),
+                GroupElement.exp(model.rep, _sample_direction(rng, full, 0.05)),
                 _sample_point(model, rng, 0.25))
 
     def trial(col, k, g1, g2, p):
@@ -100,11 +114,12 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
         if not (np.array_equal(fixed.v, p.v) and np.array_equal(fixed.u, p.u)):
             col.add("unit-acts-trivially", (k,), _gap(fixed, p))
 
-    return _run_suite(samples, seed, tol, draw, trial)
+    return _run_suite(samples, seed, tol, draw, trial, skips)
 
 
 def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
-                          seed: int = 0, tol: float = 1e-8) -> ValidityReport:
+                          seed: int = 0, tol: float = 1e-8,
+                          skips: dict | None = None) -> ValidityReport:
     """Self-distributivity, invertible left translation, and pointed laws.
 
     Self-distributivity x > (y > z) = (x > y) > (x > z) is compared on
@@ -137,11 +152,13 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
         if not (np.all(fixed.v == 0.0) and np.all(fixed.u == 0.0)):
             col.add("basepoint-fixed", (k,), np.max(np.abs(fixed.v)))
 
-    return _run_suite(samples, seed, tol, draw, trial, undo_tolerance=_UNDO_TOL)
+    return _run_suite(samples, seed, tol, draw, trial, skips,
+                      undo_tolerance=_UNDO_TOL)
 
 
 def check_equivariance(model: LocalRackModel, samples: int = 200,
-                       seed: int = 0, tol: float = 1e-8) -> ValidityReport:
+                       seed: int = 0, tol: float = 1e-8,
+                       skips: dict | None = None) -> ValidityReport:
     """Phi intertwines the local action with conjugation.
 
     Directions are sampled from the equivariant subalgebra; when that is all
@@ -154,13 +171,13 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
 
     def draw(rng):
         xi = _sample_direction(rng, model.h_basis.vectors, 0.05)
-        return model.rep.element(xi), _sample_point(model, rng, 0.25)
+        return GroupElement.exp(model.rep, xi), _sample_point(model, rng, 0.25)
 
     def trial(col, k, h, p):
         moved = embed_point(model, local_action(model, h, p)).coords
         col.measure("embedding-equivariance", (k,),
                     np.max(np.abs(moved - _conjugate(model, h, p).coords)))
 
-    return _run_suite(samples if h_dim else 0, seed, tol, draw, trial,
+    return _run_suite(samples if h_dim else 0, seed, tol, draw, trial, skips,
                       strict=h_dim == model.triple.dim_g, h_dim=int(h_dim))
 

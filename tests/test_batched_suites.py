@@ -1,10 +1,12 @@
 """The batched law suites against the per-sample oracle in suite_oracle.py,
-and the stacked kernels against single calls.
+and the stacked kernels against the single-input edge.
 
-The suites must give the same verdicts, info, used and skipped counts and
-listed violations (law and sample) as one trial per sample; residuals may
-differ by at most 1e-14 * max(1, |r|).  The stacked kernels must give bit
-for bit the results of calls on their slices.
+The suites must give the same verdicts, info, used and skipped counts,
+skips by reason and listed violations (law and sample) as one trial per
+sample; residuals may differ by at most 1e-14 * max(1, |r|).  On every
+slice, a stacked kernel must fail as the edge form fails on that slice, with
+the same exception class and message raised through the reason table, and
+a slice that did not fail must equal the edge form's result bit for bit.
 """
 
 from __future__ import annotations
@@ -12,17 +14,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import suite_oracle as oracle
-from leibrack import (ChartError, EmbeddingTensor, MatrixRep, ModuleAction,
-                      StructuralError, SubspaceBasis, build_model,
-                      build_triple, catalog, check_equivariance,
-                      check_local_group_set_laws, check_local_rack_laws,
-                      ideal_triple, lie_algebra, log_matrix, working_rep)
+from leibrack import (ChartError, DomainError, EmbeddingTensor, GroupElement,
+                      MatrixRep, ModuleAction, RackPoint, StructuralError,
+                      SubspaceBasis, build_model, build_triple, catalog,
+                      check_equivariance, check_local_group_set_laws,
+                      check_local_rack_laws, ideal_triple, lie_algebra,
+                      local_action, log_matrix, working_rep)
 from leibrack import integrate
 from leibrack.cli import builtin_parts
-from leibrack.integrate import LocalRackModel
-from leibrack.localgroup import expm
+from leibrack.integrate import LocalRackModel, _act
+from leibrack.localgroup import CHART_BALL, MODEL_RADIUS, PRODUCT_CHART, \
+    SINGULAR, SPAN, chart_products, expm, norms, raise_failure
+from recovery_oracle import one
 
 SUITES = [(check_local_group_set_laws, oracle.check_local_group_set_laws),
           (check_local_rack_laws, oracle.check_local_rack_laws),
@@ -72,8 +78,23 @@ def broken_model():
                           good.base_dim, good.h_basis, good.radius, good.cfg)
 
 
-def assert_same_report(batched, scalar):
+def off_span_model():
+    """The sl2x30 model with its faithful block replaced by matrices that do
+    not represent sl2: chart products leave the representation span, so
+    the equivariance suite skips a sample for the first of two reasons."""
+    good = scaled_sl2_model(30.0)
+    R = 0.3 * np.random.default_rng(8).standard_normal((3, 3, 3))
+    return LocalRackModel(good.triple, working_rep(MatrixRep(good.triple.algebra, R),
+                                                   good.triple.action),
+                          good.base_dim, good.h_basis, good.radius, good.cfg)
+
+
+def assert_same_report(batched, scalar, skips=None):
+    """Two reports agree; so do the skips by reason of two suite runs that
+    filled the pair ``skips``."""
     got, want = batched.to_dict(), scalar.to_dict()
+    if skips is not None:
+        assert skips[0] == skips[1]
     assert got["passed"] == want["passed"]
     assert got["info"] == want["info"]
     assert [(v["law"], v["where"]) for v in got["violations"]] == \
@@ -96,6 +117,7 @@ MODELS += [
     pytest.param(lambda: scaled_sl2_model(30.0), id="sl2x30"),
     pytest.param(zero_subalgebra_model, id="zero-subalgebra"),
     pytest.param(broken_model, id="broken-module-block"),
+    pytest.param(off_span_model, id="off-span-rep"),
 ]
 
 
@@ -103,8 +125,9 @@ MODELS += [
 def test_batched_suites_match_the_per_sample_oracle(make):
     model = make()
     for k, (batched, scalar) in enumerate(SUITES):
-        assert_same_report(batched(model, 120, 7 + k),
-                           scalar(model, 120, 7 + k))
+        skips = {}, {}
+        assert_same_report(batched(model, 120, 7 + k, skips=skips[0]),
+                           scalar(model, 120, 7 + k, skips=skips[1]), skips)
 
 
 @pytest.mark.parametrize("samples", [0, -5, 1, 800])
@@ -122,14 +145,21 @@ def test_batch_boundaries_keep_the_report(make, monkeypatch):
     monkeypatch.setattr(integrate, "_CHUNK", 7 * model.rep.matrix_dim ** 2)
     assert integrate._per_call(model) == 7
     for k, (batched, scalar) in enumerate(SUITES):
-        assert_same_report(batched(model, 60, 7 + k), scalar(model, 60, 7 + k))
+        skips = {}, {}
+        assert_same_report(batched(model, 60, 7 + k, skips=skips[0]),
+                           scalar(model, 60, 7 + k, skips=skips[1]), skips)
 
 
 def test_the_oracle_cases_exercise_skips_and_violations():
     # the comparison above means little unless skips and violations occur
+    why = {}
     skips = check_local_group_set_laws(builtin_model("scaling:-40", radius=0.29),
-                                       samples=100)
+                                       samples=100, skips=why)
     assert skips.info["samples_skipped"] == 4
+    assert why == {"moved-point": 4}
+    mixed = {}
+    check_equivariance(off_span_model(), 120, 9, skips=mixed)
+    assert set(mixed) == {"span", "moved-point"}
     model = scaled_sl2_model(30.0)
     assert all(batched(model, 120, 7 + k).info["samples_skipped"] > 0
                for k, (batched, _) in enumerate(SUITES))
@@ -141,7 +171,7 @@ def test_the_oracle_cases_exercise_skips_and_violations():
 
 
 # ---------------------------------------------------------------------------
-# stacked kernels
+# stacked kernels against the single-input edge
 # ---------------------------------------------------------------------------
 
 def random_stack(m, k=12, scale=0.6, seed=0):
@@ -149,13 +179,115 @@ def random_stack(m, k=12, scale=0.6, seed=0):
     return scipy.linalg.expm(rng.standard_normal((k, m, m)) * scale / np.sqrt(m))
 
 
+def outcome(call):
+    """("value", what ``call`` returns), or the class and message of the
+    DomainError it raises."""
+    try:
+        return "value", call()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def assert_like_the_edge(values, why, edge, radius=None):
+    """A stacked kernel's stacks of ``values`` and its failures ``why``
+    against ``edge(i)``, the single-input form on slice i: a failed slice
+    raises, through the reason table, what the edge raises, and any other
+    slice equals every value of the edge bit for bit."""
+    for i in range(len(why)):
+        want = outcome(lambda: edge(i))
+        if why["reason"][i]:
+            assert outcome(lambda: raise_failure(why[i], radius)) == want
+        else:
+            assert want[0] == "value"
+            assert all(np.array_equal(got[i], single)
+                       for got, single in zip(values, want[1], strict=True))
+
+
+def check_log(A):
+    """log_matrix on the stack A against its edge; the failures."""
+    logs, why = log_matrix(A)
+    assert_like_the_edge((logs,), why, lambda i: one(log_matrix, A[i]))
+    assert np.all(logs[why["reason"] > 0] == 0.0)
+    return why
+
+
+def check_rep_kernels(model, coords, off_span=()):
+    """MatrixRep.element on ``coords``, coords_of on the logarithms of its
+    matrices with the slices ``off_span`` moved off the span, and
+    chart_products of each matrix with itself, each against its edge; the
+    three stacks of failures."""
+    rep = model.rep
+    mats, element = rep.element(coords)
+    assert_like_the_edge((mats,), element,
+                         lambda i: (GroupElement.exp(rep, coords[i]).matrix,))
+    assert np.all(mats[element["reason"] > 0] == np.eye(rep.matrix_dim))
+    logs = log_matrix(mats)[0]
+    logs[list(off_span), 0, -1] += 1.0        # outside every block
+    back, span = rep.coords_of(logs, 1e-9)
+    assert_like_the_edge((back,), span, lambda i: one(rep.coords_of, logs[i], 1e-9))
+    M, xi, product = chart_products(mats, mats, rep)
+    assert_like_the_edge((M, xi), product,
+                         lambda i: one(chart_products, mats[i], mats[i], rep))
+    return element, span, product
+
+
+def check_model_kernels(model, coords, v):
+    """The shadows of the points over ``v`` against ``model.point``, and
+    their transport by the elements of ``coords`` against local_action;
+    the two stacks of failures."""
+    shadow, radius = model.shadows(v)
+    assert_like_the_edge((shadow,), radius, lambda i: (model.point(v[i]).u,),
+                         model.radius)
+    mats = model.rep.element(coords)[0]
+    *moved, out = _act(model, mats, v)
+
+    def edge(i):
+        q = local_action(model, GroupElement(coords[i], mats[i]),
+                         RackPoint(v[i], shadow[i]))
+        return q.v, q.u
+    assert_like_the_edge(moved, out, edge)
+    return radius, out
+
+
+# how a slice of a generated stack is pushed out: not at all, off the chart
+# ball, off the span, its product off the chart, off the model radius, out
+# of the log domain, or to the model radius, where an action may leave it
+PUSHES = ".bsprlm"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(target=st.sampled_from(["sl2-adjoint", "scaling:2.0", "heisenberg-ideal"]),
+       seed=st.integers(0, 2 ** 16), m=st.integers(2, 6),
+       pushes=st.lists(st.sampled_from(PUSHES), min_size=1, max_size=9))
+def test_stacked_kernels_fail_and_agree_like_the_edge(target, seed, m, pushes):
+    model, rng, kind = builtin_model(target), np.random.default_rng(seed), \
+        np.array(pushes)
+    k, n, d = len(pushes), model.triple.dim_g, model.triple.dim_v
+    coords = rng.standard_normal((k, n)) * 0.1
+    ball, twice = kind == "b", kind == "p"
+    coords[ball] *= np.maximum(10.0, 0.5 / norms(coords[ball]))[:, None]
+    coords[twice] *= 0.4 / norms(coords[twice])[:, None]
+    v = rng.standard_normal((k, d))
+    frac = np.select([kind == "r", kind == "m"], [2.0, 0.999], 0.5)
+    v *= (frac * model.radius / norms(model.shadows(v)[0]))[:, None]
+    A = random_stack(m, k, seed=seed)
+    A[kind == "l"] = np.diag([-1.0, -1.0] + [1.0] * (m - 2))
+    log = check_log(A)
+    element, span, product = check_rep_kernels(model, coords,
+                                               np.flatnonzero(kind == "s"))
+    radius, _ = check_model_kernels(model, coords, v)
+    # every push but the last leaves its domain for sure
+    for why, push, reason in ((log, "l", SINGULAR), (element, "b", CHART_BALL),
+                              (span, "s", SPAN), (product, "p", PRODUCT_CHART),
+                              (radius, "r", MODEL_RADIUS)):
+        assert np.all(why["reason"][kind == push] == reason)
+
+
 @pytest.mark.parametrize("m", [2, 3, 6, 9, 20])
 def test_stacked_log_and_exp_equal_single_calls_bit_for_bit(m):
-    A = random_stack(m, scale=2.0)            # some slices need square roots
-    logs, failed = log_matrix(A)
-    assert not failed.any()
-    for i in range(len(A)):
-        assert np.array_equal(logs[i], log_matrix(A[i]))
+    # an explicit example of the property above: slices that need square
+    # roots, and no slice outside the domain
+    assert not check_log(random_stack(m, scale=2.0))["reason"].any()
     X = np.random.default_rng(1).standard_normal((7, m, m)) * 0.3
     E = expm(X)
     for i in range(len(X)):
@@ -165,11 +297,7 @@ def test_stacked_log_and_exp_equal_single_calls_bit_for_bit(m):
 def test_stacked_log_flags_only_the_slice_outside_the_domain():
     A = random_stack(3, k=5)
     A[2] = np.diag([-1.0, -1.0, 1.0])
-    logs, failed = log_matrix(A)
-    assert failed.tolist() == [False, False, True, False, False]
-    assert np.all(logs[2] == 0.0)
-    for i in (0, 1, 3, 4):
-        assert np.array_equal(logs[i], log_matrix(A[i]))
+    assert check_log(A)["reason"].tolist() == [0, 0, SINGULAR, 0, 0]
 
 
 def test_empty_stacks_give_empty_results():
@@ -185,8 +313,12 @@ def test_empty_stacks_give_empty_results():
     (-np.eye(2), "singular iterate"),
 ])
 def test_single_log_keeps_its_chart_error_messages(M, message):
+    # an explicit example of the property above, in a stack and alone
+    A = random_stack(len(M), k=3)
+    A[1] = M
+    assert check_log(A)["reason"].tolist() == [0, SINGULAR, 0]
     with pytest.raises(ChartError, match=message):
-        log_matrix(M)
+        one(log_matrix, M)
 
 
 def test_log_rejects_bad_shapes_and_entries_for_stacks_too():
@@ -197,23 +329,12 @@ def test_log_rejects_bad_shapes_and_entries_for_stacks_too():
 
 
 def test_stacked_coords_of_and_element_equal_single_calls():
+    # an explicit example of the property above
     model = builtin_model("heisenberg-ideal")
-    rep = model.rep
-    rng = np.random.default_rng(4)
-    coords = rng.standard_normal((6, 3)) * 0.1
+    coords = np.random.default_rng(4).standard_normal((6, 3)) * 0.1
     coords[3] *= 10.0                         # outside the chart ball
-    mats, outside = rep.element(coords)
-    assert outside.tolist() == [False, False, False, True, False, False]
-    assert np.array_equal(mats[3], np.eye(rep.matrix_dim))
-    with pytest.raises(ChartError):
-        rep.element(coords[3])
-    for i in (0, 1, 2, 4, 5):
-        assert np.array_equal(mats[i], rep.element(coords[i]).matrix)
-    logs = np.stack([log_matrix(M) for M in mats])
-    logs[1, 0, -1] += 1.0                     # leaves the representation span
-    back, off = rep.coords_of(logs, 1e-9)
-    assert off.tolist() == [False, True, False, False, False, False]
+    element, span, _ = check_rep_kernels(model, coords, off_span=[1])
+    assert element["reason"].tolist() == [0, 0, 0, CHART_BALL, 0, 0]
+    assert span["reason"].tolist() == [0, SPAN, 0, 0, 0, 0]
     with pytest.raises(ChartError, match="representation span"):
-        rep.coords_of(logs[1], 1e-9)
-    for i in (0, 2, 3, 4, 5):
-        assert np.array_equal(back[i], rep.coords_of(logs[i], 1e-9))
+        raise_failure(span[1])

@@ -348,6 +348,11 @@ MALFORMED = [
                case="action_table/numeric-string"),
     _malformed("verify", "group.mul_table", rack_doc(),
                "group", "mul_table", 0, 0, "0", case="group.mul_table/numeric-string"),
+    # nor is a boolean, at any depth of a number list
+    _malformed("verify", "theta.matrix", scaling_doc(1.0),
+               "theta", "matrix", [[True], [1.0]], case="theta.matrix/boolean"),
+    _malformed("verify", "action_table", rack_doc(), "action_table", 1, 2, True,
+               case="action_table/boolean"),
     # constructor errors carry the spec field
     _malformed("verify", "module.action_matrices", scaling_doc(1.0),
                "module", "action_matrices", [[[1.0]], [[0.0]], [[0.0]]],
@@ -392,8 +397,21 @@ def test_integrate_text_counts_used_and_skipped_samples(capsys):
               if "law suite" in line]
     assert len(suites) == 3
     assert suites[0].startswith("[PASS] law suite group_set")
-    assert suites[0].endswith("(96 used, 4 skipped)")
+    assert suites[0].endswith("(96 used, 4 skipped: 4 moved-point)")
     assert suites[1].endswith("(100 used, 0 skipped)")
+
+
+def test_integrate_text_names_why_samples_were_skipped(capsys):
+    # all four skipped group-set samples moved their point out of the model
+    # neighbourhood; a suite with no skip names no reason
+    assert main(["integrate", "--builtin", "scaling:-40", "--radius", "0.29",
+                 "--samples", "100", "--scheme", "richardson",
+                 "--step", "2e-3"]) == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == ("[PASS] law suite group_set: max residual 5.551e-17 "
+                        "(96 used, 4 skipped: 4 moved-point)")
+    assert lines[3] == ("[PASS] law suite rack: max residual 0.000e+00 "
+                        "(100 used, 0 skipped)")
 
 
 def test_integrate_rejects_rack_specs(tmp_path, capsys):

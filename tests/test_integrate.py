@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 
 from leibrack import (AxiomError, DiffConfig, DomainError, EmbeddingTensor,
-                      MatrixRep, MembershipError, ModuleAction, StructuralError,
-                      SubspaceBasis, build_model, build_triple,
+                      GroupElement, MatrixRep, MembershipError, ModuleAction,
+                      StructuralError, SubspaceBasis, build_model, build_triple,
                       check_equivariance, check_local_group_set_laws,
                       check_local_rack_laws, embed_point, equivariance_defect,
                       ideal_triple, local_action, rack_product,
@@ -92,7 +92,7 @@ def test_basepoint_is_exact_fixed_point():
 def test_local_action_matches_directly_exponentiated_transport():
     model = sl2_adjoint_model()
     xi = np.array([0.1, -0.05, 0.2])
-    g = model.rep.element(xi)
+    g = GroupElement.exp(model.rep, xi)
     A = np.einsum("i,iab->ab", xi, model.triple.action.action_matrices)
     transport = g.matrix[model.base_dim:, model.base_dim:]
     assert np.max(np.abs(transport - scipy.linalg.expm(A))) <= 1e-12
@@ -103,7 +103,7 @@ def test_local_action_matches_directly_exponentiated_transport():
 
 def test_action_domain_boundary():
     model = scaling_model(2.0)
-    g = model.rep.element([0.4, 0.0])        # transport scales by e^{0.8}
+    g = GroupElement.exp(model.rep, [0.4, 0.0])   # transport scales by e^{0.8}
     p = model.point([0.9 * model.radius])
     with pytest.raises(DomainError, match="left the model neighbourhood"):
         local_action(model, g, p)

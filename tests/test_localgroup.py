@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from leibrack import (CapabilityError, ChartError, DiffConfig, MatrixRep,
-                      StructuralError, adjoint_rep, check_rep,
+from leibrack import (CapabilityError, ChartError, DiffConfig, GroupElement,
+                      MatrixRep, StructuralError, adjoint_rep, check_rep,
                       derivative_at_identity, log_matrix,
                       mixed_second_derivative, working_rep)
 from leibrack import catalog
-from leibrack.localgroup import chart_products
+from leibrack.localgroup import chart_products, first_failure
 from leibrack.report import MAX_LISTED_VIOLATIONS
+from recovery_oracle import one
 
 
 def heisenberg_rep() -> MatrixRep:
@@ -28,11 +29,11 @@ def product(rep, *coords):
     """The chart product of the elements with these coordinates, left to
     right, through one-slice stacks: its coordinates and whether any
     product on the way left the chart."""
-    G, off = rep.element(np.atleast_2d(coords[0]))
+    G, why = rep.element(np.atleast_2d(coords[0]))
     for c in coords[1:]:
         G, xi, left = chart_products(G, rep.element(np.atleast_2d(c))[0], rep)
-        off = off | left
-    return xi[0], bool(off[0])
+        why = first_failure(why, left)
+    return xi[0], bool(why["reason"][0])
 
 
 def test_log_agrees_with_scipy_on_random_group_elements():
@@ -40,7 +41,7 @@ def test_log_agrees_with_scipy_on_random_group_elements():
     for _ in range(10):
         X = 0.4 * rng.standard_normal((4, 4))
         M = scipy.linalg.expm(X)
-        ours = log_matrix(M)
+        ours = one(log_matrix, M)[0]
         reference = scipy.linalg.logm(M)
         assert np.max(np.abs(np.asarray(reference).imag)) <= 1e-12
         assert np.max(np.abs(ours - np.asarray(reference).real)) <= 1e-12
@@ -49,20 +50,31 @@ def test_log_agrees_with_scipy_on_random_group_elements():
 def test_log_inverts_exp_exactly_enough():
     rng = np.random.default_rng(5)
     X = 0.3 * rng.standard_normal((3, 3))
-    assert np.max(np.abs(log_matrix(scipy.linalg.expm(X)) - X)) <= 1e-13
-    assert np.max(np.abs(log_matrix(np.eye(3)))) == 0.0
+    assert np.max(np.abs(one(log_matrix, scipy.linalg.expm(X))[0] - X)) <= 1e-13
+    assert np.max(np.abs(one(log_matrix, np.eye(3))[0])) == 0.0
 
 
 def test_log_rejects_negative_real_spectrum():
     with pytest.raises(ChartError):
-        log_matrix(-np.eye(2))
+        one(log_matrix, -np.eye(2))
 
 
 def test_log_structural_errors():
     with pytest.raises(StructuralError):
-        log_matrix(np.zeros((2, 3)))
+        log_matrix(np.eye(2))                 # one matrix, not a stack
     with pytest.raises(StructuralError):
-        log_matrix(np.full((2, 2), np.nan))
+        log_matrix(np.zeros((1, 2, 3)))
+    with pytest.raises(StructuralError):
+        log_matrix(np.full((1, 2, 2), np.nan))
+
+
+def test_kernels_name_a_string_argument():
+    rep = sl2_adjoint()
+    for call, what in ((lambda: log_matrix("ab"), "logarithm matrices"),
+                       (lambda: rep.element("ab"), "coordinates"),
+                       (lambda: rep.coords_of("ab", 1e-9), "matrices")):
+        with pytest.raises(StructuralError, match=f"^{what}: "):
+            call()
 
 
 def test_heisenberg_product_matches_closed_form():
@@ -111,9 +123,9 @@ def test_product_outside_chart_raises():
     rep = MatrixRep(alg, np.array([[[1.0]]]))
     assert product(rep, [0.3], [0.3])[1]
     assert not product(rep, [0.2], [0.2])[1]
-    g = rep.element([0.3]).matrix
+    g = GroupElement.exp(rep, [0.3]).matrix
     with pytest.raises(ChartError, match="product left the coordinate chart"):
-        chart_products(g, g, rep)
+        one(chart_products, g, g, rep)
 
 
 def test_product_leaving_representation_span_raises():
@@ -126,18 +138,20 @@ def test_product_leaving_representation_span_raises():
     assert not check_rep(rep).passed
     assert product(rep, [0.2, 0.0], [0.0, 0.2])[1]
     with pytest.raises(ChartError, match="representation span"):
-        chart_products(rep.element([0.2, 0.0]).matrix,
-                       rep.element([0.0, 0.2]).matrix, rep)
+        one(chart_products, GroupElement.exp(rep, [0.2, 0.0]).matrix,
+            GroupElement.exp(rep, [0.0, 0.2]).matrix, rep)
 
 
 def test_element_requires_chart_ball_and_good_shape():
     rep = sl2_adjoint()
     with pytest.raises(ChartError):
-        rep.element([0.5, 0.0, 0.0])
+        GroupElement.exp(rep, [0.5, 0.0, 0.0])
     with pytest.raises(StructuralError):
-        rep.element([0.1, 0.2])
+        GroupElement.exp(rep, [0.1, 0.2])
     with pytest.raises(StructuralError):
-        rep.element([np.inf, 0.0, 0.0])
+        GroupElement.exp(rep, [np.inf, 0.0, 0.0])
+    with pytest.raises(StructuralError):
+        rep.element([0.1, 0.2, 0.0])          # one vector, not a stack
     with pytest.raises(StructuralError):
         MatrixRep(catalog.sl2(), np.zeros((2, 2, 2)))
 
@@ -281,7 +295,7 @@ def test_conjugation_surface_recovers_structure_constants():
                 Ginv = rep.element(-t1[:, None] * basis[i])[0]
                 GH, _, off = chart_products(G, H, rep)
                 _, xi, off_inv = chart_products(GH, Ginv, rep)
-                return xi, off | off_inv
+                return xi, first_failure(off, off_inv)["reason"] > 0
             got, bad = mixed_second_derivative(surface, cfg)
             assert not bad.any()
             assert np.max(np.abs(got - C[i, j])) <= 1e-6, (i, j)
