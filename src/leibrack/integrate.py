@@ -19,9 +19,12 @@ stacked call, and a sample is skipped (and counted by reason in ``skips``)
 at the first failure of its steps, keeping its earlier residuals.
 
 Recovery runs the construction backwards with finite differences: the
-derivative of embedded curves returns the embedding tensor, mixed second
-derivatives of the action and of the rack product return the action matrices
-and the derived bracket, and the mixed derivative of the group-valued defect
+derivative of embedded curves returns the embedding tensor.  The action is
+a matvec by the module block of g, linear in the point, so first
+derivatives of that block return the rest: along exp(s a) it gives the
+action matrix of a, along Phi(t v) the matrix of y -> [v, y] of the derived
+bracket.  Only the defect takes a mixed derivative: that of the
+group-valued defect
 
     (g Phi(p) g^-1) Phi(q(g, p))^-1
 
@@ -29,8 +32,10 @@ returns the infinitesimal defect map of the triple.  All group coordinates
 used in derivatives are re-extracted from matrices through the logarithm, so
 the round trip genuinely exercises exp and log rather than echoing inputs.
 Each tensor is one stencil call over all its basis directions, on the same
-stacked kernels as the suites; a direction with a failed stencil point
-reruns at a tenth of the step, and raises its first failure if it fails again.
+stacked kernels as the suites; the defect exponentiates exp(c), exp(-c) and
+Phi(p) once per distinct direction and offset of a stencil call.  A
+direction with a failed stencil point reruns at a tenth of the step, and
+raises its first failure if it fails again.
 """
 
 from __future__ import annotations
@@ -327,20 +332,21 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
 # ---------------------------------------------------------------------------
 
 def _recover(model: LocalRackModel, stencil, points, *dirs):
-    """Differentiate ``points`` along k directions with one ``stencil``
-    call: the derivatives and the mask of directions that shrank.  ``dirs``
-    holds one (k, .) stack of directions per stencil offset, and
-    ``points(model, step, *scaled)`` gets offsets times directions, in
-    chunks of _CHUNK matrix entries; it makes each kernel call that can fail
-    as ``step(kernel, *args)``, which keeps the failures.  A direction with
-    a failed point reruns at a tenth of the step; if it fails again, the
+    """Differentiate along k directions with one ``stencil`` call: the
+    derivatives and the mask of directions that shrank.  ``dirs`` holds one
+    (k, .) stack of directions per stencil offset.  Each stencil call hands
+    ``points(model, *axes)`` one pair (offsets, directions) per offset, and
+    what it returns, ``at(step, sl)``, evaluates the slice ``sl`` of the s k
+    stencil points (direction outer, offset inner), in chunks of _CHUNK
+    matrix entries; ``at`` makes each kernel call that can fail as
+    ``step(kernel, *args)``, which keeps the failures.  A direction with a
+    failed point reruns at a tenth of the step; if it fails again, the
     failure of its first failed point (first direction first) is raised."""
     per = _per_call(model)
 
     def evaluate(rows, check, *offsets):
         s, k, steps, vals, bad = len(offsets[0]), len(rows), [], [], []
-        args = [np.tile(t, k)[:, None] * np.repeat(d[rows], s, axis=0)
-                for t, d in zip(offsets, dirs)]
+        at = points(model, *((t, d[rows]) for t, d in zip(offsets, dirs)))
 
         def step(kernel, *xs):
             *out, why = kernel(*xs)
@@ -348,7 +354,7 @@ def _recover(model: LocalRackModel, stencil, points, *dirs):
             return out
         for i in range(0, s * k, per):
             steps.clear()
-            vals.append(points(model, step, *(x[i:i + per] for x in args)))
+            vals.append(at(step, slice(i, i + per)))
             why = first_failure(*steps)
             bad.append(why["reason"] > 0)
             if check and bad[-1].any():
@@ -364,30 +370,78 @@ def _recover(model: LocalRackModel, stencil, points, *dirs):
     return value, shrank
 
 
+def _pointwise(kernel):
+    """Stencil points of one offset that ``kernel(model, step, scaled)``
+    evaluates one by one, on the offsets times the directions."""
+    def points(model, axis):
+        t, d = axis
+        scaled = np.tile(t, len(d))[:, None] * np.repeat(d, len(t), axis=0)
+        return lambda step, sl: kernel(model, step, scaled[sl])
+    return points
+
+
 def _theta_points(model, step, v):              # log exp theta(v)
     E = model.rep.element(step(model.shadows, v)[0])[0]
     return step(model.rep.coords_of, step(log_matrix, E)[0], 1e-8)[0]
 
 
-def _action_points(model, step, v, c):          # exp(c) moving the point v
+def _module_block(model, step, c):              # module block of exp(c)
     G = step(model.rep.element, c)[0]
-    step(model.shadows, v)
-    return step(_act, model, G, v)[0]
+    return G[:, model.base_dim:, model.base_dim:].reshape(len(c), -1)
 
 
-def _bracket_points(model, step, x, y):         # x > y
-    G = model.rep.element(step(model.shadows, x)[0])[0]
-    step(model.shadows, y)
-    return step(_act, model, G, y)[0]
+def _embedded_block(model, step, v):            # module block of Phi(v)
+    return _module_block(model, step, step(model.shadows, v)[0])
 
 
-def _defect_points(model, step, c, v):
-    """(g Phi(p) g^-1) Phi(q(g, p))^-1 for g = exp(c) and the point p over v."""
-    rep, G = model.rep, step(model.rep.element, c)[0]
-    gp = step(chart_products, G, rep.element(step(model.shadows, v)[0])[0], rep)
-    conj = step(chart_products, gp[0], rep.element(-c)[0], rep)[0]
-    moved = rep.element(-step(_act, model, G, v)[1])[0]
-    return step(chart_products, conj, moved, rep)[1]
+def _pick(values, why, at):                     # table rows and their failures
+    return values[at], why[at]
+
+
+def _defect_points(model, group, point):
+    """(g Phi(p) g^-1) Phi(q(g, p))^-1 for g = exp(c) and the point p over v,
+    c and v the offsets times the directions of ``group`` and ``point``.
+
+    Only exp(-theta(rho_g v)) depends on the pair.  exp(c), exp(-c) and
+    Phi(p) are tables over the distinct directions times the offsets (the
+    group offsets with their negatives), built once and indexed per point
+    with their failures; the exponentials run in chunks of _CHUNK entries.
+    """
+    rep, per = model.rep, _per_call(model)
+
+    def table(offsets, dirs, kernel):
+        """The distinct offsets times the distinct directions (offset
+        outer, directions told apart bit for bit), ``kernel`` of them, and
+        ``index(t)``: the row of each stencil point (direction outer) whose
+        offsets are ``t``."""
+        keys = np.ascontiguousarray(dirs).view((np.void, 8 * dirs.shape[1]))
+        _, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                      return_inverse=True)
+        offs, uniq = np.unique(offsets), dirs[first]
+        rows = (offs[:, None, None] * uniq).reshape(-1, uniq.shape[1])
+        out = [np.concatenate(part) for part in zip(
+            *(kernel(rows[i:i + per]) for i in range(0, len(rows), per)))]
+
+        def index(t):
+            return (np.searchsorted(offs, t) * len(uniq) + inverse[:, None]).ravel()
+        return rows, out, index
+
+    def embedded(v):                    # Phi(p) and the failures of theta(v)
+        shadow, why = model.shadows(v)
+        return rep.element(shadow)[0], why
+
+    (t, a), (u, v) = group, point
+    _, (exps, why_c), at_group = table(np.concatenate([t, -t]), a, rep.element)
+    vs, (phis, why_v), at_point = table(u, v, embedded)
+    c, minus, p = at_group(t), at_group(-t), at_point(u)
+
+    def at(step, sl):
+        G = step(_pick, exps, why_c, c[sl])[0]
+        gp = step(chart_products, G, step(_pick, phis, why_v, p[sl])[0], rep)
+        conj = step(chart_products, gp[0], exps[minus[sl]], rep)[0]
+        moved = rep.element(-step(_act, model, G, vs[p[sl]])[1])[0]
+        return step(chart_products, conj, moved, rep)[1]
+    return at
 
 
 def _pairs(n: int, d: int):
@@ -397,17 +451,21 @@ def _pairs(n: int, d: int):
 
 
 def _tangent_triple(model: LocalRackModel):
-    """:func:`recover_tangent_triple` and the mask of its d + n d + d^2
-    directions that shrank."""
+    """:func:`recover_tangent_triple` and the mask of its d + n + d
+    directions that shrank.
+
+    Each tensor is a first derivative, since the action is linear in the
+    point: the module block of exp(s e_i) differentiates to the action
+    matrix of e_i, and that of Phi(t e_a) to the matrix of y -> [e_a, y],
+    whose transpose is the slice ``bracket[a]``.
+    """
     n, d = model.triple.dim_g, model.triple.dim_v
-    theta, s1 = _recover(model, derivative_at_identity, _theta_points, np.eye(d))
-    # the action's point takes the first stencil offset, its group the second
-    action, s2 = _recover(model, mixed_second_derivative, _action_points,
-                          *_pairs(n, d)[::-1])
-    bracket, s3 = _recover(model, mixed_second_derivative, _bracket_points,
-                           *_pairs(d, d))
-    return (theta.T, action.reshape(n, d, d).swapaxes(1, 2),
-            bracket.reshape(d, d, d)), np.concatenate([s1, s2, s3])
+    (theta, s1), (action, s2), (bracket, s3) = (
+        _recover(model, derivative_at_identity, _pointwise(points), np.eye(k))
+        for points, k in ((_theta_points, d), (_module_block, n),
+                          (_embedded_block, d)))
+    return (theta.T, action.reshape(n, d, d),
+            bracket.reshape(d, d, d).swapaxes(1, 2)), np.concatenate([s1, s2, s3])
 
 
 def recover_tangent_triple(model: LocalRackModel):
@@ -424,12 +482,15 @@ def recover_equivariance_defect(model: LocalRackModel, a, v):
     and the point direction v; the mixed derivative equals
     [a, theta(v)] - theta(a . v).  Stacks (k, n) and (k, d) of directions
     give the k derivatives and the mask of pairs whose stencil shrank, one
-    pair (a stack of one) its derivative alone.
+    pair (a stack of one) its derivative alone.  Directions are read by the
+    value rule: StructuralError names a malformed one.
     """
-    a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
-    out = _recover(model, mixed_second_derivative, _defect_points,
-                   np.atleast_2d(a), np.atleast_2d(v))
-    return out if a.ndim == 2 else out[0][0]
+    a, v = frozen_array(a, None, "direction a"), frozen_array(v, None, "direction v")
+    if a.ndim == 1:
+        return recover_equivariance_defect(model, a[None], v[None])[0][0]
+    a = frozen_array(a, (None, model.triple.dim_g), "direction a")
+    v = frozen_array(v, (len(a), model.triple.dim_v), "direction v")
+    return _recover(model, mixed_second_derivative, _defect_points, a, v)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ elements, and a stencil that raises ``DomainError`` rerun once at a tenth
 of the step.  Single elements, points and actions go through the package's
 single-input edge, and the kernels it has no edge for (``log_matrix``,
 ``coords_of``, ``chart_products``) run on stacks of one and raise the
-failure of that slice.
+failure of that slice.  The action and bracket are first derivatives of
+the module block of exp(t e_i) and of Phi(t e_a), one direction at a time;
+``mixed_action_bracket`` keeps their older mixed second derivatives of the
+local action and the rack product, one basis pair at a time, as an
+independent cross-check.
 The recovery functions take the same arguments as ``leibrack.integrate``'s
 single forms and return the same arrays; ``tests/test_stacked_recovery.py``
 compares them.  ``suite_oracle.py`` takes its group operations from here.
@@ -104,12 +108,20 @@ def _shrink_once(run, cfg: DiffConfig, *args):
         return run(*args, DiffConfig(cfg.step / 10.0, cfg.scheme))
 
 
+def _module_block(model: LocalRackModel, g: GroupElement) -> np.ndarray:
+    """The module block of a group element's matrix: its transport of V."""
+    return g.matrix[model.base_dim:, model.base_dim:]
+
+
 def recover_tangent_triple(model: LocalRackModel):
     """Differentiate the model back to (theta, action, bracket) tensors.
 
     Returns the triple of arrays in the same layout the triple stores them:
     the embedding matrix (n, d), the action stack (n, d, d) and the derived
-    bracket tensor (d, d, d).
+    bracket tensor (d, d, d).  Each is a first derivative along one basis
+    direction at a time: of the chart coordinates of Phi(t e_j), of the
+    module block of exp(t e_i) (the action matrix of e_i), and of the module
+    block of Phi(t e_a) (the transpose of the bracket slice of e_a).
     """
     n, d = model.triple.dim_g, model.triple.dim_v
     eye_g, eye_v = np.eye(n), np.eye(d)
@@ -120,6 +132,28 @@ def recover_tangent_triple(model: LocalRackModel):
             g = embed_point(model, model.point(t * ej))
             return one(model.rep.coords_of, *one(log_matrix, g.matrix), 1e-8)[0]
         theta_rec[:, j] = _shrink_once(derivative_at_identity, model.cfg, curve)
+
+    action_rec = np.empty((n, d, d))
+    for i in range(n):
+        def curve(t, ai=eye_g[i]):
+            return _module_block(model, GroupElement.exp(model.rep, t * ai))
+        action_rec[i] = _shrink_once(derivative_at_identity, model.cfg, curve)
+
+    bracket_rec = np.empty((d, d, d))
+    for a in range(d):
+        def curve(t, ea=eye_v[a]):
+            return _module_block(model, embed_point(model, model.point(t * ea)))
+        bracket_rec[a] = _shrink_once(derivative_at_identity, model.cfg, curve).T
+    return theta_rec, action_rec, bracket_rec
+
+
+def mixed_action_bracket(model: LocalRackModel):
+    """The action and bracket tensors as mixed second derivatives of the
+    local action and the rack product, one basis pair at a time: the
+    recovery as it ran before it used that the action is linear in the
+    point, kept as an independent cross-check of the first derivatives."""
+    n, d = model.triple.dim_g, model.triple.dim_v
+    eye_g, eye_v = np.eye(n), np.eye(d)
 
     action_rec = np.empty((n, d, d))
     for i in range(n):
@@ -138,7 +172,7 @@ def recover_tangent_triple(model: LocalRackModel):
                                     model.point(t2 * eb)).v
             bracket_rec[a, b, :] = _shrink_once(mixed_second_derivative,
                                                 model.cfg, surface)
-    return theta_rec, action_rec, bracket_rec
+    return action_rec, bracket_rec
 
 
 def recover_equivariance_defect(model: LocalRackModel, a, v) -> np.ndarray:

@@ -4,9 +4,13 @@ Every recovered number must be bit for bit the oracle's: the tangent
 tensors (theta, action, bracket) and the stack of the n d defects of basis
 pairs, on the builtins, the catalog ideal triples and gl(2)..gl(5) under
 both schemes, on steps at which some or all stencils shrink, and on a step
-so small that every mixed stencil gives NaN.  Where a stencil fails again
+so small that the defect's mixed stencil gives NaN.  Where a stencil fails again
 after shrinking, both must raise the same error with the same message, and
 the stacked recovery must shrink as many directions as the oracle retried.
+The first-derivative action and bracket must also agree with the oracle's
+mixed second derivatives of the action and the rack product to within
+rounding, and the recovery must not exponentiate more matrices than it
+needs.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import pytest
 
 import recovery_oracle as oracle
 from leibrack import (DiffConfig, DomainError, EmbeddingTensor, MatrixRep,
-                      build_model, build_triple, catalog, ideal_triple,
-                      lie_algebra, recover_equivariance_defect,
-                      recover_tangent_triple)
+                      StructuralError, build_model, build_triple, catalog,
+                      ideal_triple, lie_algebra, localgroup,
+                      recover_equivariance_defect, recover_tangent_triple)
 from leibrack.cli import builtin_parts
 from leibrack.integrate import _tangent_triple
 
@@ -65,9 +69,9 @@ RUNS = [pytest.param(target, scheme, step, id=f"{target}/{scheme}")
 RUNS += [pytest.param(target, scheme, step, id=f"{target}@{step}/{scheme}")
          for target, scheme, step in (
              ("scaling:2.0", "richardson", 0.5),     # every stencil shrinks
-             ("sl2-adjoint", "central", 0.25),       # 8 of 30 shrink
+             ("sl2-adjoint", "central", 0.25),       # 4 of 18 shrink
              ("sl2-adjoint", "central", 0.4),
-             ("sl2-adjoint", "central", 1e-200))]    # NaN everywhere
+             ("sl2-adjoint", "central", 1e-200))]    # a NaN defect
 FAILING = [pytest.param(target, scheme, step, id=f"{target}@{step}/{scheme}")
            for target, scheme, step in (
                ("sl2-adjoint", "central", 5.0),
@@ -123,9 +127,23 @@ def test_stacked_recovery_matches_the_scalar_oracle(target, scheme, step,
     assert np.array_equal(one, want_defects[-1], equal_nan=True)
 
 
+@pytest.mark.parametrize("target, scheme, step", [
+    pytest.param(target, scheme, step, id=f"{target}/{scheme}")
+    for scheme, step in SCHEMES for target in TARGETS])
+def test_first_derivatives_match_the_mixed_oracle(target, scheme, step):
+    # the mixed stencil of a map linear in one argument is the first
+    # derivative plus rounding of size eps h over 4 h^2: about eps / h
+    model = model_for(target, scheme, step)
+    action, bracket = _tangent_triple(model)[0][1:]
+    mixed_action, mixed_bracket = oracle.mixed_action_bracket(model)
+    bound = np.finfo(float).eps / step
+    assert np.max(np.abs(action - mixed_action)) <= bound
+    assert np.max(np.abs(bracket - mixed_bracket)) <= bound
+
+
 def test_every_stencil_and_a_mixed_set_shrink():
     for target, step, scheme, count in (("scaling:2.0", 0.5, "richardson", 6),
-                                        ("sl2-adjoint", 0.25, "central", 8)):
+                                        ("sl2-adjoint", 0.25, "central", 4)):
         model = model_for(target, scheme, step)
         shrank = np.concatenate([_tangent_triple(model)[1],
                                  recover_equivariance_defect(
@@ -149,3 +167,53 @@ def test_a_second_failure_raises_the_oracles_error(target, scheme, step):
             stacked()
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+
+def test_recovery_exponentiates_each_matrix_once(monkeypatch):
+    # gl(3): n = d = 9.  The defect's central stencil exponentiates one
+    # matrix per stencil point, exp(-theta(rho_g v)), besides the tables
+    # exp(+-h a) and Phi(+-h v); the tangent two per direction
+    slices, expm = [], localgroup.expm
+
+    def counted(A):
+        slices.append(len(A))
+        return expm(A)
+    monkeypatch.setattr(localgroup, "expm", counted)
+    model = model_for("gl3", "central", 1e-4)
+    n, d = model.triple.dim_g, model.triple.dim_v
+    defects, shrank = recover_equivariance_defect(model, *basis_pairs(model))
+    assert not shrank.any()
+    assert sum(slices) <= 4 * n * d + 2 * n + 2 * d == 360
+    slices.clear()
+    assert not _tangent_triple(model)[1].any()
+    assert sum(slices) == 2 * d + 2 * (n + d)          # theta, action, bracket
+
+
+def test_defect_directions_follow_the_value_rule():
+    model = model_for("sl2-adjoint", "central", 1e-4)
+    for a, v, what in (("ab", "cd", "direction a"),
+                       ([1.0, 0, 0], "cd", "direction v"),
+                       ([[1.0, 0]], [[1.0, 0, 0]], "direction a"),
+                       ([[1.0, 0, 0]], [[1.0, 0, 0]] * 2, "direction v"),
+                       ([np.nan, 0, 0], [1.0, 0, 0], "direction a")):
+        with pytest.raises(StructuralError, match=f"^{what}: "):
+            recover_equivariance_defect(model, a, v)
+
+
+def test_defect_tables_index_repeated_and_general_directions():
+    # the exponential tables are built over the distinct directions of the
+    # stack: repeated, reordered and non-basis ones, and rows that differ
+    # only in the sign of a zero
+    model = model_for("sl2-adjoint", "richardson", 2e-3)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 3))[[2, 0, 2, 1, 0, 0]]
+    v = rng.standard_normal((6, 3))
+    v[4] = v[1]
+    a[4, 1], a[5, 1] = 0.0, -0.0
+    defects, shrank = recover_equivariance_defect(model, a, v)
+    assert not shrank.any()
+    for k in range(len(a)):
+        want = oracle.recover_equivariance_defect(model, a[k], v[k])
+        assert np.array_equal(defects[k], want)
+        assert np.array_equal(
+            recover_equivariance_defect(model, a[k], v[k]), want)
