@@ -490,6 +490,8 @@ def recover_equivariance_defect(model: LocalRackModel, a, v):
         return recover_equivariance_defect(model, a[None], v[None])[0][0]
     a = frozen_array(a, (None, model.triple.dim_g), "direction a")
     v = frozen_array(v, (len(a), model.triple.dim_v), "direction v")
+    if not len(a):                      # no stencil point to tabulate
+        return np.zeros((0, model.triple.dim_g)), np.zeros(0, dtype=bool)
     return _recover(model, mixed_second_derivative, _defect_points, a, v)
 
 

@@ -18,8 +18,12 @@ The logarithm uses inverse scaling and squaring: Denman-Beavers square roots
 until ||M - I||_F < 0.25, then the alternating series for log(I + X), then
 multiply back by 2^k; each slice of a stack stops when it converges.
 Matrices outside the principal-log domain fail the square-root phase within
-the iteration cap.  The exponential is scipy's, which takes stacks as they
-are (see the README for why it stays).
+the iteration cap.  The exponential is a truncated Taylor polynomial with
+scaling and squaring, in matrix products only (Higham, SIAM J. Matrix Anal.
+Appl. 26(4), 2005; Bader, Blanes & Casas, Mathematics 7(12):1174, 2019): each
+slice takes the lowest degree whose 1-norm threshold, set by a relative
+backward error of 2^-53, bounds its 1-norm, and slices of one degree run as
+one stack; ``expm`` gives its accuracy against scipy and its cost.
 
 The finite-difference engine lives here too: central differences (O(h^2)
 truncation) and a Richardson-extrapolated variant (O(h^4) truncation, eight
@@ -32,6 +36,7 @@ call.  With float64, central first derivatives at h = 1e-4 carry roughly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -200,11 +205,99 @@ def working_rep(rep: MatrixRep, action: ModuleAction) -> MatrixRep:
 # Matrix exponential and logarithm
 # ---------------------------------------------------------------------------
 
+def _taylor_terms(m: int) -> np.ndarray:
+    """Coefficients of the degree-m Taylor polynomial of exp in
+    Paterson-Stockmeyer form, p = isqrt(m) (which divides every degree
+    used): row i holds 1/(ip + j)! for the powers X^j, j < p, and the last
+    row also 1/m! for X^p."""
+    p = isqrt(m)
+    terms = np.zeros((m // p, p + 1))
+    terms[:, :p] = [[1 / factorial(i * p + j) for j in range(p)]
+                    for i in range(m // p)]
+    terms[-1, p] = 1 / factorial(m)
+    return terms
+
+
+# the degrees at which the product count rises by one, from 0 products at
+# degree 1 to 7 at degree 20, and the largest 1-norm at which each meets the
+# truncation bound of ``expm``
+_DEGREES = (1, 2, 4, 6, 9, 12, 16, 20)
+_THETAS = np.array([2.22e-16, 2.58e-8, 3.39e-4, 9.06e-3, 8.95e-2, 2.99e-1,
+                    7.80e-1, 1.43])
+_TERMS = tuple(_taylor_terms(m) for m in _DEGREES)
+
+
+def _taylor(X: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_{j <= m} X^j / j! of each matrix of a stack (k, n, n), ``terms``
+    the degree-m coefficients, by Paterson-Stockmeyer: the powers up to X^p,
+    and Horner's rule in X^p over m / p blocks, each block one product of a
+    row of ``terms`` with the powers; m / p + p - 2 matrix products in all."""
+    (k, n, _), p = X.shape, terms.shape[1] - 1
+    P = np.empty((k, p + 1, n, n))
+    P[:, 0], P[:, 1] = np.eye(n), X
+    for j in range(2, p + 1):
+        np.matmul(P[:, j - 1], X, out=P[:, j])
+    powers = P.reshape(k, p + 1, n * n)
+    # T, its product with X^p and the next block reuse three buffers: on
+    # large stacks fresh temporaries cost more in page faults than in products
+    T, TX, block = terms[-1] @ powers, np.empty((k, n * n)), np.empty((k, n * n))
+    for row in terms[-2::-1]:
+        np.matmul(T.reshape(k, n, n), P[:, p], out=TX.reshape(k, n, n))
+        np.matmul(row, powers, out=block)
+        np.add(TX, block, out=T)
+    return T.reshape(k, n, n)
+
+
 def expm(A) -> np.ndarray:
-    """scipy's matrix exponential, of one matrix or each of a stack, imported
-    on the first call (never in verify)."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(A)
+    """exp of one real matrix or of each of a stack (k, m, m), by a Taylor
+    polynomial with scaling and squaring: matrix products only.
+
+    Each slice takes the lowest degree of ``_DEGREES`` (1, 2, 4, 6, 9, 12, 16,
+    20; 0 to 7 products by Paterson-Stockmeyer) whose threshold bounds its
+    1-norm.  The threshold of degree m is the largest 1-norm theta at which
+    the truncation is a relative backward error of at most u = 2^-53:
+    T_m(X) = exp(X + dX) with ||dX|| <= u ||X||, which squaring keeps
+    (tests/test_expm.py derives the thresholds from this bound).  Above
+    theta_20 = 1.43 a slice is scaled by 2^-s into it and squared s times.
+    Each degree is one ``_taylor`` call on its slices, and every slice gets
+    the same bits alone as in any stack.  A slice with a non-finite entry
+    comes out NaN, and is never scaled or squared.
+
+    Against scipy's expm the relative 1-norm difference stays below 2^-35 on
+    1x1 to 30x30 matrices of 1-norm up to 60, mostly scipy's own error; on
+    the exponentials of the benchmark's integrate workloads it is at most
+    4.4e-16 absolute.  Per slice, on one BLAS thread of a 2-vCPU VM: 2.5 us
+    on the law suites' stacks of 3x3 to 6x6 matrices (scipy 16 us), 16 us on
+    the recovery's 30x30 stacks (scipy 54 us), but 61 us for a single 6x6
+    matrix (scipy 20 us), about a dozen NumPy calls whatever the stack size.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim == 2:
+        return expm(A[None])[0]
+    size = np.abs(A).sum(axis=1).max(axis=1, initial=0.0)      # 1-norms
+    finite = np.isfinite(size)
+    level = np.minimum(np.searchsorted(_THETAS, size), len(_THETAS) - 1)
+    squarings = np.zeros(len(A), dtype=int)
+    over = finite & (size > _THETAS[-1])
+    squarings[over] = np.ceil(np.log2(size[over] / _THETAS[-1]))
+    levels = set(level.tolist())
+    if len(levels) <= 1 and finite.all() and not over.any():
+        # one degree, nothing to scale: the stack as it is, without the
+        # gather, scaling and scatter below (most calls of the integrate
+        # workloads; 10-26 % of their exponential time, CHANGES.md)
+        return _taylor(A, _TERMS[max(levels, default=0)])
+    out = np.full(A.shape, np.nan)
+    for j in set(level[finite].tolist()):
+        # most squarings first, so the slices still squaring are a prefix
+        at = np.flatnonzero(finite & (level == j))
+        at = at[np.argsort(-squarings[at], kind="stable")]
+        s = squarings[at]
+        E = _taylor(A[at] * 0.5 ** s[:, None, None], _TERMS[j])
+        for i in range(s[0]):
+            live = np.count_nonzero(s > i)
+            E[:live] = E[:live] @ E[:live]
+        out[at] = E
+    return out
 
 
 def norms(X, matrices: bool = False):

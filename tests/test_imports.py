@@ -1,5 +1,5 @@
 """Every name a package module imports is used in that module, and
-``verify`` runs without loading scipy.
+``verify`` and ``integrate`` run without loading scipy.
 
 No lint tool ships with the package, so this reads the sources with ``ast``.
 ``__init__.py`` is exempt: its imports are the package's re-exports.
@@ -53,4 +53,18 @@ def test_verify_does_not_load_scipy():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=path),
                          check=True)
+    assert run.stdout.splitlines()[-1] == "False 0"
+
+
+def test_integrate_does_not_load_scipy():
+    # the exponential is the package's own: scipy is a test dependency only
+    script = ("import sys\n"
+              "from leibrack.cli import main\n"
+              "code = main(['integrate', '--builtin', 'sl2-adjoint'])\n"
+              "print('scipy' in sys.modules, code)\n")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False 0"

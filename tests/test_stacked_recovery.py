@@ -217,3 +217,13 @@ def test_defect_tables_index_repeated_and_general_directions():
         assert np.array_equal(defects[k], want)
         assert np.array_equal(
             recover_equivariance_defect(model, a[k], v[k]), want)
+
+
+@pytest.mark.parametrize("target", ["sl2-adjoint", "scaling:2.0"])
+def test_defect_of_no_directions_is_an_empty_stack(target):
+    model = model_for(target, "central", 1e-4)
+    n, d = model.triple.dim_g, model.triple.dim_v
+    defects, shrank = recover_equivariance_defect(
+        model, np.zeros((0, n)), np.zeros((0, d)))
+    assert defects.shape == (0, n) and shrank.shape == (0,)
+    assert shrank.dtype == bool
