@@ -13,10 +13,12 @@ point exponentiates its algebra component, and the rack product is
 x > y = q(embed(x), y); ``point``, ``local_action`` and ``rack_product`` are
 the single-point edge over the stacked ``shadows`` and ``_act``.
 
-The law suites run batched on (k, d) points and (k, m, m) group matrices,
-drawn in the RNG order of one draw per sample: each step of a trial is one
-stacked call, and a sample is skipped (and counted by reason in ``skips``)
-at the first failure of its steps, keeping its earlier residuals.
+A law suite draws all its samples up front, one RNG call per variable, so
+they do not depend on the batch size; the drawn arrays take at most
+samples * (max(2n + d, 3d) + 3) floats.  It runs them batched on (k, d)
+points and (k, m, m) group matrices: each step of a trial is one stacked
+call, and a sample is skipped (and counted by reason in ``skips``) at the
+first failure of its steps, keeping its earlier residuals.
 
 Recovery runs the construction backwards with finite differences: the
 derivative of embedded curves returns the embedding tensor.  The action is
@@ -165,25 +167,26 @@ def rack_product(model: LocalRackModel, x: RackPoint, y: RackPoint) -> RackPoint
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers
+# law suites
 # ---------------------------------------------------------------------------
 
-def _sample_direction(rng, basis: np.ndarray, scale: float) -> np.ndarray:
-    """Random combination of the given row vectors, scaled to norm <= scale."""
-    w = rng.standard_normal(basis.shape[0]) @ basis
-    nrm = np.linalg.norm(w)
-    if nrm == 0.0:
-        return w
-    return w * (scale * float(rng.uniform(0.2, 1.0)) / nrm)
+def _directions(rng, k: int, basis: np.ndarray, scale: float) -> np.ndarray:
+    """k random combinations of the given row vectors, each scaled to a norm
+    in [0.2 scale, scale]; a zero combination stays zero."""
+    w = rng.standard_normal((k, basis.shape[0])) @ basis
+    size = norms(w)
+    return w * np.divide(scale * rng.uniform(0.2, 1.0, k), size,
+                         out=np.zeros(k), where=size > 0.0)[:, None]
 
 
-def _sample_point(model: LocalRackModel, rng, frac: float) -> np.ndarray:
-    """A module vector whose shadow norm is at most frac * radius."""
-    v = rng.standard_normal(model.triple.dim_v)
-    nrm = float(np.linalg.norm(model.triple.theta.matrix @ v))
-    if nrm > 0.0:
-        return v * (frac * model.radius / nrm) * float(rng.uniform(0.2, 1.0))
-    return v / max(1.0, float(np.linalg.norm(v)))
+def _points(model: LocalRackModel, rng, k: int, frac: float) -> np.ndarray:
+    """k module vectors whose shadows have norm at most frac * radius; a
+    vector with a zero shadow is divided by max(1, its norm)."""
+    v = rng.standard_normal((k, model.triple.dim_v))
+    size = norms(model.shadows(v)[0])
+    scale = np.divide(frac * model.radius * rng.uniform(0.2, 1.0, k), size,
+                      out=1.0 / np.maximum(1.0, norms(v)), where=size > 0.0)
+    return v * scale[:, None]
 
 
 def _gap(p, q) -> np.ndarray:
@@ -193,10 +196,6 @@ def _gap(p, q) -> np.ndarray:
                       np.abs(p[1] - q[1]).max(axis=-1))
 
 
-# ---------------------------------------------------------------------------
-# law suites
-# ---------------------------------------------------------------------------
-
 def _per_call(model: LocalRackModel) -> int:
     """Stacked slices per kernel call: _CHUNK entries of the model's matrices."""
     return max(1, _CHUNK // model.rep.matrix_dim ** 2)
@@ -204,8 +203,9 @@ def _per_call(model: LocalRackModel) -> int:
 
 def _run_suite(model: LocalRackModel, samples: int, seed: int, tol: float,
                draw, trial, skips, **info) -> ValidityReport:
-    """Draw ``draw(rng)`` for each of ``samples`` samples on one seeded RNG
-    and run ``trial`` on the stacked draws, :func:`_per_call` samples at a time.
+    """Run ``trial`` on the arrays ``draw(rng, samples)``, drawn up front by
+    one call of a seeded RNG per variable, :func:`_per_call` samples at a
+    time: the samples do not depend on the batch size.
 
     ``trial`` returns each sample's first failure over its steps and its laws
     as ``(law, residuals, reached, tol)``, ``reached`` the first failure of
@@ -216,10 +216,10 @@ def _run_suite(model: LocalRackModel, samples: int, seed: int, tol: float,
     gains the used and skipped counts, a ``skips`` dict the skips by reason.
     """
     rng, batch = np.random.default_rng(seed), _per_call(model)
+    drawn = draw(rng, max(samples, 0))
     col, counts = Collector(tol), np.zeros(len(FAILURES), dtype=int)
     for start in range(0, samples, batch):
-        drawn = [draw(rng) for _ in range(min(batch, samples - start))]
-        why, laws = trial(*map(np.array, zip(*drawn)))
+        why, laws = trial(*(x[start:start + batch] for x in drawn))
         laws = [(law, np.where(reached["reason"] == 0, res, 0.0), law_tol)
                 for law, res, reached, law_tol in laws]
         col.tables(*[(law, ~(res <= 0.0) if law_tol is None else res > law_tol,
@@ -240,10 +240,9 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
     and exactness of the unit law q(e, p) = p."""
     full = np.eye(model.triple.dim_g)
 
-    def draw(rng):
-        return (_sample_direction(rng, full, 0.05),
-                _sample_direction(rng, full, 0.05),
-                _sample_point(model, rng, 0.25))
+    def draw(rng, k):
+        return (_directions(rng, k, full, 0.05), _directions(rng, k, full, 0.05),
+                _points(model, rng, k, 0.25))
 
     def trial(xi1, xi2, v):
         p = (v, model.shadows(v)[0])
@@ -270,8 +269,8 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200, seed: int =
     Every shadow inside the model radius lies in the chart ball, so
     embedding a point never leaves the chart.
     """
-    def draw(rng):
-        return [_sample_point(model, rng, 0.2) for _ in range(3)]
+    def draw(rng, k):
+        return [_points(model, rng, k, 0.2) for _ in range(3)]
 
     def trial(x, y, z):
         ux, uy = model.shadows(x)[0], model.shadows(y)[0]
@@ -309,9 +308,9 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
     """
     h_dim = model.h_basis.dim
 
-    def draw(rng):
-        return (_sample_direction(rng, model.h_basis.vectors, 0.05),
-                _sample_point(model, rng, 0.25))
+    def draw(rng, k):
+        return (_directions(rng, k, model.h_basis.vectors, 0.05),
+                _points(model, rng, k, 0.25))
 
     def trial(xi, v):
         h, hinv = model.rep.element(xi)[0], model.rep.element(-xi)[0]

@@ -5,9 +5,12 @@ batched: one Python trial per sample on ``GroupElement`` and ``RackPoint``
 objects, with the scalar kernels and the group operations of
 ``recovery_oracle.py``, and a sample skipped when its trial raises
 ``DomainError`` (``ChartError`` and ``MembershipError`` included), counted
-under the reason whose exception and message it raised.  The suite
-functions take the same arguments as ``leibrack.integrate``'s and return
-the same reports; ``tests/test_batched_suites.py`` compares them.
+under the reason whose exception and message it raised.  The samples are
+the batched suites' own: each suite draws them up front with the stacked
+helpers of ``leibrack.integrate``, in the same order, and runs one trial
+per row.  The suite functions take the same arguments as
+``leibrack.integrate``'s and return the same reports;
+``tests/test_batched_suites.py`` compares them.
 """
 
 from __future__ import annotations
@@ -16,35 +19,10 @@ import numpy as np
 
 from leibrack.errors import DomainError
 from leibrack.integrate import LocalRackModel, RackPoint, _UNDO_TOL, \
-    embed_point, local_action, rack_product
+    _directions, _points, embed_point, local_action, rack_product
 from leibrack.localgroup import FAILURES, GroupElement
 from leibrack.report import Collector, ValidityReport
 from recovery_oracle import _conjugate, group_inverse, group_mul
-
-
-# ---------------------------------------------------------------------------
-# sampling helpers
-# ---------------------------------------------------------------------------
-
-def _sample_direction(rng, basis: np.ndarray, scale: float) -> np.ndarray:
-    """Random combination of the given row vectors, scaled to norm <= scale."""
-    w = rng.standard_normal(basis.shape[0]) @ basis
-    nrm = np.linalg.norm(w)
-    if nrm == 0.0:
-        return w
-    return w * (scale * float(rng.uniform(0.2, 1.0)) / nrm)
-
-
-def _sample_point(model: LocalRackModel, rng, frac: float) -> RackPoint:
-    """A model point whose shadow norm is at most frac * radius."""
-    v = rng.standard_normal(model.triple.dim_v)
-    shadow = model.triple.theta.matrix @ v
-    nrm = float(np.linalg.norm(shadow))
-    if nrm > 0.0:
-        v = v * (frac * model.radius / nrm) * float(rng.uniform(0.2, 1.0))
-    else:
-        v = v / max(1.0, float(np.linalg.norm(v)))
-    return model.point(v)
 
 
 def _gap(p: RackPoint, q: RackPoint) -> float:
@@ -67,20 +45,20 @@ def _reason(exc: DomainError) -> str:
 
 def _run_suite(samples: int, seed: int, tol: float, draw, trial, skips,
                **info) -> ValidityReport:
-    """Run ``trial(col, k, *draw(rng))`` for k < samples on one seeded RNG.
+    """Draw the samples as ``draw(rng, samples)`` on one seeded RNG and run
+    ``trial(col, k, *row)`` on each row k of the drawn arrays.
 
     A sample whose trial leaves the model domain, the chart or the model
     neighbourhood is skipped, and ``skips``, unless None, counts it under
     its reason; a suite that used no sample fails under the law
     ``samples-used``.  ``info`` gains the used and skipped counts.
     """
-    rng = np.random.default_rng(seed)
+    drawn = draw(np.random.default_rng(seed), max(samples, 0))
     col = Collector(tol)
     used = skipped = 0
-    for k in range(samples):
-        drawn = draw(rng)
+    for k, row in enumerate(zip(*drawn)):
         try:
-            trial(col, k, *drawn)
+            trial(col, k, *row)
         except DomainError as exc:
             skipped += 1
             if skips is not None:
@@ -101,12 +79,13 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
     ident = GroupElement(np.zeros(model.triple.dim_g),
                          np.eye(model.rep.matrix_dim))
 
-    def draw(rng):
-        return (GroupElement.exp(model.rep, _sample_direction(rng, full, 0.05)),
-                GroupElement.exp(model.rep, _sample_direction(rng, full, 0.05)),
-                _sample_point(model, rng, 0.25))
+    def draw(rng, k):
+        return (_directions(rng, k, full, 0.05), _directions(rng, k, full, 0.05),
+                _points(model, rng, k, 0.25))
 
-    def trial(col, k, g1, g2, p):
+    def trial(col, k, xi1, xi2, v):
+        g1, g2 = GroupElement.exp(model.rep, xi1), GroupElement.exp(model.rep, xi2)
+        p = model.point(v)
         onestep = local_action(model, group_mul(g1, g2, model.rep), p)
         twostep = local_action(model, g1, local_action(model, g2, p))
         col.measure("group-set-composition", (k,), _gap(onestep, twostep))
@@ -129,10 +108,11 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
     """
     base = model.basepoint()
 
-    def draw(rng):
-        return [_sample_point(model, rng, 0.2) for _ in range(3)]
+    def draw(rng, k):
+        return [_points(model, rng, k, 0.2) for _ in range(3)]
 
-    def trial(col, k, x, y, z):
+    def trial(col, k, *vs):
+        x, y, z = map(model.point, vs)
         xy = rack_product(model, x, y)
         yz = rack_product(model, y, z)
         xz = rack_product(model, x, z)
@@ -169,11 +149,12 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
     """
     h_dim = model.h_basis.dim
 
-    def draw(rng):
-        xi = _sample_direction(rng, model.h_basis.vectors, 0.05)
-        return GroupElement.exp(model.rep, xi), _sample_point(model, rng, 0.25)
+    def draw(rng, k):
+        return (_directions(rng, k, model.h_basis.vectors, 0.05),
+                _points(model, rng, k, 0.25))
 
-    def trial(col, k, h, p):
+    def trial(col, k, xi, v):
+        h, p = GroupElement.exp(model.rep, xi), model.point(v)
         moved = embed_point(model, local_action(model, h, p)).coords
         col.measure("embedding-equivariance", (k,),
                     np.max(np.abs(moved - _conjugate(model, h, p).coords)))

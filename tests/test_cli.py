@@ -397,19 +397,19 @@ def test_integrate_text_counts_used_and_skipped_samples(capsys):
               if "law suite" in line]
     assert len(suites) == 3
     assert suites[0].startswith("[PASS] law suite group_set")
-    assert suites[0].endswith("(96 used, 4 skipped: 4 moved-point)")
+    assert suites[0].endswith("(90 used, 10 skipped: 10 moved-point)")
     assert suites[1].endswith("(100 used, 0 skipped)")
 
 
 def test_integrate_text_names_why_samples_were_skipped(capsys):
-    # all four skipped group-set samples moved their point out of the model
+    # all ten skipped group-set samples moved their point out of the model
     # neighbourhood; a suite with no skip names no reason
     assert main(["integrate", "--builtin", "scaling:-40", "--radius", "0.29",
                  "--samples", "100", "--scheme", "richardson",
                  "--step", "2e-3"]) == EXIT_PASS
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2] == ("[PASS] law suite group_set: max residual 5.551e-17 "
-                        "(96 used, 4 skipped: 4 moved-point)")
+    assert lines[2] == ("[PASS] law suite group_set: max residual 2.776e-17 "
+                        "(90 used, 10 skipped: 10 moved-point)")
     assert lines[3] == ("[PASS] law suite rack: max residual 0.000e+00 "
                         "(100 used, 0 skipped)")
 
@@ -596,7 +596,7 @@ def test_verify_json_golden_broken_rack(tmp_path, capsys):
                                  "--samples", "40", "--format", "json"]),
     ("corpus_count1.json", ["corpus", "--count", "1", "--samples", "20",
                             "--format", "json"]),
-    # group_set skips 4 samples
+    # group_set skips 10 samples
     ("integrate_scaling_skips.json", [
         "integrate", "--builtin", "scaling:-40", "--radius", "0.29",
         "--samples", "100", "--scheme", "richardson", "--step", "2e-3",
