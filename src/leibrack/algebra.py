@@ -16,13 +16,17 @@ Every constructor of the package checks its values by the two rules stated
 here, :func:`frozen_array` for arrays and tables and :func:`integer` for
 sizes and indices, and raises StructuralError naming the argument at fault;
 the defining identities are checked by the ``check_*`` functions, which
-return a :class:`~leibrack.report.ValidityReport` instead of raising.  Each
-law is one residual array over all its basis tuples, evaluated at once with
-einsum and scanned in row-major order; the brackets of whole stacks of
-vectors come from :func:`brackets`, and subspace membership from
-:meth:`SubspaceBasis.distance` on a stack.  All residuals are absolute and
-compared against a configurable tolerance (default 1e-9, adequate for the
-integer-derived catalog data and well above float64 noise).
+return a :class:`~leibrack.report.ValidityReport` instead of raising.  A
+three-index law is one residual array over all its basis tuples.  A
+four-index law (Jacobi, Leibniz, the module law) is a sum of matrix
+products, evaluated by :func:`scan_rows` in blocks of rows of its first
+index of at most _BLOCK entries, so no whole table of it is ever alive;
+either way violations are listed in row-major order at their global index.
+The brackets of whole stacks of vectors come from :func:`brackets`, and
+subspace membership from :meth:`SubspaceBasis.distance` on a stack.  All
+residuals are absolute and compared against a configurable tolerance
+(default 1e-9, adequate for the integer-derived catalog data and well above
+float64 noise).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .errors import StructuralError
 from .report import Collector, ValidityReport
 
 DEFAULT_TOL = 1e-9
+_BLOCK = 1 << 17        # float64 entries (1 MB) per block of a four-index law
 
 
 def full_rank(M: np.ndarray, rank: int) -> tuple:
@@ -222,30 +227,61 @@ class SubspaceBasis:
                     and np.all(other.distance(self.vectors) <= tol))
 
 
+def scan_rows(col: Collector, law: str, rows: int, row_size: int, block):
+    """Scan the residual table of ``law`` into ``col`` a block of first-index
+    rows at a time: ``block(s)`` is the table's rows ``s``, each of
+    ``row_size`` entries.  A block holds at most _BLOCK entries and at least
+    one row, and is dropped once its violations are listed."""
+    k = max(1, _BLOCK // row_size)
+    for a in range(0, rows, k):
+        res = np.abs(block(slice(a, a + k)))
+        col.tables((law, res > col.tol, res), start=a)
+
+
 def check_lie_algebra(alg: LieAlgebraData, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Antisymmetry and the Jacobi identity, checked on all basis tuples."""
-    C = alg.structure_constants
+    C, d = alg.structure_constants, alg.dim
     col = Collector(tol)
     col.scan("antisymmetry", C + np.swapaxes(C, 0, 1))
-    jac = (np.einsum("ijm,mkl->ijkl", C, C)
-           + np.einsum("jkm,mil->ijkl", C, C)
-           + np.einsum("kim,mjl->ijkl", C, C))
-    col.scan("jacobi", jac)
+    Cf, Cr = C.reshape(d * d, d), C.reshape(d, d * d)
+
+    def jacobi(s):      # [[i, j], k] + [[j, k], i] + [[k, i], j] for i in s
+        Ci, Cj = C[s], C[:, s]
+        k = len(Ci)
+        return ((Ci.reshape(k * d, d) @ Cr).reshape(k, d, d, d)
+                + (Cf @ Cj.reshape(d, k * d)).reshape(d, d, k, d).transpose(2, 0, 1, 3)
+                + (Cj.reshape(d * k, d) @ Cr).reshape(d, k, d, d).transpose(1, 2, 0, 3))
+
+    scan_rows(col, "jacobi", d, d ** 3, jacobi)
     return col.report()
 
 
-def homomorphism_residuals(C: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """sum_k C[i,j,k] A_k - (A_i A_j - A_j A_i) over all index pairs (i, j)."""
-    want = np.einsum("ijk,kab->ijab", C, A)
-    have = np.einsum("iab,jbc->ijac", A, A) - np.einsum("jab,ibc->ijac", A, A)
-    return want - have
+def homomorphism_residuals(C: np.ndarray, A: np.ndarray, rows: slice) -> np.ndarray:
+    """sum_k C[i,j,k] A_k - (A_i A_j - A_j A_i) for i in ``rows`` and all j."""
+    n, m = len(A), A.shape[1]
+    Ci, Ai = C[rows], A[rows, None]
+    want = (Ci.reshape(-1, n) @ A.reshape(n, m * m)).reshape(len(Ci), n, m, m)
+    return want - (Ai @ A[None] - A[None] @ Ai)
+
+
+def derivation_residuals(B: np.ndarray, D: np.ndarray, rows: slice) -> np.ndarray:
+    """D [a, b] - ([D a, b] + [a, D b]) over all basis pairs (a, b), for each
+    matrix D of the stack ``D[rows]``, where [a, b] = B[a, b, :]."""
+    d, Dk = len(B), D[rows]
+    k, left = len(Dk), Dk.transpose(0, 2, 1).reshape(-1, d)
+    image = B.reshape(d * d, d) @ Dk.transpose(2, 0, 1).reshape(d, k * d)
+    first = (left @ B.reshape(d, d * d)).reshape(k, d, d, d)
+    second = (left @ B.transpose(1, 0, 2).reshape(d, d * d)).reshape(k, d, d, d)
+    return image.reshape(d, d, k, d).transpose(2, 0, 1, 3) - (
+        first + second.transpose(0, 2, 1, 3))
 
 
 def check_module(action: ModuleAction, tol: float = DEFAULT_TOL) -> ValidityReport:
     """A is a homomorphism: sum_k C[i,j,k] A_k = A_i A_j - A_j A_i."""
+    C, A = action.algebra.structure_constants, action.action_matrices
     col = Collector(tol)
-    col.scan("module-homomorphism", homomorphism_residuals(
-        action.algebra.structure_constants, action.action_matrices))
+    scan_rows(col, "module-homomorphism", len(A), A.size,
+              lambda s: homomorphism_residuals(C, A, s))
     return col.report()
 
 
@@ -255,11 +291,11 @@ def check_leibniz(leib: LeibnizAlgebraData, tol: float = DEFAULT_TOL) -> Validit
     Antisymmetry is *not* required; the report notes in ``info`` whether the
     bracket happens to be antisymmetric (i.e. is a Lie bracket).
     """
-    B = leib.bracket_tensor
-    lhs = np.einsum("jkm,iml->ijkl", B, B)
-    rhs = np.einsum("ijm,mkl->ijkl", B, B) + np.einsum("ikm,jml->ijkl", B, B)
+    B, d = leib.bracket_tensor, leib.dim
     col = Collector(tol)
-    col.scan("leibniz-identity", lhs - rhs)
+    # the identity says that each [u, -], the matrix B[u].T, is a derivation
+    scan_rows(col, "leibniz-identity", d, d ** 3,
+              lambda s: derivation_residuals(B, B.transpose(0, 2, 1), s))
     anti = float(np.max(np.abs(B + B.swapaxes(0, 1)))) if B.size else 0.0
     return col.report({"antisymmetric": bool(anti <= tol),
                        "antisymmetry_residual": anti})

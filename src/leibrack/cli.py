@@ -88,8 +88,12 @@ CONFIG = {"step": (float, None, _POSITIVE),
 
 
 def _holds_bool(value) -> bool:
-    """Whether a JSON value is a boolean (numpy's 0 or 1) or a list holding one."""
-    return type(value) is bool or type(value) is list and any(map(_holds_bool, value))
+    """Whether a JSON value is a boolean (numpy's 0 or 1) or a list holding
+    one; a list's entries are read by type, and only nested lists recurse."""
+    if type(value) is not list:
+        return type(value) is bool
+    kinds = set(map(type, value))
+    return bool in kinds or list in kinds and any(map(_holds_bool, value))
 
 
 def _value(value, field: str, kind=None, low=1, rule=None, high=None):

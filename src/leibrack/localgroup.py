@@ -41,7 +41,8 @@ from math import factorial, isqrt
 import numpy as np
 
 from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, \
-    frozen_array, full_rank, homomorphism_residuals, same_algebra, set_frozen
+    frozen_array, full_rank, homomorphism_residuals, same_algebra, scan_rows, \
+    set_frozen
 from .errors import CapabilityError, ChartError, DomainError, MembershipError, \
     StructuralError
 from .report import Collector, ValidityReport
@@ -165,9 +166,10 @@ class MatrixRep:
 
 def check_rep(rep: MatrixRep, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Representation homomorphism law plus faithfulness (full-rank stack)."""
+    C, A = rep.algebra.structure_constants, rep.matrices
     col = Collector(tol)
-    col.scan("representation-homomorphism", homomorphism_residuals(
-        rep.algebra.structure_constants, rep.matrices))
+    scan_rows(col, "representation-homomorphism", len(A), A.size,
+              lambda s: homomorphism_residuals(C, A, s))
     faithful, ratio = full_rank(rep.basis_stack, rep.algebra.dim)
     if not faithful:
         col.add("faithful")

@@ -29,8 +29,9 @@ from . import catalog
 from .algebra import (DEFAULT_TOL, LeibnizAlgebraData, LieAlgebraData,
                       ModuleAction, SubspaceBasis, bracket_closure_check,
                       bracket_map_residuals, brackets, check_leibniz,
-                      check_lie_algebra, check_module, frozen_array,
-                      lie_algebra, same_algebra, set_frozen)
+                      check_lie_algebra, check_module, derivation_residuals,
+                      frozen_array, lie_algebra, same_algebra, scan_rows,
+                      set_frozen)
 from .errors import AxiomError, StructuralError
 from .report import Collector, ValidityReport
 
@@ -162,7 +163,7 @@ def max_strictness_subalgebra(triple: LieLeibnizTriple,
     n, d = triple.dim_g, triple.dim_v
     stack = _defect_stack(triple.algebra, triple.action, triple.theta)
     L = stack.reshape(n, n * d).T          # columns indexed by basis elements
-    _, s, Vt = np.linalg.svd(L)
+    _, s, Vt = np.linalg.svd(L, full_matrices=False)
     cutoff = tol * (s[0] if s.size else 0.0)
     mask = s <= cutoff
     basis = SubspaceBasis(n, Vt[mask])
@@ -302,12 +303,9 @@ def check_lie_crossed_module(cm: LieAlgebraCrossedModule,
         scope = np.eye(N.dim)
 
     # action by derivations of the bracket of m, one row per n in scope
-    Bm, A = M.structure_constants, eta.action_matrices
-    E = np.einsum("pi,iab->pab", scope, A)
-    der = (np.einsum("abm,pkm->pabk", Bm, E)
-           - np.einsum("pia,ibk->pabk", E, Bm)
-           - np.einsum("pjb,ajk->pabk", E, Bm))
-    col.scan("action-by-derivations", np.max(np.abs(der), axis=(1, 2, 3)))
+    Bm, E = M.structure_constants, np.einsum("pi,iab->pab", scope, eta.action_matrices)
+    scan_rows(col, "action-by-derivations", len(E), M.dim ** 3, lambda s: np.max(
+        np.abs(derivation_residuals(Bm, E, s)), axis=(1, 2, 3)))
 
     # condition one: mu(eta(n)(m)) = [n, mu(m)], per row of scope
     theta = EmbeddingTensor(mu)

@@ -12,48 +12,61 @@ from leibrack import (LeibnizAlgebraData, LieAlgebraData, ModuleAction,
 from leibrack import catalog
 
 
-def jacobi_residual_by_loops(C: np.ndarray) -> float:
-    """Independent oracle: the Jacobi identity summed with explicit loops."""
+def jacobi_table_by_loops(C: np.ndarray) -> np.ndarray:
+    """Independent oracle: the Jacobi identity at every basis tuple
+    (i, j, k, l), summed with explicit loops."""
     n = C.shape[0]
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    total = 0.0
-                    for m in range(n):
-                        total += C[i, j, m] * C[m, k, l]
-                        total += C[j, k, m] * C[m, i, l]
-                        total += C[k, i, m] * C[m, j, l]
-                    worst = max(worst, abs(total))
-    return worst
+    table = np.zeros((n,) * 4)
+    for i, j, k, l in np.ndindex(table.shape):
+        total = 0.0
+        for m in range(n):
+            total += C[i, j, m] * C[m, k, l]
+            total += C[j, k, m] * C[m, i, l]
+            total += C[k, i, m] * C[m, j, l]
+        table[i, j, k, l] = total
+    return table
 
 
-def module_residual_by_loops(C: np.ndarray, A: np.ndarray) -> float:
-    """Independent oracle for sum_k C[i,j,k] A_k = [A_i, A_j]."""
+def module_table_by_loops(C: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Independent oracle for sum_k C[i,j,k] A_k = [A_i, A_j], one matrix
+    of residuals per index pair (i, j)."""
     n = C.shape[0]
-    worst = 0.0
+    table = np.zeros((n, n) + A.shape[1:])
     for i in range(n):
         for j in range(n):
             want = sum(C[i, j, k] * A[k] for k in range(n))
-            have = A[i] @ A[j] - A[j] @ A[i]
-            worst = max(worst, float(np.max(np.abs(want - have))))
-    return worst
+            table[i, j] = want - (A[i] @ A[j] - A[j] @ A[i])
+    return table
 
 
-def leibniz_residual_by_loops(B: np.ndarray) -> float:
-    """Independent oracle for [u,[v,w]] = [[u,v],w] + [v,[u,w]]."""
+def leibniz_table_by_loops(B: np.ndarray) -> np.ndarray:
+    """Independent oracle for [u,[v,w]] = [[u,v],w] + [v,[u,w]], one vector
+    of residuals per basis triple (u, v, w)."""
     d = B.shape[0]
     def br(x, y):
         return np.einsum("i,j,ijk->k", x, y, B)
-    worst = 0.0
+    table = np.zeros((d,) * 4)
     basis = np.eye(d)
-    for u in basis:
-        for v in basis:
-            for w in basis:
-                gap = br(u, br(v, w)) - br(br(u, v), w) - br(v, br(u, w))
-                worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    for i, j, k in np.ndindex(d, d, d):
+        u, v, w = basis[i], basis[j], basis[k]
+        table[i, j, k] = br(u, br(v, w)) - br(br(u, v), w) - br(v, br(u, w))
+    return table
+
+
+def worst(table: np.ndarray) -> float:
+    return float(np.max(np.abs(table), initial=0.0))
+
+
+def jacobi_residual_by_loops(C: np.ndarray) -> float:
+    return worst(jacobi_table_by_loops(C))
+
+
+def module_residual_by_loops(C: np.ndarray, A: np.ndarray) -> float:
+    return worst(module_table_by_loops(C, A))
+
+
+def leibniz_residual_by_loops(B: np.ndarray) -> float:
+    return worst(leibniz_table_by_loops(B))
 
 
 @pytest.mark.parametrize("name", sorted(catalog.ALGEBRA_BUILDERS))

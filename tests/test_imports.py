@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and
-``verify`` and ``integrate`` run without loading scipy.
+"""Every name a package module imports is used in that module, no einsum
+builds a table of four or more indices, and ``verify`` and ``integrate`` run
+without loading scipy.
 
 No lint tool ships with the package, so this reads the sources with ``ast``.
 ``__init__.py`` is exempt: its imports are the package's re-exports.
@@ -41,6 +42,45 @@ def test_unused_imports_are_found():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def einsum_outputs(source: str) -> list:
+    """(line, output indices) of every einsum call; the indices are None
+    when the subscripts are not a string literal."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if getattr(func, "attr", getattr(func, "id", None)) != "einsum":
+            continue
+        spec = node.args[0] if node.args else None
+        if isinstance(spec, ast.Constant) and isinstance(spec.value, str):
+            if "->" in spec.value:
+                out = [c for c in spec.value.split("->")[1] if c.isalpha()]
+            else:               # implicit mode: every index used once
+                used = [c for c in spec.value if c.isalpha()]
+                out = sorted(c for c in set(used) if used.count(c) == 1)
+            calls.append((node.lineno, "".join(out)))
+        else:
+            calls.append((node.lineno, None))
+    return sorted(calls, key=lambda call: call[0])
+
+
+def test_einsum_outputs_are_read():
+    source = ("np.einsum('ijm,mkl->ijkl', C, C)\n"
+              "einsum('i,ijk->kj', x, C)\n"
+              "np.einsum('...i,iab->...ab', c, M)\n"
+              "np.einsum('ij,jk', a, b)\n"
+              "np.einsum(spec, a)\n")
+    assert einsum_outputs(source) == [(1, "ijkl"), (2, "kj"), (3, "ab"),
+                                      (4, "ik"), (5, None)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_einsum_builds_a_four_index_table(path):
+    # a two-tensor contraction to four indices costs d^5 in c_einsum and a
+    # whole d^4 table; such laws are matrix products in row blocks instead
+    assert [(line, out) for line, out in einsum_outputs(path.read_text("utf-8"))
+            if out is None or len(out) >= 4] == []
 
 
 def test_verify_does_not_load_scipy():

@@ -20,6 +20,7 @@ from leibrack import (AxiomError, DiffConfig, EmbeddingTensor, FiniteGroup, Fini
                       conjugation_triple, scaling_crossed_module,
                       scaling_triple, working_rep)
 from leibrack.algebra import frozen_array, integer
+from leibrack.cli import _holds_bool
 from leibrack.examples import relaxed_crossed_module_z3_s3
 
 NAN, INF = math.nan, math.inf
@@ -226,3 +227,22 @@ def test_the_same_algebra_is_checked_by_structure_constants():
         working_rep(adjoint_rep(SL2), action)
     twin = LieAlgebraData(3, SL2.basis_labels, SL2.structure_constants)
     assert working_rep(adjoint_rep(SL2), twin.adjoint_action()).matrix_dim == 6
+
+
+def holds_bool_by_recursion(value) -> bool:
+    """The plain recursive definition of ``cli._holds_bool``."""
+    return type(value) is bool or type(value) is list and any(
+        map(holds_bool_by_recursion, value))
+
+
+JSON_LEAVES = (st.floats(allow_nan=False) | st.integers() | st.booleans()
+               | st.text(max_size=3) | st.none())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(value=JSON_VALUES)
+def test_holds_bool_agrees_with_its_recursive_definition(value):
+    assert _holds_bool(value) == holds_bool_by_recursion(value)
