@@ -4,7 +4,7 @@ integration bridge between them, with everything axiom-checked numerically."""
 from .algebra import (DEFAULT_TOL, LeibnizAlgebraData, LieAlgebraData,
                       ModuleAction, SubspaceBasis, bracket_closure_check,
                       brackets, check_leibniz, check_lie_algebra, check_module,
-                      ideal_check, lie_algebra)
+                      lie_algebra)
 from .errors import (AxiomError, CapabilityError, ChartError, DomainError,
                      LeibrackError, MembershipError, StructuralError)
 from .integrate import (IntegrationReport, LocalRackModel, RackPoint,
@@ -21,8 +21,7 @@ from .racks import (FiniteGroup, FiniteRack, GroupCrossedModule,
                     check_group, check_group_crossed_module,
                     check_group_rack_triple, check_rack,
                     check_rack_triple_morphism, conjugation_crossed_module,
-                    conjugation_rack, conjugation_triple, derived_rack,
-                    group_defect)
+                    conjugation_rack, conjugation_triple, derived_rack)
 from .report import ValidityReport, Violation
 from .triples import (EmbeddingTensor, LieAlgebraCrossedModule,
                       LieLeibnizTriple, RelaxedAugmentation, TripleMorphism,

@@ -52,11 +52,25 @@ def full_rank(M: np.ndarray, rank: int) -> tuple:
     return ratio > max(M.shape) * np.finfo(float).eps, ratio
 
 
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is a boolean or a list or tuple holding one at any
+    depth; a list's entries are read by type, and only nested lists recurse."""
+    if type(value) not in (list, tuple):
+        return type(value) in (bool, np.bool_)
+    kinds = set(map(type, value))
+    if kinds & {bool, np.bool_}:
+        return True
+    return bool(kinds & {list, tuple}) and any(map(_holds_bool, value))
+
+
 def frozen_array(values, shape=None, what="array", bound=None) -> np.ndarray:
     """``values`` as a read-only copy: finite float64 numbers, or with
     ``bound`` int64 integers in [0, bound).  A ``None`` entry of ``shape``
     accepts any length; an empty input fits a shape with one such entry, as
-    length 0.  Strings, objects and booleans are not numbers."""
+    length 0.  Strings, objects and booleans are not numbers, also inside a
+    list that NumPy would read as numbers."""
+    if _holds_bool(values):
+        raise StructuralError(f"{what}: entries must be numbers")
     try:
         arr = np.asarray(values)
     except ValueError:
@@ -219,13 +233,6 @@ class SubspaceBasis:
     def contains(self, vec, tol: float = DEFAULT_TOL) -> bool:
         return self.distance(vec) <= tol
 
-    def spans_same(self, other: "SubspaceBasis", tol: float = DEFAULT_TOL) -> bool:
-        """True when both spans contain each other's basis vectors."""
-        if self.ambient_dim != other.ambient_dim:
-            raise StructuralError("ambient dimensions differ")
-        return bool(np.all(self.distance(other.vectors) <= tol)
-                    and np.all(other.distance(self.vectors) <= tol))
-
 
 def scan_rows(col: Collector, law: str, rows: int, row_size: int, block):
     """Scan the residual table of ``law`` into ``col`` a block of first-index
@@ -319,12 +326,3 @@ def bracket_closure_check(alg: LieAlgebraData, sub: SubspaceBasis,
         raise StructuralError("subspace lives in a different ambient space")
     W = sub.vectors
     return not np.any(sub.distance(brackets(alg.structure_constants, W, W)) > tol)
-
-
-def ideal_check(alg: LieAlgebraData, sub: SubspaceBasis,
-                tol: float = DEFAULT_TOL) -> bool:
-    """True when [g, sub] stays inside sub."""
-    if sub.ambient_dim != alg.dim:
-        raise StructuralError("subspace lives in a different ambient space")
-    return not np.any(sub.distance(brackets(
-        alg.structure_constants, np.eye(alg.dim), sub.vectors)) > tol)

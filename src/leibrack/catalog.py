@@ -100,11 +100,6 @@ def sl2() -> LieAlgebraData:
     return algebra_by_name("sl2")
 
 
-def upper_triangular3() -> LieAlgebraData:
-    """3x3 upper triangular matrices: diagonal units, then E12, E13, E23."""
-    return algebra_by_name("ut3")
-
-
 # Ideals are given by rows of coordinates; each was hand checked to satisfy
 # [g, ideal] in ideal and is re-verified by the test suite.
 IDEAL_VECTORS = {

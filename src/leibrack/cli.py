@@ -87,15 +87,6 @@ CONFIG = {"step": (float, None, _POSITIVE),
                                    f"in (0, {CHART_RADIUS}]"))}
 
 
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is a boolean (numpy's 0 or 1) or a list holding
-    one; a list's entries are read by type, and only nested lists recurse."""
-    if type(value) is not list:
-        return type(value) is bool
-    kinds = set(map(type, value))
-    return bool in kinds or list in kinds and any(map(_holds_bool, value))
-
-
 def _value(value, field: str, kind=None, low=1, rule=None, high=None):
     """Every spec field and flag is read here: ``value`` as ``kind`` (int,
     float, str, list or dict), else by the constructors' array rule
@@ -105,8 +96,6 @@ def _value(value, field: str, kind=None, low=1, rule=None, high=None):
     ``rule`` (a test and what it asks) when one is given.  A StructuralError
     names ``field`` when the value does not fit."""
     if kind is None or type(kind) is tuple:
-        if _holds_bool(value):
-            raise StructuralError(f"{field}: entries must be numbers")
         return frozen_array(value, kind, field)
     if kind is int:
         return integer(value, field, low, high)

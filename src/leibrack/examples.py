@@ -12,13 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import catalog
-from .racks import GroupCrossedModule
+from .racks import GroupCrossedModule, _conjugation_table
 
 # index layout of symmetric3(): identity first, then lexicographic; the even
 # permutations (1,2,0) and (2,0,1) land at positions 3 and 4
 A3_INDICES = (0, 3, 4)
-_Z3_TO_S3 = {0: 0, 1: 3, 2: 4}
-_S3_TO_Z3 = {v: k for k, v in _Z3_TO_S3.items()}
 
 
 def inclusion_crossed_module_z3_s3() -> GroupCrossedModule:
@@ -27,14 +25,11 @@ def inclusion_crossed_module_z3_s3() -> GroupCrossedModule:
     Conjugation preserves the image, so the boundary map is equivariant for
     every group element: a strict (unrestricted) crossed module.
     """
-    z3 = catalog.cyclic_group(3)
-    s3 = catalog.symmetric3()
-    mu = np.array([_Z3_TO_S3[m] for m in range(3)], dtype=np.int64)
-    eta = np.empty((s3.size, z3.size), dtype=np.int64)
-    for n in range(s3.size):
-        for m in range(z3.size):
-            eta[n, m] = _S3_TO_Z3[s3.conj(n, mu[m])]
-    return GroupCrossedModule(z3, s3, mu, eta)
+    s3, mu = catalog.symmetric3(), np.array(A3_INDICES, dtype=np.int64)
+    # n mu(m) n^-1 is an even permutation; its position in the sorted mu is
+    # its preimage under mu
+    eta = np.searchsorted(mu, _conjugation_table(s3)[:, mu])
+    return GroupCrossedModule(catalog.cyclic_group(3), s3, mu, eta)
 
 
 def relaxed_crossed_module_z3_s3() -> GroupCrossedModule:
@@ -46,6 +41,6 @@ def relaxed_crossed_module_z3_s3() -> GroupCrossedModule:
     """
     z3 = catalog.cyclic_group(3)
     s3 = catalog.symmetric3()
-    mu = np.array([_Z3_TO_S3[m] for m in range(3)], dtype=np.int64)
+    mu = np.array(A3_INDICES, dtype=np.int64)
     eta = np.tile(np.arange(z3.size, dtype=np.int64), (s3.size, 1))
     return GroupCrossedModule(z3, s3, mu, eta, n_prime=A3_INDICES)

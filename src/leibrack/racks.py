@@ -176,18 +176,6 @@ def derived_rack(triple: GroupRackTriple) -> FiniteRack:
     return FiniteRack(triple.x_size, T, basepoint=triple.basepoint)
 
 
-def group_defect(triple: GroupRackTriple, g: int) -> np.ndarray:
-    """Per-point defect (g theta(x) g^-1) theta(g.x)^-1 as group indices.
-
-    The trivial value everywhere is the group unit; the triple is strict at g
-    exactly when this table is constantly the unit.
-    """
-    G = triple.group
-    conj = _conjugation_table(G)[g, triple.theta_table]
-    moved = triple.theta_table[triple.action_table[g]]
-    return G.mul_table[conj, G.inverse_table[moved]]
-
-
 def check_group_rack_triple(triple: GroupRackTriple) -> ValidityReport:
     """Axioms of an augmented pointed rack presented by a group triple.
 

@@ -101,9 +101,10 @@ def triple_reports(algebra: LieAlgebraData, action: ModuleAction,
         derived.bracket_tensor, algebra.structure_constants, theta.matrix))
     col.merge(check_leibniz(derived, tol))
 
-    defect = np.max(np.abs(_defect_stack(algebra, action, theta)))
-    return alg_rep, mod_rep, col.report({"strict": bool(defect <= tol),
-                                         "max_defect": float(defect)})
+    stack = _defect_stack(algebra, action, theta)
+    return alg_rep, mod_rep, col.report({
+        "strict": len(_equivariant_rows(stack, tol)) == algebra.dim,
+        "max_defect": float(np.max(np.abs(stack)))})
 
 
 def check_triple(algebra: LieAlgebraData, action: ModuleAction,
@@ -138,6 +139,16 @@ def _defect_stack(algebra: LieAlgebraData, action: ModuleAction,
         Th @ action.action_matrices
 
 
+def _equivariant_rows(stack: np.ndarray, tol: float) -> np.ndarray:
+    """The one rule for h (strict: h = g): the right singular vectors of a ->
+    defect(a) with singular value <= ``tol``, none if the defect overflowed."""
+    L = stack.reshape(len(stack), -1).T     # columns indexed by basis elements
+    if not np.isfinite(L).all():
+        return L[:0]
+    _, s, Vt = np.linalg.svd(L, full_matrices=False)
+    return Vt[s <= tol]
+
+
 def equivariance_defect(triple: LieLeibnizTriple, a) -> np.ndarray:
     """Matrix of v -> [a, theta(v)] - theta(a . v), shape (dim g, dim V);
     for a stack of rows a, one such matrix per row."""
@@ -146,27 +157,18 @@ def equivariance_defect(triple: LieLeibnizTriple, a) -> np.ndarray:
 
 
 def is_strict(triple: LieLeibnizTriple, tol: float = DEFAULT_TOL) -> bool:
-    """True when every algebra element acts equivariantly on the embedding."""
+    """True when the equivariant subalgebra is all of g."""
     stack = _defect_stack(triple.algebra, triple.action, triple.theta)
-    return bool(np.max(np.abs(stack)) <= tol)
+    return len(_equivariant_rows(stack, tol)) == triple.dim_g
 
 
 def max_strictness_subalgebra(triple: LieLeibnizTriple,
                               tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """The largest subspace of g on which the defect map vanishes.
-
-    Computed as the kernel of a -> defect(a) via SVD with threshold
-    tol * (largest singular value).  The result is always a subalgebra
-    containing the image of the embedding tensor; both facts are re-verified
-    before returning.
-    """
-    n, d = triple.dim_g, triple.dim_v
+    """The largest subspace of g on which the defect map vanishes, by the
+    rule that decides strictness.  It is always a subalgebra containing the
+    image of the embedding tensor; both facts are re-verified."""
     stack = _defect_stack(triple.algebra, triple.action, triple.theta)
-    L = stack.reshape(n, n * d).T          # columns indexed by basis elements
-    _, s, Vt = np.linalg.svd(L, full_matrices=False)
-    cutoff = tol * (s[0] if s.size else 0.0)
-    mask = s <= cutoff
-    basis = SubspaceBasis(n, Vt[mask])
+    basis = SubspaceBasis(triple.dim_g, _equivariant_rows(stack, tol))
     aug_report = check_relaxed_augmentation(
         RelaxedAugmentation(triple, basis), max(tol, 1e-7))
     if not aug_report.passed:

@@ -7,8 +7,8 @@ import pytest
 
 from leibrack import (LeibnizAlgebraData, LieAlgebraData, ModuleAction,
                       StructuralError, SubspaceBasis, bracket_closure_check,
-                      check_leibniz, check_lie_algebra, check_module,
-                      ideal_check, lie_algebra)
+                      brackets, check_leibniz, check_lie_algebra,
+                      check_module, lie_algebra)
 from leibrack import catalog
 
 
@@ -174,8 +174,9 @@ def test_zero_subspace_and_span_comparison():
     assert zero.distance([1.0, 2.0, 2.0]) == pytest.approx(3.0)
     a = SubspaceBasis(3, [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     b = SubspaceBasis(3, [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
-    assert a.spans_same(b)
-    assert not a.spans_same(SubspaceBasis(3, [[0.0, 0.0, 1.0]]))
+    assert np.all(a.distance(b.vectors) <= 1e-12)     # the same span
+    assert np.all(b.distance(a.vectors) <= 1e-12)
+    assert a.distance([0.0, 0.0, 1.0]) == pytest.approx(1.0)
 
 
 def test_dependent_vectors_rejected():
@@ -200,7 +201,9 @@ def test_catalog_ideals_really_are_ideals():
     for name, ideal in catalog.IDEAL_CHOICES:
         alg = catalog.algebra_by_name(name)
         sub = catalog.ideal_subspace(name, ideal)
-        assert ideal_check(alg, sub), (name, ideal)
+        # [g, ideal] stays in the ideal
+        assert np.all(sub.distance(brackets(alg.structure_constants, np.eye(
+            alg.dim), sub.vectors)) <= 1e-9), (name, ideal)
         assert bracket_closure_check(alg, sub), (name, ideal)
 
 

@@ -76,8 +76,7 @@ def test_algebras_and_representations_match_hand_data():
         assert same_bits(catalog.faithful_rep_matrices(name),
                          REPRESENTATIONS[name]), name
     named = {"nonabelian2": catalog.nonabelian2(), "heisenberg": catalog.heisenberg(),
-             "sl2": catalog.sl2(), "ut3": catalog.upper_triangular3(),
-             "abelian3": catalog.abelian(3)}
+             "sl2": catalog.sl2(), "abelian3": catalog.abelian(3)}
     for name, alg in named.items():
         assert alg.basis_labels == BRACKETS[name][0], name
         assert same_bits(alg.structure_constants, oracle_constants(name)), name

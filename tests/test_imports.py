@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, no einsum
-builds a table of four or more indices, and ``verify`` and ``integrate`` run
-without loading scipy.
+"""Every name a package module imports is used in that module, every name
+the package exports is used outside the tests, no einsum builds a table of
+four or more indices, and ``verify`` and ``integrate`` run without loading
+scipy.
 
 No lint tool ships with the package, so this reads the sources with ``ast``.
 ``__init__.py`` is exempt: its imports are the package's re-exports.
@@ -10,13 +11,15 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "leibrack"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "leibrack"
 
 
 def unused_imports(source: str) -> list:
@@ -42,6 +45,35 @@ def test_unused_imports_are_found():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def read_names(source: str) -> set:
+    """Names that an expression reads, bare or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return {node.id for node in nodes if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
+def test_read_names_skip_definitions_and_stores():
+    source = "def f(x):\n    return g(x.y)\nclass C: pass\nz = 1\n"
+    assert read_names(source) == {"g", "x", "y"}
+
+
+def test_every_export_is_used_outside_the_tests():
+    # an export that only the tests reach is dead code; a read in another
+    # module of the package, a mention in bench/ or the README, or a use in
+    # the acceptance tests keeps it
+    import leibrack
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= read_names(path.read_text("utf-8"))
+    texts = [*ROOT.glob("bench/*.py"), *ROOT.glob("bench/*.md"),
+             ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    for path in texts:
+        used |= set(re.findall(r"\w+", path.read_text("utf-8")))
+    assert sorted(set(leibrack.__all__) - used) == []
 
 
 def einsum_outputs(source: str) -> list:

@@ -64,7 +64,7 @@ def test_build_model_rejects_bad_ingredients():
 def test_default_h_basis_for_relaxed_triple():
     model = scaling_model(2.0)
     assert model.h_basis.dim == 1
-    assert model.h_basis.spans_same(SubspaceBasis(2, [[0.0, 1.0]]))
+    assert model.h_basis.contains([0.0, 1.0])
 
 
 def test_point_membership_rules():

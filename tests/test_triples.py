@@ -17,7 +17,7 @@ from leibrack import (AxiomError, EmbeddingTensor, LieAlgebraCrossedModule,
                       scaling_crossed_module, scaling_triple,
                       triple_from_crossed_module)
 from leibrack import (StructuralError, bracket_closure_check, catalog,
-                      check_lie_algebra, check_module, ideal_check)
+                      check_lie_algebra, check_module)
 from leibrack.report import Collector
 from leibrack.triples import _ideal_action
 
@@ -80,7 +80,7 @@ def test_scaling_family_validity_and_strictness(lam):
     h = max_strictness_subalgebra(triple)
     assert h.dim == (2 if lam == 1.0 else 1)
     if lam != 1.0:
-        assert h.spans_same(SubspaceBasis(2, [[0.0, 1.0]]))
+        assert h.contains([0.0, 1.0])
 
 
 @pytest.mark.parametrize("lam", LAMBDA_GRID)
@@ -143,9 +143,8 @@ def test_relaxed_augmentation_positive_and_negative():
 
 def test_max_strictness_subalgebra_spans_expected_kernel():
     h = max_strictness_subalgebra(scaling_triple(0.0))
-    assert h.spans_same(SubspaceBasis(2, [[0.0, 1.0]]))
-    h1 = max_strictness_subalgebra(scaling_triple(1.0))
-    assert h1.spans_same(SubspaceBasis(2, np.eye(2)))
+    assert h.dim == 1 and h.contains([0.0, 1.0])
+    assert max_strictness_subalgebra(scaling_triple(1.0)).dim == 2
 
 
 def test_identity_morphism_passes():
@@ -290,11 +289,6 @@ def distance_by_lstsq(W, v):
 def closure_by_loops(alg, sub, tol=1e-9):
     return all(distance_by_lstsq(sub.vectors, alg.bracket(x, y)) <= tol
                for x in sub.vectors for y in sub.vectors)
-
-
-def ideal_check_by_loops(alg, sub, tol=1e-9):
-    return all(distance_by_lstsq(sub.vectors, alg.bracket(x, y)) <= tol
-               for x in np.eye(alg.dim) for y in sub.vectors)
 
 
 def ideal_action_by_loops(alg, sub):
@@ -587,7 +581,6 @@ def test_ideal_checks_match_loops(name, ideal, seed):
         mixed = rng.standard_normal((len(sub_rows),) * 2) + 2 * np.eye(len(sub_rows))
         sub = SubspaceBasis(n, mixed @ sub_rows)
         assert bracket_closure_check(alg, sub) == closure_by_loops(alg, sub)
-        assert ideal_check(alg, sub) == ideal_check_by_loops(alg, sub)
         try:
             want = ideal_action_by_loops(alg, sub)
         except StructuralError as exc:
@@ -597,4 +590,4 @@ def test_ideal_checks_match_loops(name, ideal, seed):
         action, m_C = _ideal_action(alg, sub)
         for got, ref in ((action.action_matrices, want[0]), (m_C, want[1])):
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-    assert ideal_check(alg, SubspaceBasis(n, rows_in(P, rows)))
+    _ideal_action(alg, SubspaceBasis(n, rows_in(P, rows)))    # no error: an ideal

@@ -19,8 +19,7 @@ from leibrack import (AxiomError, DiffConfig, EmbeddingTensor, FiniteGroup, Fini
                       adjoint_rep, build_model, catalog, conjugation_rack,
                       conjugation_triple, scaling_crossed_module,
                       scaling_triple, working_rep)
-from leibrack.algebra import frozen_array, integer
-from leibrack.cli import _holds_bool
+from leibrack.algebra import _holds_bool, frozen_array, integer
 from leibrack.examples import relaxed_crossed_module_z3_s3
 
 NAN, INF = math.nan, math.inf
@@ -155,12 +154,16 @@ def test_a_fractional_index_is_rejected_not_truncated(make, name):
     (lambda: FiniteGroup.from_mul_table(S3.mul_table, unit=1.5), "unit"),
     (lambda: FiniteRack(True, [[0]]), "size"),
     (lambda: EmbeddingTensor([[NAN]]), "embedding tensor"),
+    (lambda: EmbeddingTensor([[True], [1.0]]), "embedding tensor"),
+    (lambda: FiniteRack(2, [[0, True], [1, 0]]), "rack table"),
+    (lambda: ModuleAction(NAB, 1, [[[2.0]], ((np.False_,),)]), "action matrices"),
     (lambda: DiffConfig(step=INF), "step"),
     (lambda: LocalRackModel(MODEL.triple, MODEL.rep, 2.0, MODEL.h_basis,
                             MODEL.radius, MODEL.cfg), "base_dim"),
 ], ids=["basepoint-string", "unit-none", "labels-none", "rep-string",
         "theta-string", "subspace-string", "step-string", "from-table-unit",
-        "size-bool", "theta-nan", "step-inf", "base_dim-float"])
+        "size-bool", "theta-nan", "theta-bool-in-list", "rack-bool-in-list",
+        "action-numpy-bool-in-tuple", "step-inf", "base_dim-float"])
 def test_a_malformed_value_is_a_structural_error_naming_it(make, name):
     with pytest.raises(StructuralError, match=name):
         make()
@@ -183,6 +186,7 @@ def test_the_array_rule():
     for values, message in [
             ([["1"]], "entries must be numbers"),
             ([[True]], "entries must be numbers"),
+            ([[0], [True]], "entries must be numbers"),
             ([[None]], "entries must be numbers"),
             ([[1.0], [1.0, 2.0]], "rows must have equal lengths"),
             ([[INF]], "entries must be finite"),
@@ -230,15 +234,16 @@ def test_the_same_algebra_is_checked_by_structure_constants():
 
 
 def holds_bool_by_recursion(value) -> bool:
-    """The plain recursive definition of ``cli._holds_bool``."""
-    return type(value) is bool or type(value) is list and any(
-        map(holds_bool_by_recursion, value))
+    """The plain recursive definition of ``algebra._holds_bool``."""
+    return type(value) in (bool, np.bool_) or type(value) in (list, tuple) \
+        and any(map(holds_bool_by_recursion, value))
 
 
 JSON_LEAVES = (st.floats(allow_nan=False) | st.integers() | st.booleans()
-               | st.text(max_size=3) | st.none())
+               | st.booleans().map(np.bool_) | st.text(max_size=3) | st.none())
 JSON_VALUES = st.recursive(
     JSON_LEAVES, lambda inner: st.lists(inner, max_size=6)
+    | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=30)
 
 
