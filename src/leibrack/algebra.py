@@ -136,11 +136,6 @@ class LieAlgebraData:
         C = frozen_array(self.structure_constants, (n, n, n), "structure constants")
         set_frozen(self, dim=n, basis_labels=labels, structure_constants=C)
 
-    def bracket(self, x, y) -> np.ndarray:
-        """[x, y] for coordinate vectors x, y."""
-        return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float),
-                         self.structure_constants)
-
     def ad(self, x) -> np.ndarray:
         """Matrix of y -> [x, y] in the chosen basis."""
         return np.einsum("i,ijk->kj", np.asarray(x, float), self.structure_constants)
@@ -173,10 +168,6 @@ class ModuleAction:
         set_frozen(self, dim_v=d, action_matrices=frozen_array(
             self.action_matrices, (self.algebra.dim, d, d), "action matrices"))
 
-    def act(self, x) -> np.ndarray:
-        """Matrix of the action of the algebra element with coordinates x."""
-        return np.einsum("i,iab->ab", np.asarray(x, float), self.action_matrices)
-
 
 @dataclass(frozen=True, eq=False)
 class LeibnizAlgebraData:
@@ -189,10 +180,6 @@ class LeibnizAlgebraData:
         d = integer(self.dim, "dim")
         set_frozen(self, dim=d, bracket_tensor=frozen_array(
             self.bracket_tensor, (d, d, d), "bracket tensor"))
-
-    def bracket(self, x, y) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float),
-                         self.bracket_tensor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,9 +216,6 @@ class SubspaceBasis:
             cols = self.vectors.T @ coeff - cols
         dist = np.linalg.norm(cols, axis=0).reshape(v.shape[:-1])
         return float(dist) if v.ndim == 1 else dist
-
-    def contains(self, vec, tol: float = DEFAULT_TOL) -> bool:
-        return self.distance(vec) <= tol
 
 
 def scan_rows(col: Collector, law: str, rows: int, row_size: int, block):

@@ -373,13 +373,10 @@ def cmd_integrate(args) -> int:
 
     triple = build_triple(parts["algebra"], parts["action"], parts["theta"])
     cfg = DiffConfig(**pick(step="step", scheme="scheme"))
-    # a stencil that divides 0 by 0 gives NaN, which the report shows, and a
-    # huge step overflows to a norm that leaves the domain, which is reported
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        model = build_model(triple, rep=parts["rep"], h_basis=parts["h_basis"],
-                            cfg=cfg, **pick(radius="radius"))
-        report = run_integration_suites(model, **pick(
-            samples="samples", seed="seed", roundtrip_tol="tolerance"))
+    model = build_model(triple, rep=parts["rep"], h_basis=parts["h_basis"],
+                        cfg=cfg, **pick(radius="radius"))
+    report = run_integration_suites(model, **pick(
+        samples="samples", seed="seed", roundtrip_tol="tolerance"))
 
     step = model.cfg.step
     lines = [
@@ -468,8 +465,8 @@ def _discrete_row(case: str, good: bool, **extra) -> dict:
 
 
 def _corpus_discrete() -> list:
-    rows = []
-    for name, group in sorted(catalog.group_catalog().items()):
+    rows, groups = [], catalog.group_catalog()
+    for name, group in sorted(groups.items()):
         g_rep = check_group(group)
         t_rep = check_group_rack_triple(conjugation_triple(group))
         rows.append(_discrete_row(
@@ -477,7 +474,7 @@ def _corpus_discrete() -> list:
             g_rep.passed and t_rep.passed and t_rep.info["strict"]))
 
     for name in ("s3", "d4", "q8"):
-        cm = conjugation_crossed_module(catalog.group_catalog()[name])
+        cm = conjugation_crossed_module(groups[name])
         rep = check_group_crossed_module(cm)
         t_rep = check_group_rack_triple(augmented_rack_from_crossed_module(cm))
         rows.append(_discrete_row(f"conjugation_crossed_module[{name}]",
@@ -561,8 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a residual or a stencil that overflows or divides 0 by 0 gives inf or
+    # NaN, which the report shows or the domain check catches
     try:
-        return args.func(args)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return args.func(args)
     except StructuralError as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

@@ -33,17 +33,17 @@ group-valued defect
 returns the infinitesimal defect map of the triple.  All group coordinates
 used in derivatives are re-extracted from matrices through the logarithm, so
 the round trip genuinely exercises exp and log rather than echoing inputs.
-Each tensor is one stencil call over all its basis directions, on the same
-stacked kernels as the suites; the defect exponentiates exp(c), exp(-c) and
-Phi(p) once per distinct direction and offset of a stencil call.  A
-direction with a failed stencil point reruns at a tenth of the step, and
+Each tensor is one call of a pure stencil over all its basis directions, on
+the same stacked kernels as the suites: like a suite's trial, each kernel
+chain returns its values and the first failure of its steps.  The defect
+exponentiates exp(+-c) and Phi(p) once per bitwise-distinct stencil point.
+A direction with a failed stencil point reruns at a tenth of the step, and
 raises its first failure if it fails again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -333,113 +333,96 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
 def _recover(model: LocalRackModel, stencil, points, *dirs):
     """Differentiate along k directions with one ``stencil`` call: the
     derivatives and the mask of directions that shrank.  ``dirs`` holds one
-    (k, .) stack of directions per stencil offset.  Each stencil call hands
-    ``points(model, *axes)`` one pair (offsets, directions) per offset, and
-    what it returns, ``at(step, sl)``, evaluates the slice ``sl`` of the s k
-    stencil points (direction outer, offset inner), in chunks of _CHUNK
-    matrix entries; ``at`` makes each kernel call that can fail as
-    ``step(kernel, *args)``, which keeps the failures.  A direction with a
-    failed point reruns at a tenth of the step; if it fails again, the
-    failure of its first failed point (first direction first) is raised."""
+    (k, .) stack of directions per stencil axis.  An axis' offsets t times
+    its directions give its s k stencil points (direction outer, offset
+    inner), and ``points(model, *axes)`` returns ``at(sl)``: the values of
+    the slice ``sl`` of the points and their FAILURE records, evaluated in
+    chunks of _CHUNK matrix entries.  A direction with a failed point reruns
+    at a tenth of the step; if it fails again, the first failed record
+    (first direction first) is raised."""
     per = _per_call(model)
 
-    def evaluate(rows, check, *offsets):
-        s, k, steps, vals, bad = len(offsets[0]), len(rows), [], [], []
-        at = points(model, *((t, d[rows]) for t, d in zip(offsets, dirs)))
+    def run(rows, cfg):                 # derivatives along dirs[rows], records
+        whys = []
 
-        def step(kernel, *xs):
-            *out, why = kernel(*xs)
-            steps.append(why)
-            return out
-        for i in range(0, s * k, per):
-            steps.clear()
-            vals.append(at(step, slice(i, i + per)))
-            why = first_failure(*steps)
-            bad.append(why["reason"] > 0)
-            if check and bad[-1].any():
-                raise_failure(why[bad[-1].argmax()], model.radius)
-        return (np.concatenate(vals).reshape(k, s, -1).swapaxes(0, 1),
-                np.concatenate(bad).reshape(k, s).T)
+        def values(*offsets):
+            s = len(offsets[0])
+            at = points(model, *(np.tile(t, len(rows))[:, None] *
+                                 np.repeat(d[rows], s, axis=0)
+                                 for t, d in zip(offsets, dirs)))
+            out, why = zip(*(at(slice(i, i + per))
+                             for i in range(0, s * len(rows), per)))
+            whys.append(np.concatenate(why))
+            return np.concatenate(out).reshape(len(rows), s, -1).swapaxes(0, 1)
+        return stencil(values, cfg), whys[0]
 
     rows = np.arange(len(dirs[0]))
-    value, shrank = stencil(partial(evaluate, rows, False), model.cfg)
+    value, why = run(rows, model.cfg)
+    shrank = (why["reason"] > 0).reshape(len(rows), -1).any(axis=1)
     if shrank.any():
-        cfg = DiffConfig(model.cfg.step / 10.0, model.cfg.scheme)
-        value[shrank] = stencil(partial(evaluate, rows[shrank], True), cfg)[0]
+        value[shrank], why = run(rows[shrank],
+                                 DiffConfig(model.cfg.step / 10.0, model.cfg.scheme))
+        raise_failure(why[np.argmax(why["reason"] > 0)], model.radius)
     return value, shrank
 
 
 def _pointwise(kernel):
-    """Stencil points of one offset that ``kernel(model, step, scaled)``
-    evaluates one by one, on the offsets times the directions."""
-    def points(model, axis):
-        t, d = axis
-        scaled = np.tile(t, len(d))[:, None] * np.repeat(d, len(t), axis=0)
-        return lambda step, sl: kernel(model, step, scaled[sl])
-    return points
+    """Stencil points that ``kernel(model, x)`` evaluates slice by slice."""
+    return lambda model, x: lambda sl: kernel(model, x[sl])
 
 
-def _theta_points(model, step, v):              # log exp theta(v)
-    E = model.rep.element(step(model.shadows, v)[0])[0]
-    return step(model.rep.coords_of, step(log_matrix, E)[0], 1e-8)[0]
+def _theta_points(model, v):                    # log exp theta(v)
+    shadow, why = model.shadows(v)
+    logs, failed = log_matrix(model.rep.element(shadow)[0])
+    coords, off = model.rep.coords_of(logs, 1e-8)
+    return coords, first_failure(why, failed, off)
 
 
-def _module_block(model, step, c):              # module block of exp(c)
-    G = step(model.rep.element, c)[0]
-    return G[:, model.base_dim:, model.base_dim:].reshape(len(c), -1)
+def _module_block(model, c):                    # module block of exp(c)
+    G, why = model.rep.element(c)
+    return G[:, model.base_dim:, model.base_dim:].reshape(len(c), -1), why
 
 
-def _embedded_block(model, step, v):            # module block of Phi(v)
-    return _module_block(model, step, step(model.shadows, v)[0])
+def _embedded_block(model, v):                  # module block of Phi(v)
+    shadow, why = model.shadows(v)
+    block, off = _module_block(model, shadow)
+    return block, first_failure(why, off)
 
 
-def _pick(values, why, at):                     # table rows and their failures
-    return values[at], why[at]
+def _defect_points(model, c, v):
+    """(g Phi(p) g^-1) Phi(q(g, p))^-1 for g = exp(c) and the point p over
+    v, at each pair of rows of the stacks c and v.
 
-
-def _defect_points(model, group, point):
-    """(g Phi(p) g^-1) Phi(q(g, p))^-1 for g = exp(c) and the point p over v,
-    c and v the offsets times the directions of ``group`` and ``point``.
-
-    Only exp(-theta(rho_g v)) depends on the pair.  exp(c), exp(-c) and
-    Phi(p) are tables over the distinct directions times the offsets (the
-    group offsets with their negatives), built once and indexed per point
-    with their failures; the exponentials run in chunks of _CHUNK entries.
+    Only exp(-theta(rho_g v)) depends on the pair.  exp(+-c) and Phi(p) are
+    tables over the bitwise-distinct rows of c with -c and of v, built once
+    in chunks of _CHUNK entries and indexed per point with their failures.
     """
-    rep, per = model.rep, _per_call(model)
+    rep, per, k = model.rep, _per_call(model), len(c)
 
-    def table(offsets, dirs, kernel):
-        """The distinct offsets times the distinct directions (offset
-        outer, directions told apart bit for bit), ``kernel`` of them, and
-        ``index(t)``: the row of each stencil point (direction outer) whose
-        offsets are ``t``."""
-        keys = np.ascontiguousarray(dirs).view((np.void, 8 * dirs.shape[1]))
+    def table(rows, kernel):            # kernel of the distinct rows, row index
+        keys = np.ascontiguousarray(rows).view((np.void, 8 * rows.shape[1]))
         _, first, inverse = np.unique(keys.ravel(), return_index=True,
                                       return_inverse=True)
-        offs, uniq = np.unique(offsets), dirs[first]
-        rows = (offs[:, None, None] * uniq).reshape(-1, uniq.shape[1])
-        out = [np.concatenate(part) for part in zip(
-            *(kernel(rows[i:i + per]) for i in range(0, len(rows), per)))]
-
-        def index(t):
-            return (np.searchsorted(offs, t) * len(uniq) + inverse[:, None]).ravel()
-        return rows, out, index
+        out = [np.concatenate(part) for part in zip(*(
+            kernel(rows[first[i:i + per]]) for i in range(0, len(first), per)))]
+        return out, inverse
 
     def embedded(v):                    # Phi(p) and the failures of theta(v)
         shadow, why = model.shadows(v)
         return rep.element(shadow)[0], why
 
-    (t, a), (u, v) = group, point
-    _, (exps, why_c), at_group = table(np.concatenate([t, -t]), a, rep.element)
-    vs, (phis, why_v), at_point = table(u, v, embedded)
-    c, minus, p = at_group(t), at_group(-t), at_point(u)
+    (exps, why_c), signed = table(np.concatenate([c, -c]), rep.element)
+    (phis, why_v), p = table(v, embedded)
 
-    def at(step, sl):
-        G = step(_pick, exps, why_c, c[sl])[0]
-        gp = step(chart_products, G, step(_pick, phis, why_v, p[sl])[0], rep)
-        conj = step(chart_products, gp[0], exps[minus[sl]], rep)[0]
-        moved = rep.element(-step(_act, model, G, vs[p[sl]])[1])[0]
-        return step(chart_products, conj, moved, rep)[1]
+    def at(sl):
+        g, q = signed[:k][sl], p[sl]
+        G = exps[g]
+        gp, _, off = chart_products(G, phis[q], rep)
+        conj, _, off_inv = chart_products(gp, exps[signed[k:][sl]], rep)
+        _, moved, out = _act(model, G, v[sl])
+        _, value, off_moved = chart_products(conj, rep.element(-moved)[0], rep)
+        return value, first_failure(why_c[g], why_v[q], off, off_inv, out,
+                                    off_moved)
     return at
 
 

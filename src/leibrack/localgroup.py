@@ -28,9 +28,11 @@ one stack; ``expm`` gives its accuracy against scipy and its cost.
 The finite-difference engine lives here too: central differences (O(h^2)
 truncation) and a Richardson-extrapolated variant (O(h^4) truncation, eight
 evaluations for mixed derivatives), each evaluating all its offsets in one
-call.  With float64, central first derivatives at h = 1e-4 carry roughly
-1e-8 total error; the Richardson scheme prefers a larger step (around
-1e-3..1e-2) so rounding noise eps/h^2 stays small.
+call.  They are pure formulas: they return the derivative alone, and a
+caller whose values can fail keeps its own failure records.  With float64,
+central first derivatives at h = 1e-4 carry roughly 1e-8 total error; the
+Richardson scheme prefers a larger step (around 1e-3..1e-2) so rounding
+noise eps/h^2 stays small.
 """
 
 from __future__ import annotations
@@ -431,17 +433,16 @@ class DiffConfig:
 
 def derivative_at_identity(curve, cfg: DiffConfig = DiffConfig()):
     """d/dt curve(t) at t = 0, from one call of ``curve`` on the array of
-    stencil offsets, which gives the values (offsets first) and their
-    failure mask; the derivative and where any offset failed.
+    stencil offsets, which gives the values, offsets first.
 
     central:    (f(h) - f(-h)) / 2h, truncation O(h^2)
     richardson: (-f(2h) + 8 f(h) - 8 f(-h) + f(-2h)) / 12h, truncation O(h^4)
     """
     h, rich = cfg.step, cfg.scheme == "richardson"
-    f, bad = curve(h * np.array([2.0, 1.0, -1.0, -2.0] if rich else [1.0, -1.0]))
+    f = curve(h * np.array([2.0, 1.0, -1.0, -2.0] if rich else [1.0, -1.0]))
     if rich:
-        return (-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h), bad.any(0)
-    return (f[0] - f[1]) / (2.0 * h), bad.any(0)
+        return (-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h)
+    return (f[0] - f[1]) / (2.0 * h)
 
 
 def mixed_second_derivative(surface, cfg: DiffConfig = DiffConfig()):
@@ -453,10 +454,10 @@ def mixed_second_derivative(surface, cfg: DiffConfig = DiffConfig()):
     O(h^4).  Rounding error grows like eps / h^2, so very small steps hurt.
     """
     hs = [cfg.step, 2.0 * cfg.step][:1 + (cfg.scheme == "richardson")]
-    f, bad = surface(np.outer(hs, [1.0, 1.0, -1.0, -1.0]).ravel(),
-                     np.outer(hs, [1.0, -1.0, 1.0, -1.0]).ravel())
+    f = surface(np.outer(hs, [1.0, 1.0, -1.0, -1.0]).ravel(),
+                np.outer(hs, [1.0, -1.0, 1.0, -1.0]).ravel())
     cross = [(f[i] - f[i + 1] - f[i + 2] + f[i + 3]) / (4.0 * h * h)
              for i, h in zip((0, 4), hs)]
     if len(hs) == 2:
-        return (4.0 * cross[0] - cross[1]) / 3.0, bad.any(0)
-    return cross[0], bad.any(0)
+        return (4.0 * cross[0] - cross[1]) / 3.0
+    return cross[0]

@@ -233,15 +233,12 @@ def check_group_crossed_module(cm: GroupCrossedModule) -> ValidityReport:
 
     in_scope = np.ones(N.size, dtype=bool)
     if cm.n_prime is not None:
-        sub = list(set(cm.n_prime))           # listed in set iteration order
-        in_scope = np.isin(np.arange(N.size), sub)
+        in_scope = np.isin(np.arange(N.size), cm.n_prime)
         if not in_scope[N.unit]:
             col.add("restriction-subgroup", (N.unit,))
-        for a in sub:
-            if not in_scope[N.inverse_table[a]]:
-                col.add("restriction-subgroup", (a,))
-            for b in np.array(sub)[~in_scope[Nm[a, sub]]]:
-                col.add("restriction-subgroup", (a, b))
+        col.tables(("restriction-subgroup", in_scope & ~in_scope[N.inverse_table]),
+                   ("restriction-subgroup",
+                    in_scope[:, None] & in_scope[None] & ~in_scope[Nm]))
         col.table("restriction-contains-image", ~in_scope[mu])
 
     outside = Collector()               # condition one: the triple (N, M, mu)

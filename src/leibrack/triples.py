@@ -46,9 +46,6 @@ class EmbeddingTensor:
         set_frozen(self, matrix=frozen_array(self.matrix, (None, None),
                                              "embedding tensor"))
 
-    def __call__(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, float)
-
 
 def derived_bracket_tensor(action: ModuleAction, theta: EmbeddingTensor) -> np.ndarray:
     """Tensor of [u, v] = theta(u) . v on the module."""

@@ -495,6 +495,21 @@ def test_overflowing_step_is_one_short_domain_error(step, capsys):
     assert err[0].startswith("domain error: theta(v) has norm ")
 
 
+@pytest.mark.parametrize("cmd", ["verify", "integrate"])
+def test_overflowing_spec_fails_without_runtime_warnings(cmd, tmp_path, capsys):
+    # the module law and the defect overflow to inf - inf = NaN, which the
+    # report shows; every command runs under one errstate, so no numpy
+    # RuntimeWarning reaches stderr
+    doc = scaling_doc(1e200)
+    doc["theta"]["matrix"] = [[0.0], [1e200]]
+    path = write_doc(tmp_path, "overflow.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cmd, path]) == EXIT_AXIOM
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,line", [
     pytest.param(["--step", "0.25"],
                  "stencils: step 0.25, 4 of 18 directions shrank to 0.025",

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every name
-the package exports is used outside the tests, no einsum builds a table of
-four or more indices, and ``verify`` and ``integrate`` run without loading
-scipy.
+the package exports and every public method of an exported class is used
+outside the tests, no einsum builds a table of four or more indices, and
+``verify`` and ``integrate`` run without loading scipy.
 
 No lint tool ships with the package, so this reads the sources with ``ast``.
 ``__init__.py`` is exempt: its imports are the package's re-exports.
@@ -20,6 +20,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "leibrack"
+# outside the package, these keep a name in use
+OUTSIDE = [*ROOT.glob("bench/*.py"), *ROOT.glob("bench/*.md"),
+           ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -69,11 +72,55 @@ def test_every_export_is_used_outside_the_tests():
     for path in SRC.glob("*.py"):
         if path.name != "__init__.py":
             used |= read_names(path.read_text("utf-8"))
-    texts = [*ROOT.glob("bench/*.py"), *ROOT.glob("bench/*.md"),
-             ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
-    for path in texts:
+    for path in OUTSIDE:
         used |= set(re.findall(r"\w+", path.read_text("utf-8")))
     assert sorted(set(leibrack.__all__) - used) == []
+
+
+def public_methods(cls) -> set:
+    """Names of the methods and properties a class defines itself, without
+    a leading underscore."""
+    return {name for name, value in vars(cls).items()
+            if not name.startswith("_") and (callable(value) or isinstance(
+                value, (property, classmethod, staticmethod)))}
+
+
+def test_public_methods_skip_fields_and_private_names():
+    class C:
+        field = 1
+
+        def method(self):
+            pass
+
+        def _hidden(self):
+            pass
+
+        @property
+        def prop(self):
+            return 0
+
+        @classmethod
+        def make(cls):
+            return cls()
+    assert public_methods(C) == {"method", "prop", "make"}
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    # a method or property that only the tests reach is dead code; an
+    # attribute read in the package, or ``.name`` in bench/, the README or
+    # the acceptance tests keeps it
+    import leibrack
+    used = set()
+    for path in SRC.glob("*.py"):
+        nodes = ast.walk(ast.parse(path.read_text("utf-8")))
+        used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    for path in OUTSIDE:
+        used |= set(re.findall(r"\.(\w+)", path.read_text("utf-8")))
+    classes = [value for value in vars(leibrack).values() if isinstance(
+        value, type) and value.__module__.startswith("leibrack")]
+    unused = {f"{cls.__name__}.{name}" for cls in classes
+              for name in public_methods(cls) - used}
+    assert sorted(unused) == []
 
 
 def einsum_outputs(source: str) -> list:

@@ -237,22 +237,22 @@ def test_working_rep_blocks():
 
 
 def test_derivative_of_known_curve():
+    # the stencil is a pure formula: values in, the derivative out
     w = np.array([1.0, -2.0, 0.5])
     offsets = []
 
     def curve(t):
         offsets.append(t)
-        return np.sin(3.0 * t)[:, None] * w, t > 0.015
+        return np.sin(3.0 * t)[:, None] * w
 
-    got, bad = derivative_at_identity(curve, DiffConfig(step=1e-4))
+    got = derivative_at_identity(curve, DiffConfig(step=1e-4))
+    assert got.shape == w.shape
     assert np.max(np.abs(got - 3.0 * w)) <= 1e-6
-    assert not bad
-    rich, bad = derivative_at_identity(curve,
-                                       DiffConfig(step=1e-2, scheme="richardson"))
-    cent = derivative_at_identity(curve, DiffConfig(step=1e-2))[0]
+    rich = derivative_at_identity(curve,
+                                  DiffConfig(step=1e-2, scheme="richardson"))
+    cent = derivative_at_identity(curve, DiffConfig(step=1e-2))
     assert np.max(np.abs(rich - 3.0 * w)) <= 1e-6
     assert np.max(np.abs(rich - 3.0 * w)) < np.max(np.abs(cent - 3.0 * w))
-    assert bad                                # the offset 2h = 0.02 failed
     # one call per stencil, on the offsets in the order of the formula
     assert [list(t) for t in offsets] == [[1e-4, -1e-4],
                                           [2e-2, 1e-2, -1e-2, -2e-2],
@@ -264,14 +264,14 @@ def test_mixed_derivative_of_known_surface():
 
     def surface(a, b):
         calls.append((a, b))
-        return (np.sin(2.0 * a) * np.sin(5.0 * b))[:, None], np.zeros(len(a), bool)
+        return (np.sin(2.0 * a) * np.sin(5.0 * b))[:, None]
 
-    got, bad = mixed_second_derivative(surface, DiffConfig(step=1e-3))
+    got = mixed_second_derivative(surface, DiffConfig(step=1e-3))
+    assert got.shape == (1,)
     assert abs(got[0] - 10.0) <= 1e-4
-    assert not bad
     rich = mixed_second_derivative(surface,
-                                   DiffConfig(step=1e-2, scheme="richardson"))[0]
-    cent = mixed_second_derivative(surface, DiffConfig(step=1e-2))[0]
+                                   DiffConfig(step=1e-2, scheme="richardson"))
+    cent = mixed_second_derivative(surface, DiffConfig(step=1e-2))
     assert abs(rich[0] - 10.0) <= 1e-5
     assert abs(rich[0] - 10.0) < abs(cent[0] - 10.0)
     h = 1e-3
@@ -282,22 +282,26 @@ def test_mixed_derivative_of_known_surface():
 def test_conjugation_surface_recovers_structure_constants():
     # d^2/dt1 dt2 of log(exp(t1 x) exp(t2 y) exp(-t1 x)) is [x, y]; running
     # it through the full chart machinery checks exp, mul, log, and the
-    # coordinate extraction against the algebra's own tensor
+    # coordinate extraction against the algebra's own tensor; the chart
+    # products' failures are the surface's to check, not the stencil's
     rep = sl2_adjoint()
     C = rep.algebra.structure_constants
     cfg = DiffConfig(step=1e-3, scheme="richardson")
     basis = np.eye(3)
     for i in range(3):
         for j in range(3):
+            offs = []
+
             def surface(t1, t2, i=i, j=j):
                 G = rep.element(t1[:, None] * basis[i])[0]
                 H = rep.element(t2[:, None] * basis[j])[0]
                 Ginv = rep.element(-t1[:, None] * basis[i])[0]
                 GH, _, off = chart_products(G, H, rep)
                 _, xi, off_inv = chart_products(GH, Ginv, rep)
-                return xi, first_failure(off, off_inv)["reason"] > 0
-            got, bad = mixed_second_derivative(surface, cfg)
-            assert not bad.any()
+                offs.append(first_failure(off, off_inv))
+                return xi
+            got = mixed_second_derivative(surface, cfg)
+            assert len(offs) == 1 and not offs[0]["reason"].any()
             assert np.max(np.abs(got - C[i, j])) <= 1e-6, (i, j)
 
 

@@ -395,10 +395,10 @@ def crossed_module_by_loops(cm: GroupCrossedModule) -> dict:
         sub = set(cm.n_prime)
         if N.unit not in sub:
             scan.record("restriction-subgroup", (N.unit,))
-        for a in sub:
+        for a in sorted(sub):
             if N.inv(a) not in sub:
                 scan.record("restriction-subgroup", (a,))
-            for b in sub:
+            for b in sorted(sub):
                 if N.mul(a, b) not in sub:
                     scan.record("restriction-subgroup", (a, b))
         for m in range(M.size):
@@ -516,7 +516,8 @@ SYSTEMS = [(n, family, kind) for n in (3, 4) for family in ("conjugation", "sign
 
 def restrictions(n: int, size: int) -> list:
     """No restriction, a subgroup, a set that is not a subgroup, and one
-    whose set iteration order is not sorted, for N = Z2 or N = S_n."""
+    whose set iteration order is not sorted (its violations are listed in
+    ascending order all the same), for N = Z2 or N = S_n."""
     if size == 2:
         return [None, (0,), (1,), (0, 1)]
     fixing_last = tuple(i for i, p in enumerate(sorted(permutations(range(n))))
