@@ -15,7 +15,7 @@ from .integrate import (IntegrationReport, LocalRackModel, RackPoint,
                         run_integration_suites)
 from .localgroup import (DiffConfig, GroupElement, MatrixRep, adjoint_rep,
                          check_rep, derivative_at_identity, log_matrix,
-                         mixed_second_derivative, working_rep)
+                         mixed_second_derivative)
 from .racks import (FiniteGroup, FiniteRack, GroupCrossedModule,
                     GroupRackTriple, augmented_rack_from_crossed_module,
                     check_group, check_group_crossed_module,

@@ -39,7 +39,7 @@ from .errors import StructuralError
 from .report import Collector, ValidityReport
 
 DEFAULT_TOL = 1e-9
-_BLOCK = 1 << 17        # float64 entries (1 MB) per block of a four-index law
+_BLOCK = 1 << 17        # float64 entries (1 MB) per block of rows or of a stack
 
 
 def full_rank(M: np.ndarray, rank: int) -> tuple:
@@ -218,12 +218,17 @@ class SubspaceBasis:
         return float(dist) if v.ndim == 1 else dist
 
 
+def rows_per_block(row_size: int) -> int:
+    """Rows of ``row_size`` entries in one block: _BLOCK entries, at least one."""
+    return max(1, _BLOCK // row_size)
+
+
 def scan_rows(col: Collector, law: str, rows: int, row_size: int, block):
     """Scan the residual table of ``law`` into ``col`` a block of first-index
     rows at a time: ``block(s)`` is the table's rows ``s``, each of
     ``row_size`` entries.  A block holds at most _BLOCK entries and at least
     one row, and is dropped once its violations are listed."""
-    k = max(1, _BLOCK // row_size)
+    k = rows_per_block(row_size)
     for a in range(0, rows, k):
         res = np.abs(block(slice(a, a + k)))
         col.tables((law, res > col.tol, res), start=a)

@@ -1,32 +1,32 @@
 """Local rack structure integrating a triple, and recovery of its tangent data.
 
 Given a validated triple with a faithful representation of its algebra, the
-model works in the block representation (representation matrices above, the
-module action below).  Points of the model are pairs (v, theta(v)) with
-||theta(v)|| inside a fixed radius; a chart group element g acts by
+local group lives in that representation, and the module integrates to the
+local representation rho_g = exp(act(c)) of the element of coordinates c.
+Points of the model are pairs (v, theta(v)) with ||theta(v)|| inside a fixed
+radius; a chart group element g acts by
 
     q(g, p) = (rho_g v, theta(rho_g v))
 
-where rho_g is the module block of the represented element, and that action
-is only declared when the moved point stays inside the radius.  Embedding a
-point exponentiates its algebra component, and the rack product is
+and that action is only declared when the moved point stays inside the
+radius.  Embedding a point exponentiates its algebra component, and the rack product is
 x > y = q(embed(x), y); ``point``, ``local_action`` and ``rack_product`` are
 the single-point edge over the stacked ``shadows`` and ``_act``.
 
 A law suite draws all its samples up front, one RNG call per variable, so
 they do not depend on the batch size; the drawn arrays take at most
 samples * (max(2n + d, 3d) + 3) floats.  It runs them batched on (k, d)
-points and (k, m, m) group matrices: each step of a trial is one stacked
-call, and a sample is skipped (and counted by reason in ``skips``) at the
-first failure of its steps, keeping its earlier residuals.
+points, (k, b, b) group matrices and (k, d, d) transports rho_g: each step
+of a trial is one stacked call, and a sample is skipped (and counted by
+reason in ``skips``) at the first failure of its steps, keeping its earlier
+residuals.
 
 Recovery runs the construction backwards with finite differences: the
 derivative of embedded curves returns the embedding tensor.  The action is
-a matvec by the module block of g, linear in the point, so first
-derivatives of that block return the rest: along exp(s a) it gives the
-action matrix of a, along Phi(t v) the matrix of y -> [v, y] of the derived
-bracket.  Only the defect takes a mixed derivative: that of the
-group-valued defect
+a matvec by rho_g, linear in the point, so first derivatives of rho return
+the rest: along exp(s a) it gives the action matrix of a, along Phi(t v) the
+matrix of y -> [v, y] of the derived bracket.  Only the defect takes a
+mixed derivative: that of the group-valued defect
 
     (g Phi(p) g^-1) Phi(q(g, p))^-1
 
@@ -36,7 +36,7 @@ the round trip genuinely exercises exp and log rather than echoing inputs.
 Each tensor is one call of a pure stencil over all its basis directions, on
 the same stacked kernels as the suites: like a suite's trial, each kernel
 chain returns its values and the first failure of its steps.  The defect
-exponentiates exp(+-c) and Phi(p) once per bitwise-distinct stencil point.
+exponentiates exp(+-c), rho_g and Phi(p) once per distinct stencil point.
 A direction with a failed stencil point reruns at a tenth of the step, and
 raises its first failure if it fails again.
 """
@@ -47,19 +47,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SubspaceBasis, frozen_array, integer, same_algebra, set_frozen
+from .algebra import SubspaceBasis, frozen_array, rows_per_block, same_algebra, \
+    set_frozen
 from .errors import AxiomError, StructuralError
 from .localgroup import CHART_RADIUS, FAILURES, MODEL_RADIUS, MOVED, DiffConfig, \
     GroupElement, MatrixRep, adjoint_rep, chart_products, check_rep, \
     derivative_at_identity, failures, first_failure, log_matrix, \
-    mixed_second_derivative, norms, raise_failure, working_rep
+    mixed_second_derivative, norms, raise_failure
 from .report import Collector, ValidityReport
 from .triples import LieLeibnizTriple, RelaxedAugmentation, \
     check_relaxed_augmentation, equivariance_defect, max_strictness_subalgebra
 
 DEFAULT_RADIUS = min(0.3, 0.6 * CHART_RADIUS)
 _UNDO_TOL = 1e-9
-_CHUNK = 20_000         # matrix entries per stacked kernel call, bounding its memory
 _DEFECT_TOL = 1e-4
 
 
@@ -77,11 +77,12 @@ class RackPoint:
 
 @dataclass(frozen=True, eq=False)
 class LocalRackModel:
-    """A triple, its working block representation, and chart bookkeeping."""
+    """A triple, the faithful representation of its local group, the
+    module's transport rho, and chart bookkeeping."""
 
     triple: LieLeibnizTriple
-    rep: MatrixRep                  # block representation, module block last
-    base_dim: int                   # matrix size of the faithful block
+    rep: MatrixRep                  # faithful: products, logs, coordinates
+    transport: MatrixRep            # rho_g = transport.element(coords of g)
     h_basis: SubspaceBasis
     radius: float
     cfg: DiffConfig
@@ -90,10 +91,10 @@ class LocalRackModel:
         radius = float(frozen_array(self.radius, (), "radius"))
         if not 0 < radius <= CHART_RADIUS:
             raise StructuralError("radius must lie in (0, chart radius]")
-        base = integer(self.base_dim, "base_dim")
-        if self.rep.matrix_dim != base + self.triple.dim_v:
-            raise StructuralError("block representation has the wrong size")
-        set_frozen(self, radius=radius, base_dim=base)
+        same_algebra(self.transport.algebra, self.triple.algebra, "transport")
+        if self.transport.matrix_dim != self.triple.dim_v:
+            raise StructuralError("module transport has the wrong size")
+        set_frozen(self, radius=radius)
 
     def shadows(self, v, reason: int = MODEL_RADIUS):
         """theta(v) of each vector of a stack (k, d), and the failures:
@@ -137,22 +138,24 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
         aug = check_relaxed_augmentation(RelaxedAugmentation(triple, h_basis))
         if not aug.passed:
             raise AxiomError("relaxed-augmentation", aug.max_residual, aug)
-    return LocalRackModel(triple, working_rep(rep, triple.action),
-                          rep.matrix_dim, h_basis, radius, cfg)
+    transport = MatrixRep(triple.algebra, triple.action.action_matrices)
+    return LocalRackModel(triple, rep, transport, h_basis, radius, cfg)
 
 
-def _act(model: LocalRackModel, G, v):
-    """rho_g v for stacks (k, m, m) of group matrices (or one) and (k, d) of
-    vectors: the moved vectors, their shadows and MOVED failures."""
-    moved = np.matvec(G[..., model.base_dim:, model.base_dim:], v)
+def _act(model: LocalRackModel, R, v):
+    """rho_g v for stacks (k, d, d) of transports rho_g (or one) and (k, d)
+    of vectors: the moved vectors, their shadows and MOVED failures."""
+    moved = np.matvec(R, v)
     return (moved, *model.shadows(moved, MOVED))
 
 
 def local_action(model: LocalRackModel, g: GroupElement,
                  p: RackPoint) -> RackPoint:
-    """q(g, p) = (rho_g v, theta(rho_g v)); DomainError outside the domain."""
-    moved, shadow, why = _act(model, g.matrix[None], p.v[None])
-    raise_failure(why[0])
+    """q(g, p) = (rho_g v, theta(rho_g v)), rho_g the transport of g's
+    coordinates; DomainError outside the domain."""
+    R, ball = model.transport.element(g.coords[None])
+    moved, shadow, why = _act(model, R, p.v[None])
+    raise_failure(first_failure(ball, why)[0])
     return RackPoint(moved[0], shadow[0])
 
 
@@ -197,8 +200,8 @@ def _gap(p, q) -> np.ndarray:
 
 
 def _per_call(model: LocalRackModel) -> int:
-    """Stacked slices per kernel call: _CHUNK entries of the model's matrices."""
-    return max(1, _CHUNK // model.rep.matrix_dim ** 2)
+    """Stacked slices per kernel call: a block of the model's larger matrices."""
+    return rows_per_block(max(model.rep.matrix_dim, model.triple.dim_v) ** 2)
 
 
 def _run_suite(model: LocalRackModel, samples: int, seed: int, tol: float,
@@ -237,7 +240,9 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
                                seed: int = 0, tol: float = 1e-9,
                                skips=None) -> ValidityReport:
     """Composability of the action: q(g1 g2, p) = q(g1, q(g2, p)) on samples,
-    and exactness of the unit law q(e, p) = p."""
+    and exactness of the unit law q(e, p) = p.  g1 g2 is the faithful
+    product, taken back to its coordinates xi12, so the composition law
+    checks that rho is a local representation: rho(xi12) = rho(xi1) rho(xi2)."""
     full = np.eye(model.triple.dim_g)
 
     def draw(rng, k):
@@ -245,13 +250,14 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
                 _points(model, rng, k, 0.25))
 
     def trial(xi1, xi2, v):
-        p = (v, model.shadows(v)[0])
-        (g1, _), (g2, _) = model.rep.element(xi1), model.rep.element(xi2)
-        g12, _, off = chart_products(g1, g2, model.rep)
-        onestep, inner = _act(model, g12, v), _act(model, g2, v)
-        twostep = _act(model, g1, inner[0])
+        p, k = (v, model.shadows(v)[0]), len(v)
+        g = model.rep.element(np.concatenate([xi1, xi2]))[0]
+        _, xi12, off = chart_products(g[:k], g[k:], model.rep)
+        R = model.transport.element(np.concatenate([xi12, xi1, xi2]))[0]
+        onestep, inner = _act(model, R[:k], v), _act(model, R[2 * k:], v)
+        twostep = _act(model, R[k:2 * k], inner[0])
         why = first_failure(off, onestep[2], inner[2], twostep[2])
-        fixed = _act(model, np.eye(model.rep.matrix_dim), v)
+        fixed = _act(model, np.eye(model.triple.dim_v), v)
         return why, [("group-set-composition", _gap(onestep, twostep), why, tol),
                      ("unit-acts-trivially", _gap(fixed, p), why, None)]
 
@@ -273,15 +279,18 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200, seed: int =
         return [_points(model, rng, k, 0.2) for _ in range(3)]
 
     def trial(x, y, z):
-        ux, uy = model.shadows(x)[0], model.shadows(y)[0]
-        ex, ey = model.rep.element(ux)[0], model.rep.element(uy)[0]
-        xy, yz, xz = _act(model, ex, y), _act(model, ey, z), _act(model, ex, z)
+        k, ux = len(x), model.shadows(x)[0]
+        R = model.transport.element(
+            np.concatenate([ux, model.shadows(y)[0], -ux]))[0]
+        ex = R[:k]
+        xy, yz, xz = _act(model, ex, y), _act(model, R[k:2 * k], z), \
+            _act(model, ex, z)
         lhs = _act(model, ex, yz[0])
-        rhs = _act(model, model.rep.element(xy[1])[0], xz[0])
+        rhs = _act(model, model.transport.element(xy[1])[0], xz[0])
         distributes = first_failure(xy[2], yz[2], xz[2], lhs[2], rhs[2])
-        undone = _act(model, model.rep.element(-ux)[0], xy[0])
+        undone = _act(model, R[2 * k:], xy[0])
         why = first_failure(distributes, undone[2])
-        trivial = _act(model, np.eye(model.rep.matrix_dim), y)[0]
+        trivial = _act(model, np.eye(model.triple.dim_v), y)[0]
         fixed = _act(model, ex, np.zeros_like(x))[0]
         return why, [
             ("self-distributivity", _gap(lhs, rhs), distributes, tol),
@@ -313,11 +322,11 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
                 _points(model, rng, k, 0.25))
 
     def trial(xi, v):
-        h, hinv = model.rep.element(xi)[0], model.rep.element(-xi)[0]
-        moved = _act(model, h, v)
-        hp, _, off = chart_products(
-            h, model.rep.element(model.shadows(v)[0])[0], model.rep)
-        _, conj, off_inv = chart_products(hp, hinv, model.rep)
+        k = len(xi)
+        g = model.rep.element(np.concatenate([xi, -xi, model.shadows(v)[0]]))[0]
+        moved = _act(model, model.transport.element(xi)[0], v)
+        hp, _, off = chart_products(g[:k], g[2 * k:], model.rep)
+        _, conj, off_inv = chart_products(hp, g[k:2 * k], model.rep)
         why = first_failure(moved[2], off, off_inv)
         return why, [("embedding-equivariance",
                       np.abs(moved[1] - conj).max(axis=1), why, tol)]
@@ -337,7 +346,7 @@ def _recover(model: LocalRackModel, stencil, points, *dirs):
     its directions give its s k stencil points (direction outer, offset
     inner), and ``points(model, *axes)`` returns ``at(sl)``: the values of
     the slice ``sl`` of the points and their FAILURE records, evaluated in
-    chunks of _CHUNK matrix entries.  A direction with a failed point reruns
+    chunks of :func:`_per_call` points.  A direction with a failed point reruns
     at a tenth of the step; if it fails again, the first failed record
     (first direction first) is raised."""
     per = _per_call(model)
@@ -366,11 +375,6 @@ def _recover(model: LocalRackModel, stencil, points, *dirs):
     return value, shrank
 
 
-def _pointwise(kernel):
-    """Stencil points that ``kernel(model, x)`` evaluates slice by slice."""
-    return lambda model, x: lambda sl: kernel(model, x[sl])
-
-
 def _theta_points(model, v):                    # log exp theta(v)
     shadow, why = model.shadows(v)
     logs, failed = log_matrix(model.rep.element(shadow)[0])
@@ -378,24 +382,25 @@ def _theta_points(model, v):                    # log exp theta(v)
     return coords, first_failure(why, failed, off)
 
 
-def _module_block(model, c):                    # module block of exp(c)
-    G, why = model.rep.element(c)
-    return G[:, model.base_dim:, model.base_dim:].reshape(len(c), -1), why
+def _transport(model, c):                       # rho of exp(c)
+    R, why = model.transport.element(c)
+    return R.reshape(len(c), -1), why
 
 
-def _embedded_block(model, v):                  # module block of Phi(v)
+def _embedded_transport(model, v):              # rho of Phi(v)
     shadow, why = model.shadows(v)
-    block, off = _module_block(model, shadow)
-    return block, first_failure(why, off)
+    R, off = _transport(model, shadow)
+    return R, first_failure(why, off)
 
 
 def _defect_points(model, c, v):
     """(g Phi(p) g^-1) Phi(q(g, p))^-1 for g = exp(c) and the point p over
     v, at each pair of rows of the stacks c and v.
 
-    Only exp(-theta(rho_g v)) depends on the pair.  exp(+-c) and Phi(p) are
-    tables over the bitwise-distinct rows of c with -c and of v, built once
-    in chunks of _CHUNK entries and indexed per point with their failures.
+    Only exp(-theta(rho_g v)) depends on the pair.  exp(+-c) with rho_g, and
+    Phi(p), are tables over the bitwise-distinct rows of c with -c (the
+    offsets are symmetric: the rows of c) and of v, built once in chunks
+    of :func:`_per_call` rows and indexed per point with their failures.
     """
     rep, per, k = model.rep, _per_call(model), len(c)
 
@@ -407,29 +412,26 @@ def _defect_points(model, c, v):
             kernel(rows[first[i:i + per]]) for i in range(0, len(first), per)))]
         return out, inverse
 
+    def group(c):                       # exp(c), rho of it, and the failures
+        G, why = rep.element(c)
+        return G, model.transport.element(c)[0], why
+
     def embedded(v):                    # Phi(p) and the failures of theta(v)
         shadow, why = model.shadows(v)
         return rep.element(shadow)[0], why
 
-    (exps, why_c), signed = table(np.concatenate([c, -c]), rep.element)
+    (exps, rhos, why_c), signed = table(np.concatenate([c, -c]), group)
     (phis, why_v), p = table(v, embedded)
 
     def at(sl):
         g, q = signed[:k][sl], p[sl]
-        G = exps[g]
-        gp, _, off = chart_products(G, phis[q], rep)
+        gp, _, off = chart_products(exps[g], phis[q], rep)
         conj, _, off_inv = chart_products(gp, exps[signed[k:][sl]], rep)
-        _, moved, out = _act(model, G, v[sl])
+        _, moved, out = _act(model, rhos[g], v[sl])
         _, value, off_moved = chart_products(conj, rep.element(-moved)[0], rep)
         return value, first_failure(why_c[g], why_v[q], off, off_inv, out,
                                     off_moved)
     return at
-
-
-def _pairs(n: int, d: int):
-    """Every pair of basis vectors of R^n and R^d, the first outer, as two
-    stacks (n d, n) and (n d, d)."""
-    return np.repeat(np.eye(n), d, axis=0), np.tile(np.eye(d), (n, 1))
 
 
 def _tangent_triple(model: LocalRackModel):
@@ -437,15 +439,16 @@ def _tangent_triple(model: LocalRackModel):
     directions that shrank.
 
     Each tensor is a first derivative, since the action is linear in the
-    point: the module block of exp(s e_i) differentiates to the action
+    point: the transport rho of exp(s e_i) differentiates to the action
     matrix of e_i, and that of Phi(t e_a) to the matrix of y -> [e_a, y],
     whose transpose is the slice ``bracket[a]``.
     """
     n, d = model.triple.dim_g, model.triple.dim_v
-    (theta, s1), (action, s2), (bracket, s3) = (
-        _recover(model, derivative_at_identity, _pointwise(points), np.eye(k))
-        for points, k in ((_theta_points, d), (_module_block, n),
-                          (_embedded_block, d)))
+    (theta, s1), (action, s2), (bracket, s3) = (       # each point on its own
+        _recover(model, derivative_at_identity,
+                 lambda model, x, f=points: lambda sl: f(model, x[sl]), np.eye(k))
+        for points, k in ((_theta_points, d), (_transport, n),
+                          (_embedded_transport, d)))
     return (theta.T, action.reshape(n, d, d),
             bracket.reshape(d, d, d).swapaxes(1, 2)), np.concatenate([s1, s2, s3])
 
@@ -530,8 +533,9 @@ def run_integration_suites(model: LocalRackModel, samples: int = 200,
                      passed=bool(r_max <= roundtrip_tol))
 
     algebraic = equivariance_defect(tr, np.eye(tr.dim_g))   # one per basis element
-    numeric, defect_shrank = recover_equivariance_defect(
-        model, *_pairs(tr.dim_g, tr.dim_v))
+    numeric, defect_shrank = recover_equivariance_defect(     # a outer, v inner
+        model, np.repeat(np.eye(tr.dim_g), tr.dim_v, axis=0),
+        np.tile(np.eye(tr.dim_v), (tr.dim_g, 1)))
     numeric = numeric.reshape(tr.dim_g, tr.dim_v, tr.dim_g)
     gap = float(np.max(np.abs(numeric - np.swapaxes(algebraic, 1, 2))))
     defect = {

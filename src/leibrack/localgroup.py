@@ -5,7 +5,8 @@ with the matrix exp(sum_i xi_i R_i) of a faithful representation.
 Products (``chart_products``) are computed honestly: multiply the matrices,
 take the principal logarithm, and recover coordinates by least squares
 against the stacked representation basis; a product that leaves the chart or
-the representation span is flagged instead of returning garbage.
+the representation span is flagged instead of returning garbage.  A
+module's action matrices as a ``MatrixRep`` exponentiate to its transport.
 
 ``log_matrix``, ``MatrixRep.coords_of``, ``MatrixRep.element`` and
 ``chart_products`` take stacks only, (k, m, m) or (k, n), and return per
@@ -42,9 +43,8 @@ from math import factorial, isqrt
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, LieAlgebraData, ModuleAction, \
-    frozen_array, full_rank, homomorphism_residuals, same_algebra, scan_rows, \
-    set_frozen
+from .algebra import DEFAULT_TOL, LieAlgebraData, frozen_array, full_rank, \
+    homomorphism_residuals, scan_rows, set_frozen
 from .errors import CapabilityError, ChartError, DomainError, MembershipError, \
     StructuralError
 from .report import Collector, ValidityReport
@@ -141,11 +141,6 @@ class MatrixRep:
     def matrix_dim(self) -> int:
         return self.matrices.shape[1]
 
-    def algebra_matrix(self, coords) -> np.ndarray:
-        """sum_i coords_i R_i, of one coordinate vector or of each of a stack."""
-        return np.einsum("...i,iab->...ab", np.asarray(coords, float),
-                         self.matrices)
-
     def coords_of(self, mats, tol: float):
         """Least-squares preimages of a stack (k, m, m): the coordinates and
         SPAN failures, with the residual where it exceeds tol * max(1, ||mat||)."""
@@ -157,13 +152,14 @@ class MatrixRep:
             SPAN, residual > tol * np.maximum(1.0, norms(vec)), residual)
 
     def element(self, coords):
-        """exp of each row of a stack (k, n) of coordinates: the matrices, the
-        identity outside the chart ball, and CHART_BALL failures with the norm."""
+        """exp(sum_i c_i R_i) of each row c of a stack (k, n) of coordinates:
+        the matrices, the identity outside the chart ball, and CHART_BALL
+        failures with the norm."""
         c = frozen_array(coords, (None, self.algebra.dim), "coordinates")
         size = norms(c)
         out = size >= CHART_RADIUS
-        return (expm(self.algebra_matrix(np.where(out[:, None], 0.0, c))),
-                failures(CHART_BALL, out, size))
+        return (expm(np.einsum("...i,iab->...ab", np.where(out[:, None], 0.0, c),
+                               self.matrices)), failures(CHART_BALL, out, size))
 
 
 def check_rep(rep: MatrixRep, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -188,21 +184,6 @@ def adjoint_rep(algebra: LieAlgebraData) -> MatrixRep:
             "adjoint representation is not faithful (the algebra has a "
             "nontrivial center); supply a faithful matrix representation")
     return MatrixRep(algebra, mats)
-
-
-def working_rep(rep: MatrixRep, action: ModuleAction) -> MatrixRep:
-    """Block-diagonal sum of a faithful representation with a module action.
-
-    The bottom-right block of the represented group element is the module
-    transport used by the local action; faithfulness is inherited from the
-    top-left block.
-    """
-    same_algebra(action.algebra, rep.algebra, "action")
-    n, m, d = rep.algebra.dim, rep.matrix_dim, action.dim_v
-    big = np.zeros((n, m + d, m + d))
-    big[:, :m, :m] = rep.matrices
-    big[:, m:, m:] = action.action_matrices
-    return MatrixRep(rep.algebra, big)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +251,11 @@ def expm(A) -> np.ndarray:
     Against scipy's expm the relative 1-norm difference stays below 2^-35 on
     1x1 to 30x30 matrices of 1-norm up to 60, mostly scipy's own error; on
     the exponentials of the benchmark's integrate workloads it is at most
-    4.4e-16 absolute.  Per slice, on one BLAS thread of a 2-vCPU VM: 2.5 us
-    on the law suites' stacks of 3x3 to 6x6 matrices (scipy 16 us), 16 us on
-    the recovery's 30x30 stacks (scipy 54 us), but 61 us for a single 6x6
-    matrix (scipy 20 us), about a dozen NumPy calls whatever the stack size.
+    2.2e-16 absolute.  Per slice, on one BLAS thread of a 2-vCPU VM: 2.5 us
+    on the law suites' stacks of 3x3 to 6x6 matrices (scipy 16 us), 13 us on
+    the recovery's 25x25 transports of gl(5) (scipy 43 us), but 61 us for a
+    single 6x6 matrix (scipy 20 us), about a dozen NumPy calls whatever the
+    stack size.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim == 2:

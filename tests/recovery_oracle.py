@@ -7,8 +7,11 @@ elements, and a stencil that raises ``DomainError`` rerun once at a tenth
 of the step.  Single elements, points and actions go through the package's
 single-input edge, and the kernels it has no edge for (``log_matrix``,
 ``coords_of``, ``chart_products``) run on stacks of one and raise the
-failure of that slice.  The action and bracket are first derivatives of
-the module block of exp(t e_i) and of Phi(t e_a), one direction at a time;
+failure of that slice.  The group lives in the model's faithful
+representation; the module's transport rho_g of a single element is
+``GroupElement.exp`` in the model's transport.  The action and bracket are
+first derivatives of rho of exp(t e_i) and of Phi(t e_a), one direction at
+a time;
 ``mixed_action_bracket`` keeps their older mixed second derivatives of the
 local action and the rack product, one basis pair at a time, as an
 independent cross-check.
@@ -25,7 +28,7 @@ from leibrack.errors import DomainError
 from leibrack.integrate import LocalRackModel, RackPoint, embed_point, \
     local_action, rack_product
 from leibrack.localgroup import DiffConfig, GroupElement, MatrixRep, \
-    chart_products, expm, log_matrix, raise_failure
+    chart_products, log_matrix, raise_failure
 
 
 def one(kernel, *args):
@@ -51,7 +54,7 @@ def group_mul(g1: GroupElement, g2: GroupElement, rep: MatrixRep) -> GroupElemen
 
 def group_inverse(g: GroupElement, rep: MatrixRep) -> GroupElement:
     """Inversion is coordinate negation in the exponential chart."""
-    return GroupElement(-g.coords, expm(rep.algebra_matrix(-g.coords)))
+    return GroupElement.exp(rep, -g.coords)
 
 
 def _conjugate(model: LocalRackModel, g: GroupElement,
@@ -108,9 +111,9 @@ def _shrink_once(run, cfg: DiffConfig, *args):
         return run(*args, DiffConfig(cfg.step / 10.0, cfg.scheme))
 
 
-def _module_block(model: LocalRackModel, g: GroupElement) -> np.ndarray:
-    """The module block of a group element's matrix: its transport of V."""
-    return g.matrix[model.base_dim:, model.base_dim:]
+def _transport(model: LocalRackModel, g: GroupElement) -> np.ndarray:
+    """rho_g: the transport of V by a group element, from its coordinates."""
+    return GroupElement.exp(model.transport, g.coords).matrix
 
 
 def recover_tangent_triple(model: LocalRackModel):
@@ -120,8 +123,8 @@ def recover_tangent_triple(model: LocalRackModel):
     the embedding matrix (n, d), the action stack (n, d, d) and the derived
     bracket tensor (d, d, d).  Each is a first derivative along one basis
     direction at a time: of the chart coordinates of Phi(t e_j), of the
-    module block of exp(t e_i) (the action matrix of e_i), and of the module
-    block of Phi(t e_a) (the transpose of the bracket slice of e_a).
+    transport rho of exp(t e_i) (the action matrix of e_i), and of rho of
+    Phi(t e_a) (the transpose of the bracket slice of e_a).
     """
     n, d = model.triple.dim_g, model.triple.dim_v
     eye_g, eye_v = np.eye(n), np.eye(d)
@@ -136,13 +139,13 @@ def recover_tangent_triple(model: LocalRackModel):
     action_rec = np.empty((n, d, d))
     for i in range(n):
         def curve(t, ai=eye_g[i]):
-            return _module_block(model, GroupElement.exp(model.rep, t * ai))
+            return _transport(model, GroupElement.exp(model.rep, t * ai))
         action_rec[i] = _shrink_once(derivative_at_identity, model.cfg, curve)
 
     bracket_rec = np.empty((d, d, d))
     for a in range(d):
         def curve(t, ea=eye_v[a]):
-            return _module_block(model, embed_point(model, model.point(t * ea)))
+            return _transport(model, embed_point(model, model.point(t * ea)))
         bracket_rec[a] = _shrink_once(derivative_at_identity, model.cfg, curve).T
     return theta_rec, action_rec, bracket_rec
 

@@ -3,7 +3,9 @@
 This is the integrate law-suite code as it ran before the suites were
 batched: one Python trial per sample on ``GroupElement`` and ``RackPoint``
 objects, with the scalar kernels and the group operations of
-``recovery_oracle.py``, and a sample skipped when its trial raises
+``recovery_oracle.py`` (the group in the model's faithful representation,
+acting through the transport of its coordinates), and a sample skipped
+when its trial raises
 ``DomainError`` (``ChartError`` and ``MembershipError`` included), counted
 under the reason whose exception and message it raised.  The samples are
 the batched suites' own: each suite draws them up front with the stacked

@@ -22,12 +22,12 @@ from leibrack import (ChartError, DomainError, EmbeddingTensor, GroupElement,
                       SubspaceBasis, build_model, build_triple, catalog,
                       check_equivariance, check_local_group_set_laws,
                       check_local_rack_laws, ideal_triple, lie_algebra,
-                      local_action, log_matrix, working_rep)
-from leibrack import integrate
+                      local_action, log_matrix)
+from leibrack import algebra, integrate
 from leibrack.cli import builtin_parts
 from leibrack.integrate import LocalRackModel, _act
 from leibrack.localgroup import CHART_BALL, MODEL_RADIUS, PRODUCT_CHART, \
-    SINGULAR, SPAN, chart_products, expm, norms, raise_failure
+    SINGULAR, SPAN, chart_products, expm, first_failure, norms, raise_failure
 from recovery_oracle import one
 
 SUITES = [(check_local_group_set_laws, oracle.check_local_group_set_laws),
@@ -65,28 +65,33 @@ def zero_subalgebra_model():
                        h_basis=SubspaceBasis(2, np.zeros((0, 2))))
 
 
+def transported_model(good, action_matrices):
+    """``good`` with its module's transport built from other action
+    matrices: the model the triple would give if those were its action."""
+    transport = MatrixRep(good.triple.algebra, action_matrices)
+    return LocalRackModel(good.triple, good.rep, transport, good.h_basis,
+                          good.radius, good.cfg)
+
+
 def broken_model():
-    """sl2-adjoint with its module block taken from a conjugate of the
+    """sl2-adjoint with its transport taken from a conjugate of the
     adjoint action: still a group action, but theta no longer intertwines,
     so the rack and equivariance laws fail."""
     good = builtin_model("sl2-adjoint")
     P = np.diag([1.0, 2.0, 3.0])
-    other = ModuleAction(good.triple.algebra, 3,
-                         P @ good.triple.action.action_matrices @ np.linalg.inv(P))
-    faithful = MatrixRep(good.triple.algebra, good.rep.matrices[:, :3, :3])
-    return LocalRackModel(good.triple, working_rep(faithful, other),
-                          good.base_dim, good.h_basis, good.radius, good.cfg)
+    return transported_model(
+        good, P @ good.triple.action.action_matrices @ np.linalg.inv(P))
 
 
 def off_span_model():
-    """The sl2x30 model with its faithful block replaced by matrices that do
-    not represent sl2: chart products leave the representation span, so
-    the equivariance suite skips a sample for the first of two reasons."""
+    """The sl2x30 model with its faithful representation replaced by
+    matrices that do not represent sl2: chart products leave the
+    representation span, so the equivariance suite skips a sample for the
+    first of two reasons."""
     good = scaled_sl2_model(30.0)
     R = 0.3 * np.random.default_rng(8).standard_normal((3, 3, 3))
-    return LocalRackModel(good.triple, working_rep(MatrixRep(good.triple.algebra, R),
-                                                   good.triple.action),
-                          good.base_dim, good.h_basis, good.radius, good.cfg)
+    return LocalRackModel(good.triple, MatrixRep(good.triple.algebra, R),
+                          good.transport, good.h_basis, good.radius, good.cfg)
 
 
 def assert_same_report(batched, scalar, skips=None):
@@ -142,7 +147,7 @@ def test_sample_counts_match_the_oracle(samples):
 def test_batch_boundaries_keep_the_report(make, monkeypatch):
     # with 7 samples per batch, listed violations and skips cross batches
     model = make()
-    monkeypatch.setattr(integrate, "_CHUNK", 7 * model.rep.matrix_dim ** 2)
+    monkeypatch.setattr(algebra, "_BLOCK", 7 * model.triple.dim_v ** 2)
     assert integrate._per_call(model) == 7
     for k, (batched, scalar) in enumerate(SUITES):
         skips = {}, {}
@@ -168,6 +173,24 @@ def test_the_oracle_cases_exercise_skips_and_violations():
     assert reports[0].passed
     assert len(reports[1].violations) == len(reports[2].violations) == 20
     assert not reports[1].passed and not reports[2].passed
+
+
+def test_group_set_composition_catches_a_module_that_is_no_representation():
+    # one action matrix scaled by 1 + eps is no representation: rho(g1 g2)
+    # and rho(g1) rho(g2) differ at second order, about 1.7e-4 eps here.
+    # The faithful product stays in the span, so every sample is measured
+    good = builtin_model("sl2-adjoint")
+    assert check_local_group_set_laws(good, 200).max_residual <= 1e-15
+    for eps, passed in ((1e-6, True), (1e-5, False)):
+        action = good.triple.action.action_matrices.copy()
+        action[0] *= 1.0 + eps
+        skips = {}
+        report = check_local_group_set_laws(transported_model(good, action),
+                                            200, skips=skips)
+        assert skips == {} and report.info["samples_used"] == 200
+        assert report.max_residual >= 1e-4 * eps
+        assert report.passed == passed
+        assert {v.law for v in report.violations} <= {"group-set-composition"}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +245,7 @@ def check_rep_kernels(model, coords, off_span=()):
                          lambda i: (GroupElement.exp(rep, coords[i]).matrix,))
     assert np.all(mats[element["reason"] > 0] == np.eye(rep.matrix_dim))
     logs = log_matrix(mats)[0]
-    logs[list(off_span), 0, -1] += 1.0        # outside every block
+    logs[list(off_span)] += np.eye(rep.matrix_dim)    # in no test model's span
     back, span = rep.coords_of(logs, 1e-9)
     assert_like_the_edge((back,), span, lambda i: one(rep.coords_of, logs[i], 1e-9))
     M, xi, product = chart_products(mats, mats, rep)
@@ -239,7 +262,9 @@ def check_model_kernels(model, coords, v):
     assert_like_the_edge((shadow,), radius, lambda i: (model.point(v[i]).u,),
                          model.radius)
     mats = model.rep.element(coords)[0]
-    *moved, out = _act(model, mats, v)
+    rhos, ball = model.transport.element(coords)
+    *moved, out = _act(model, rhos, v)
+    out = first_failure(ball, out)
 
     def edge(i):
         q = local_action(model, GroupElement(coords[i], mats[i]),
@@ -305,7 +330,7 @@ def test_empty_stacks_give_empty_results():
     assert logs.shape == (0, 3, 3) and failed.shape == (0,)
     rep = builtin_model("sl2-adjoint").rep
     mats, outside = rep.element(np.zeros((0, 3)))
-    assert mats.shape == (0, 6, 6) and outside.shape == (0,)
+    assert mats.shape == (0, 3, 3) and outside.shape == (0,)
 
 
 @pytest.mark.parametrize("M,message", [

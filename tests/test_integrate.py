@@ -43,8 +43,8 @@ def test_build_model_defaults():
     model = sl2_adjoint_model()
     assert model.radius == pytest.approx(0.3)
     assert model.h_basis.dim == 3            # strict: full algebra
-    assert model.base_dim == 3
-    assert model.rep.matrix_dim == 6         # faithful block plus module block
+    assert model.rep.matrix_dim == 3         # the adjoint representation
+    assert model.transport.matrix_dim == 3   # the module's transport
 
 
 def test_build_model_rejects_bad_ingredients():
@@ -94,7 +94,7 @@ def test_local_action_matches_directly_exponentiated_transport():
     xi = np.array([0.1, -0.05, 0.2])
     g = GroupElement.exp(model.rep, xi)
     A = np.einsum("i,iab->ab", xi, model.triple.action.action_matrices)
-    transport = g.matrix[model.base_dim:, model.base_dim:]
+    transport = GroupElement.exp(model.transport, xi).matrix
     assert np.max(np.abs(transport - scipy.linalg.expm(A))) <= 1e-12
     p = model.point([0.05, 0.0, -0.02])
     q = local_action(model, g, p)
@@ -109,7 +109,8 @@ def test_action_domain_boundary():
         local_action(model, g, p)
     shrunk = model.point([0.3 * model.radius])
     assert np.array_equal(local_action(model, g, shrunk).v,
-                          g.matrix[-1:, -1:] @ shrunk.v)
+                          GroupElement.exp(model.transport, g.coords).matrix
+                          @ shrunk.v)
 
 
 def test_law_suites_pass_on_models():

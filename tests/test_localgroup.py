@@ -8,8 +8,8 @@ import scipy.linalg
 
 from leibrack import (CapabilityError, ChartError, DiffConfig, GroupElement,
                       MatrixRep, StructuralError, adjoint_rep, check_rep,
-                      derivative_at_identity, log_matrix,
-                      mixed_second_derivative, working_rep)
+                      build_model, derivative_at_identity, ideal_triple,
+                      log_matrix, mixed_second_derivative)
 from leibrack import catalog
 from leibrack.localgroup import chart_products, first_failure
 from leibrack.report import MAX_LISTED_VIOLATIONS
@@ -221,19 +221,21 @@ def test_adjoint_rep_needs_trivial_center():
         adjoint_rep(catalog.abelian(3))
 
 
-def test_working_rep_blocks():
+def test_model_transport_is_the_module_action():
+    # the group lives in the faithful representation alone; the module
+    # integrates to rho = exp of the action matrices, a separate d x d stack
     alg = catalog.heisenberg()
     rep = heisenberg_rep()
-    action = alg.adjoint_action()
-    big = working_rep(rep, action)
-    m = rep.matrix_dim
-    assert big.matrix_dim == m + action.dim_v
-    for i in range(3):
-        assert np.array_equal(big.matrices[i][:m, :m], rep.matrices[i])
-        assert np.array_equal(big.matrices[i][m:, m:],
-                              action.action_matrices[i])
-        assert np.max(np.abs(big.matrices[i][:m, m:])) == 0.0
-        assert np.max(np.abs(big.matrices[i][m:, :m])) == 0.0
+    triple = ideal_triple(alg, catalog.ideal_subspace("heisenberg", "plane"))
+    model = build_model(triple, rep=rep)
+    assert model.rep is rep
+    assert model.transport.matrix_dim == triple.dim_v
+    assert np.array_equal(model.transport.matrices,
+                          triple.action.action_matrices)
+    c = np.array([0.1, -0.2, 0.15])
+    act = np.einsum("i,iab->ab", c, triple.action.action_matrices)
+    rho = GroupElement.exp(model.transport, c).matrix
+    assert np.max(np.abs(rho - scipy.linalg.expm(act))) <= 1e-15
 
 
 def test_derivative_of_known_curve():

@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from leibrack import integrate
+from leibrack import algebra, integrate
 from leibrack.integrate import _directions, _points
 from leibrack.localgroup import norms
 from test_batched_suites import SUITES, broken_model, builtin_model, \
@@ -42,8 +42,7 @@ def run(model, seed):
 def test_the_batch_size_does_not_change_a_suite(name, per_call, seed):
     model = MODELS[name]
     want = run(model, seed)
-    with mock.patch.object(integrate, "_CHUNK",
-                           per_call * model.rep.matrix_dim ** 2):
+    with mock.patch.object(algebra, "_BLOCK", per_call * model.triple.dim_v ** 2):
         assert integrate._per_call(model) == per_call
         assert run(model, seed) == want
 

@@ -16,9 +16,9 @@ from leibrack import (AxiomError, DiffConfig, EmbeddingTensor, FiniteGroup, Fini
                       LeibnizAlgebraData, LieAlgebraCrossedModule,
                       LieAlgebraData, LocalRackModel, MatrixRep, ModuleAction,
                       RackPoint, StructuralError, SubspaceBasis, TripleMorphism,
-                      adjoint_rep, build_model, catalog, conjugation_rack,
+                      build_model, build_triple, catalog, conjugation_rack,
                       conjugation_triple, scaling_crossed_module,
-                      scaling_triple, working_rep)
+                      scaling_triple)
 from leibrack.algebra import _holds_bool, frozen_array, integer
 from leibrack.examples import relaxed_crossed_module_z3_s3
 
@@ -54,7 +54,7 @@ TYPES = {
     "DiffConfig": (DiffConfig, {"step": 1e-4, "scheme": "central"}),
     "RackPoint": (RackPoint, {"v": [0.1], "u": [0.0, 0.1]}),
     "LocalRackModel": (LocalRackModel, {
-        "triple": MODEL.triple, "rep": MODEL.rep, "base_dim": MODEL.base_dim,
+        "triple": MODEL.triple, "rep": MODEL.rep, "transport": MODEL.transport,
         "h_basis": MODEL.h_basis, "radius": MODEL.radius, "cfg": MODEL.cfg}),
     "FiniteRack": (FiniteRack, {
         "size": 6, "op_table": conjugation_rack(S3).op_table, "basepoint": 0}),
@@ -71,7 +71,7 @@ TYPES = {
         "n_prime": RELAXED.n_prime}),
 }
 INTEGER_FIELDS = ("dim", "dim_v", "ambient_dim", "size", "unit", "basepoint",
-                  "x_size", "base_dim")
+                  "x_size")
 
 # the arguments that take a value (a number, a string, an array or a table)
 # rather than another object of the package
@@ -89,7 +89,7 @@ VALUES = st.one_of(
 
 
 def test_the_property_covers_every_value_argument():
-    assert len(CASES) == 38
+    assert len(CASES) == 37
     assert all(TYPES[name][0](**args) is not None
                for name, (_, args) in TYPES.items())
 
@@ -118,7 +118,8 @@ def test_a_replaced_value_raises_or_is_stored_exactly(case, value):
             assert type(stored) is int and stored == given_value, (name, field)
     if name == "GroupCrossedModule" and made.n_prime is not None:
         assert all(type(i) is int for i in made.n_prime)
-        assert made.n_prime == tuple(sorted(np.asarray(args["n_prime"]).tolist()))
+        # an empty input of any depth is the empty subgroup (the array rule)
+        assert made.n_prime == tuple(sorted(np.ravel(args["n_prime"]).tolist()))
     stored = getattr(made, key)
     if isinstance(stored, np.ndarray):
         assert not stored.flags.writeable
@@ -158,12 +159,12 @@ def test_a_fractional_index_is_rejected_not_truncated(make, name):
     (lambda: FiniteRack(2, [[0, True], [1, 0]]), "rack table"),
     (lambda: ModuleAction(NAB, 1, [[[2.0]], ((np.False_,),)]), "action matrices"),
     (lambda: DiffConfig(step=INF), "step"),
-    (lambda: LocalRackModel(MODEL.triple, MODEL.rep, 2.0, MODEL.h_basis,
-                            MODEL.radius, MODEL.cfg), "base_dim"),
+    (lambda: LocalRackModel(MODEL.triple, MODEL.rep, MODEL.rep, MODEL.h_basis,
+                            MODEL.radius, MODEL.cfg), "transport"),
 ], ids=["basepoint-string", "unit-none", "labels-none", "rep-string",
         "theta-string", "subspace-string", "step-string", "from-table-unit",
         "size-bool", "theta-nan", "theta-bool-in-list", "rack-bool-in-list",
-        "action-numpy-bool-in-tuple", "step-inf", "base_dim-float"])
+        "action-numpy-bool-in-tuple", "step-inf", "transport-wrong-size"])
 def test_a_malformed_value_is_a_structural_error_naming_it(make, name):
     with pytest.raises(StructuralError, match=name):
         make()
@@ -226,11 +227,17 @@ def test_the_inverse_table_takes_the_first_two_sided_inverse():
 
 def test_the_same_algebra_is_checked_by_structure_constants():
     # equal dimension is not enough: heisenberg acting on itself is no sl2 action
-    action = catalog.heisenberg().adjoint_action()
-    with pytest.raises(StructuralError, match="action is over a different algebra"):
-        working_rep(adjoint_rep(SL2), action)
+    model = build_model(build_triple(SL2, SL2.adjoint_action(),
+                                     EmbeddingTensor(np.eye(3))))
+    heis = catalog.heisenberg()
+    with pytest.raises(StructuralError, match="transport is over a different algebra"):
+        LocalRackModel(model.triple, model.rep,
+                       MatrixRep(heis, heis.adjoint_action().action_matrices),
+                       model.h_basis, model.radius, model.cfg)
     twin = LieAlgebraData(3, SL2.basis_labels, SL2.structure_constants)
-    assert working_rep(adjoint_rep(SL2), twin.adjoint_action()).matrix_dim == 6
+    transport = MatrixRep(twin, twin.adjoint_action().action_matrices)
+    assert LocalRackModel(model.triple, model.rep, transport, model.h_basis,
+                          model.radius, model.cfg).transport.matrix_dim == 3
 
 
 def holds_bool_by_recursion(value) -> bool:
