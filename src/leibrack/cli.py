@@ -145,25 +145,17 @@ def algebra_from_doc(doc: dict, where: str = "lie_algebra") -> LieAlgebraData:
     """
     dim = _read(doc, "dim", where, int, low=1)
     entries = _read(doc, "structure_constants", where, list, [])
-    # types and ranges in one pass; repeats before the first failure as arrays
-    ok = [type(e) is list and len(e) == 4 and type(e[0]) is type(e[1]) is type(e[2])
-          is int and 0 <= e[0] < dim and 0 <= e[1] < dim and 0 <= e[2] < dim and
-          type(e[3]) in (int, float) and abs(e[3]) <= sys.float_info.max for e in entries]
-    rows = ok.index(False) if False in ok else len(entries)
-    body = np.array(entries[:rows], dtype=float).reshape(rows, 4)
-    flat = body[:, :3] @ [dim * dim, dim, 1]
-    repeat = np.setdiff1d(np.arange(rows), np.unique(flat, return_index=True)[1])
-    pos = min(repeat[:1].tolist() + [rows])
-    if pos < len(entries):          # the per-entry rules name the first fault
-        entry, field = entries[pos], f"{where}.structure_constants[{pos}]"
+    C = np.zeros((dim, dim, dim))
+    seen = set()
+    for pos, entry in enumerate(entries):
+        field = f"{where}.structure_constants[{pos}]"
         if type(entry) is not list or len(entry) != 4:
             raise StructuralError(f"{field}: need [i, j, k, value]")
         i, j, k = (integer(idx, f"{field} index", 0, dim) for idx in entry[:3])
-        if ((i * dim + j) * dim + k == flat[:pos]).any():
+        if (i, j, k) in seen:
             raise StructuralError(f"{field}: duplicate entry ({i}, {j}, {k})")
-        _value(entry[3], field, float)
-    C = np.zeros((dim, dim, dim))
-    C[tuple(body[:, :3].astype(int).T)] = body[:, 3]
+        seen.add((i, j, k))
+        C[i, j, k] = _value(entry[3], field, float)
     labels = _read(doc, "labels", where, list, [f"e{i}" for i in range(dim)])
     return _built(where, LieAlgebraData, dim, tuple(labels), C)
 

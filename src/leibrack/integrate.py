@@ -207,8 +207,9 @@ def _per_call(model: LocalRackModel) -> int:
 def _run_suite(model: LocalRackModel, samples: int, seed: int, tol: float,
                draw, trial, skips, **info) -> ValidityReport:
     """Run ``trial`` on the arrays ``draw(rng, samples)``, drawn up front by
-    one call of a seeded RNG per variable, :func:`_per_call` samples at a
-    time: the samples do not depend on the batch size.
+    one call of a seeded RNG per variable, a third of :func:`_per_call`
+    samples at a time, since a trial stacks up to three coordinate stacks in
+    one kernel call: the samples do not depend on the batch size.
 
     ``trial`` returns each sample's first failure over its steps and its laws
     as ``(law, residuals, reached, tol)``, ``reached`` the first failure of
@@ -218,7 +219,7 @@ def _run_suite(model: LocalRackModel, samples: int, seed: int, tol: float,
     a suite that used no sample fails under the law ``samples-used``.  ``info``
     gains the used and skipped counts, a ``skips`` dict the skips by reason.
     """
-    rng, batch = np.random.default_rng(seed), _per_call(model)
+    rng, batch = np.random.default_rng(seed), max(1, _per_call(model) // 3)
     drawn = draw(rng, max(samples, 0))
     col, counts = Collector(tol), np.zeros(len(FAILURES), dtype=int)
     for start in range(0, samples, batch):

@@ -145,10 +145,11 @@ def test_sample_counts_match_the_oracle(samples):
 @pytest.mark.parametrize("make", [broken_model, lambda: scaled_sl2_model(30.0)],
                          ids=["broken-module-block", "sl2x30"])
 def test_batch_boundaries_keep_the_report(make, monkeypatch):
-    # with 7 samples per batch, listed violations and skips cross batches
+    # with 7 samples per batch (a third of the kernel call's 21 slices),
+    # listed violations and skips cross batches
     model = make()
-    monkeypatch.setattr(algebra, "_BLOCK", 7 * model.triple.dim_v ** 2)
-    assert integrate._per_call(model) == 7
+    monkeypatch.setattr(algebra, "_BLOCK", 21 * model.triple.dim_v ** 2)
+    assert integrate._per_call(model) == 21
     for k, (batched, scalar) in enumerate(SUITES):
         skips = {}, {}
         assert_same_report(batched(model, 60, 7 + k, skips=skips[0]),

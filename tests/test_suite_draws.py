@@ -37,7 +37,7 @@ def run(model, seed):
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(sorted(MODELS)), per_call=st.integers(1, SAMPLES + 5),
+@given(name=st.sampled_from(sorted(MODELS)), per_call=st.integers(1, 3 * SAMPLES + 5),
        seed=st.integers(0, 2 ** 16))
 def test_the_batch_size_does_not_change_a_suite(name, per_call, seed):
     model = MODELS[name]
