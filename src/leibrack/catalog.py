@@ -145,51 +145,47 @@ def ideal_subspace(name: str, ideal: str) -> SubspaceBasis:
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Z/n with addition, unit 0."""
-    idx = np.arange(n)
-    return FiniteGroup.from_mul_table((idx[:, None] + idx[None, :]) % n)
+    return FiniteGroup.from_mul_table(np.add.outer(np.arange(n), np.arange(n)) % n)
 
 
-def _compose(p: tuple, q: tuple) -> tuple:
-    """Composition of permutations acting on the left: (p q)(i) = p[q[i]]."""
-    return tuple(p[i] for i in q)
+def _keys(P: np.ndarray) -> np.ndarray:
+    """Rows of P as byte strings, which sort as the rows do (entries >= 0)."""
+    P = np.ascontiguousarray(P, dtype=">u8")
+    return P.view(f"S{P.itemsize * P.shape[-1]}")[..., 0]
+
+
+def _distinct(P: np.ndarray) -> np.ndarray:
+    """The distinct rows of P in lexicographic order."""
+    P = P[np.argsort(_keys(P))]
+    keys = _keys(P)
+    return P[np.r_[True, keys[1:] != keys[:-1]]]
 
 
 def group_from_permutations(perms) -> FiniteGroup:
-    """Finite group from a closed set of permutations, identity at index 0."""
-    elems = sorted(set(tuple(p) for p in perms))
-    ident = tuple(range(len(elems[0])))
-    if ident not in elems:
+    """Finite group from a closed set of permutations: the rows of P, the
+    identity first; the product of elements i and j is P[:, P][i, j]."""
+    P = _distinct(np.asarray(list(perms)))
+    if np.any(np.sort(P, axis=1) != np.arange(P.shape[1])):
+        raise StructuralError("permutation set holds a non-permutation")
+    if np.any(P[0] != np.arange(P.shape[1])):       # the least permutation
         raise StructuralError("permutation set lacks the identity")
-    elems.remove(ident)
-    elems.insert(0, ident)
-    index = {p: i for i, p in enumerate(elems)}
-    size = len(elems)
-    mul = np.empty((size, size), dtype=np.int64)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            r = _compose(p, q)
-            if r not in index:
-                raise StructuralError("permutation set is not closed")
-            mul[i, j] = index[r]
+    keys, products = _keys(P), _keys(P[:, P])
+    mul = np.searchsorted(keys, products).clip(max=len(P) - 1)
+    if np.any(keys[mul] != products):
+        raise StructuralError("permutation set is not closed")
     return FiniteGroup.from_mul_table(mul)
 
 
 def group_from_generators(gens) -> FiniteGroup:
-    """Close a generating set of permutations under composition."""
-    gens = [tuple(g) for g in gens]
-    n = len(gens[0])
-    seen = {tuple(range(n))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return group_from_permutations(seen)
+    """Close a generating set P of permutations under composition: the set G
+    takes in its products G[:, P] until it stops growing."""
+    P = np.asarray(list(gens))
+    G = np.arange(P.shape[1])[None]
+    while True:
+        grown = _distinct(np.concatenate([G, G[:, P].reshape(-1, P.shape[1])]))
+        if len(grown) == len(G):
+            return group_from_permutations(G)
+        G = grown
 
 
 def symmetric3() -> FiniteGroup:
@@ -203,9 +199,7 @@ def alternating4() -> FiniteGroup:
 
 def dihedral4() -> FiniteGroup:
     """Symmetries of the square as permutations of its corners."""
-    rotate = (1, 2, 3, 0)
-    flip = (1, 0, 3, 2)
-    return group_from_generators([rotate, flip])
+    return group_from_generators([(1, 2, 3, 0), (1, 0, 3, 2)])   # rotate, flip
 
 
 def quaternion8() -> FiniteGroup:

@@ -515,8 +515,13 @@ def cmd_corpus(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):           # exit 3 like any structural error, not 2
+        raise StructuralError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leibrack",
         description="Axiom checking and local integration for embedding-tensor "
                     "triples and finite racks.")
@@ -556,11 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # a residual or a stencil that overflows or divides 0 by 0 gives inf or
     # NaN, which the report shows or the domain check catches
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return args.func(args)
     except StructuralError as exc:

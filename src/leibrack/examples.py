@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import catalog
-from .racks import GroupCrossedModule, _conjugation_table
+from .racks import GroupCrossedModule, conjugation_rack
 
 # index layout of symmetric3(): identity first, then lexicographic; the even
 # permutations (1,2,0) and (2,0,1) land at positions 3 and 4
@@ -28,7 +28,7 @@ def inclusion_crossed_module_z3_s3() -> GroupCrossedModule:
     s3, mu = catalog.symmetric3(), np.array(A3_INDICES, dtype=np.int64)
     # n mu(m) n^-1 is an even permutation; its position in the sorted mu is
     # its preimage under mu
-    eta = np.searchsorted(mu, _conjugation_table(s3)[:, mu])
+    eta = np.searchsorted(mu, conjugation_rack(s3).op_table[:, mu])
     return GroupCrossedModule(catalog.cyclic_group(3), s3, mu, eta)
 
 
@@ -39,8 +39,6 @@ def relaxed_crossed_module_z3_s3() -> GroupCrossedModule:
     no-op, so trivial eta still satisfies equivariance there; transpositions
     invert three-cycles under conjugation and all violate it.
     """
-    z3 = catalog.cyclic_group(3)
-    s3 = catalog.symmetric3()
-    mu = np.array(A3_INDICES, dtype=np.int64)
+    z3, s3 = catalog.cyclic_group(3), catalog.symmetric3()
     eta = np.tile(np.arange(z3.size, dtype=np.int64), (s3.size, 1))
-    return GroupCrossedModule(z3, s3, mu, eta, n_prime=A3_INDICES)
+    return GroupCrossedModule(z3, s3, A3_INDICES, eta, n_prime=A3_INDICES)

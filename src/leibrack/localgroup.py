@@ -39,6 +39,7 @@ noise eps/h^2 stays small.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial, isqrt
 
 import numpy as np
@@ -126,20 +127,22 @@ class MatrixRep:
 
     algebra: LieAlgebraData
     matrices: np.ndarray
-    basis_stack: np.ndarray = field(init=False, repr=False)
-    _pinv: np.ndarray = field(init=False, repr=False)
+    basis_stack: np.ndarray = field(init=False, repr=False)  # basis mats as columns
 
     def __post_init__(self):
         n = self.algebra.dim
         M = frozen_array(self.matrices, (n, None, None), "representation matrices")
         if M.shape[1] != M.shape[2]:
             raise StructuralError(f"need {n} square matrices, got shape {M.shape}")
-        stack = M.reshape(n, -1).T          # (m*m, n), columns are basis mats
-        set_frozen(self, matrices=M, basis_stack=stack, _pinv=np.linalg.pinv(stack))
+        set_frozen(self, matrices=M, basis_stack=M.reshape(n, -1).T)
 
     @property
     def matrix_dim(self) -> int:
         return self.matrices.shape[1]
+
+    @cached_property
+    def _pinv(self) -> np.ndarray:      # for coords_of; a transport never needs it
+        return np.linalg.pinv(self.basis_stack)
 
     def coords_of(self, mats, tol: float):
         """Least-squares preimages of a stack (k, m, m): the coordinates and

@@ -291,7 +291,10 @@ def test_stacked_kernels_fail_and_agree_like_the_edge(target, seed, m, pushes):
     k, n, d = len(pushes), model.triple.dim_g, model.triple.dim_v
     coords = rng.standard_normal((k, n)) * 0.1
     ball, twice = kind == "b", kind == "p"
-    coords[ball] *= np.maximum(10.0, 0.5 / norms(coords[ball]))[:, None]
+    # past the chart radius 0.5 by more than rounding: a norm of c * (0.5 / |c|)
+    # can round below 0.5, and so can one of c * (nextafter(0.5, 1) / |c|)
+    past = 0.5 * (1.0 + 1e-12)
+    coords[ball] *= np.maximum(10.0, past / norms(coords[ball]))[:, None]
     coords[twice] *= 0.4 / norms(coords[twice])[:, None]
     v = rng.standard_normal((k, d))
     frac = np.select([kind == "r", kind == "m"], [2.0, 0.999], 0.5)

@@ -1,15 +1,17 @@
 """The catalog against hand-entered data: bracket entries, representation
 matrices, the quaternion product rule, the even permutations of four points
-and the scaling family's arrays, compared bit for bit (sign of zero too)."""
+and the scaling family's arrays, compared bit for bit (sign of zero too).
+The permutation group builders are compared with a pair-by-pair oracle."""
 
 from __future__ import annotations
 
 from itertools import permutations
 
 import numpy as np
+import pytest
 
-from leibrack import catalog, random_triple, scaling_crossed_module, \
-    scaling_triple
+from leibrack import FiniteGroup, StructuralError, catalog, random_triple, \
+    scaling_crossed_module, scaling_triple
 
 # name: (labels, [(i, j, k, C[i,j,k]), ...]); C[j,i,k] = -C[i,j,k]
 BRACKETS = {
@@ -126,3 +128,106 @@ def test_scaling_family_arrays_match_hand_data():
             assert same_bits(alg.structure_constants, C)
             assert same_bits(action.action_matrices, act)
             assert same_bits(theta.matrix, [[float(eps)], [1.0]])
+
+
+def compose(p: tuple, q: tuple) -> tuple:
+    """Composition of permutations acting on the left: (p q)(i) = p[q[i]]."""
+    return tuple(p[i] for i in q)
+
+
+def oracle_from_permutations(perms) -> FiniteGroup:
+    """The group of a closed set of permutations, built pair by pair: the
+    identity first, then the rest in lexicographic order."""
+    elems = sorted(set(tuple(p) for p in perms))
+    ident = tuple(range(len(elems[0])))
+    if ident not in elems:
+        raise StructuralError("permutation set lacks the identity")
+    elems.remove(ident)
+    elems.insert(0, ident)
+    index = {p: i for i, p in enumerate(elems)}
+    mul = np.empty((len(elems), len(elems)), dtype=np.int64)
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            if compose(p, q) not in index:
+                raise StructuralError("permutation set is not closed")
+            mul[i, j] = index[compose(p, q)]
+    return FiniteGroup.from_mul_table(mul)
+
+
+def oracle_from_generators(gens) -> FiniteGroup:
+    """Close a generating set under composition, one frontier at a time."""
+    gens = [tuple(g) for g in gens]
+    seen = {tuple(range(len(gens[0])))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [q for q in {compose(g, p) for p in frontier for g in gens}
+                    if q not in seen]
+        seen.update(frontier)
+    return oracle_from_permutations(seen)
+
+
+def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
+    return same_bits(a.mul_table, b.mul_table) and \
+        same_bits(a.inverse_table, b.inverse_table) and a.unit == b.unit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_groups_match_the_pairwise_oracle(n):
+    perms = list(permutations(range(n)))
+    assert same_group(catalog.group_from_permutations(perms),
+                      oracle_from_permutations(perms))
+    assert same_group(catalog.group_from_permutations(reversed(perms)),
+                      oracle_from_permutations(perms))
+
+
+@pytest.mark.parametrize("name", sorted(catalog.group_catalog()))
+def test_catalog_groups_match_the_pairwise_oracle(name):
+    # the rows of a product table are the permutations x -> gx of the left
+    # regular representation; two of them generate a subgroup
+    group = catalog.group_catalog()[name]
+    rows = [tuple(row) for row in group.mul_table.tolist()]
+    gens = rows[1:3] or rows
+    assert same_group(catalog.group_from_permutations(rows),
+                      oracle_from_permutations(rows))
+    assert same_group(catalog.group_from_generators(gens),
+                      oracle_from_generators(gens))
+
+
+@pytest.mark.parametrize("gens", [
+    pytest.param([(1, 2, 0, 3), (0, 2, 3, 1)], id="a4"),
+    pytest.param([(1, 2, 3, 0), (1, 0, 3, 2)], id="d4"),
+    pytest.param([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], id="s5"),
+    pytest.param([(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)], id="frobenius21"),
+])
+def test_generated_groups_match_the_pairwise_oracle(gens):
+    assert same_group(catalog.group_from_generators(gens),
+                      oracle_from_generators(gens))
+
+
+def test_catalog_permutation_groups_are_the_oracle_groups():
+    assert same_group(catalog.alternating4(),
+                      oracle_from_generators([(1, 2, 0, 3), (0, 2, 3, 1)]))
+    assert same_group(catalog.dihedral4(),
+                      oracle_from_generators([(1, 2, 3, 0), (1, 0, 3, 2)]))
+    assert same_group(catalog.symmetric3(),
+                      oracle_from_permutations(permutations(range(3))))
+
+
+@pytest.mark.parametrize("perms,message", [
+    pytest.param([(0, 1, 2), (1, 0, 2), (0, 2, 1)], "is not closed", id="not-closed"),
+    pytest.param([(1, 0, 2), (0, 2, 1)], "lacks the identity", id="no-identity"),
+])
+def test_bad_permutation_sets_are_structural_errors(perms, message):
+    for build in (catalog.group_from_permutations, oracle_from_permutations):
+        with pytest.raises(StructuralError, match=f"^permutation set {message}$"):
+            build(perms)
+
+
+def test_a_non_permutation_is_a_structural_error():
+    # the pairwise construction sorted (0, 0, 0) before the identity and
+    # raised AxiomError for its missing inverse; a set of maps that are not
+    # permutations is now refused as input
+    with pytest.raises(StructuralError, match="holds a non-permutation"):
+        catalog.group_from_permutations([(0, 0, 0), (0, 1, 2)])
+    with pytest.raises(StructuralError, match="holds a non-permutation"):
+        catalog.group_from_generators([(1, 1, 2)])

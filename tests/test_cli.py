@@ -171,6 +171,30 @@ def test_verify_tolerance_is_finite_and_not_negative(value, code, capsys):
     assert ("overall: PASS" in captured.out) == (code == EXIT_PASS)
 
 
+@pytest.mark.parametrize("argv,named", [
+    pytest.param(["integrate", "--samples", "abc"], "--samples", id="samples=abc"),
+    pytest.param(["integrate", "--samples", "1.5"], "--samples", id="samples=1.5"),
+    pytest.param(["verify", "--format", "xml"], "--format", id="format=xml"),
+    pytest.param(["corpus", "--count", "x"], "--count", id="count=x"),
+    pytest.param(["verify", "--no-such-flag"], "--no-such-flag", id="unknown"),
+    pytest.param([], "command", id="no-command"),
+])
+def test_malformed_flags_are_structural_errors(argv, named, capsys):
+    # a parse error exits 3 like any structural error, not argparse's 2,
+    # which is the exit code of an axiom violation
+    assert main(argv) == EXIT_STRUCTURAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("structural error:")
+    assert named in err[0]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    assert "--builtin" in capsys.readouterr().out
+
+
 def test_builtin_argument_errors(tmp_path):
     assert main(["verify", "--builtin", "no-such-system"]) == EXIT_STRUCTURAL
     assert main(["verify", "--builtin", "scaling:xyz"]) == EXIT_STRUCTURAL

@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in that module, every name
-the package exports and every public method of an exported class is used
-outside the tests, no einsum builds a table of four or more indices, and
-``verify`` and ``integrate`` run without loading scipy.
+"""Every name a package module imports is used in that module, no module
+takes another module's underscore name, every name the package exports and
+every public method of an exported class is used outside the tests, no
+einsum builds a table of four or more indices, and ``verify`` and
+``integrate`` run without loading scipy.
 
 No lint tool ships with the package, so this reads the sources with ``ast``.
 ``__init__.py`` is exempt: its imports are the package's re-exports.
@@ -48,6 +49,40 @@ def test_unused_imports_are_found():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def private_imports(source: str) -> list:
+    """Underscore names, not dunders, that a module takes from the package:
+    imported, or read as an attribute of a name it imported from there."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+    tree = ast.parse(source)
+    imported, taken = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "leibrack"):
+            imported.update(a.asname or a.name for a in node.names)
+            taken += [a.name for a in node.names if private(a.name)]
+    taken += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and private(node.attr)
+              and getattr(node.value, "id", None) in imported]
+    return sorted(taken)
+
+
+def test_private_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "from . import algebra\nfrom .racks import _table, check\n"
+              "from leibrack.catalog import _keys\nimport numpy as np\n"
+              "x = algebra._BLOCK + algebra.DEFAULT_TOL + np._core + check._y\n"
+              "y = check.__doc__ + algebra.__name__\n")
+    assert private_imports(source) == ["_BLOCK", "_keys", "_table", "_y"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_takes_another_modules_private_name(path):
+    # an underscore name is its module's own; a name another module needs is
+    # public, or that module uses a public function that gives the same
+    assert private_imports(path.read_text("utf-8")) == []
 
 
 def read_names(source: str) -> set:
