@@ -310,8 +310,8 @@ def bracket_map_residuals(B: np.ndarray, C: np.ndarray, f) -> np.ndarray:
 
 def bracket_closure_check(alg: LieAlgebraData, sub: SubspaceBasis,
                           tol: float = DEFAULT_TOL) -> bool:
-    """True when [sub, sub] stays inside sub (least-squares membership)."""
+    """True when every distance of [sub, sub] to sub is at most ``tol``."""
     if sub.ambient_dim != alg.dim:
         raise StructuralError("subspace lives in a different ambient space")
     W = sub.vectors
-    return not np.any(sub.distance(brackets(alg.structure_constants, W, W)) > tol)
+    return bool(np.all(sub.distance(brackets(alg.structure_constants, W, W)) <= tol))

@@ -44,6 +44,7 @@ raises its first failure if it fails again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,12 +78,11 @@ class RackPoint:
 
 @dataclass(frozen=True, eq=False)
 class LocalRackModel:
-    """A triple, the faithful representation of its local group, the
-    module's transport rho, and chart bookkeeping."""
+    """A triple, the faithful representation of its local group, and chart
+    bookkeeping; the module's transport rho is derived from the triple."""
 
     triple: LieLeibnizTriple
     rep: MatrixRep                  # faithful: products, logs, coordinates
-    transport: MatrixRep            # rho_g = transport.element(coords of g)
     h_basis: SubspaceBasis
     radius: float
     cfg: DiffConfig
@@ -91,10 +91,14 @@ class LocalRackModel:
         radius = float(frozen_array(self.radius, (), "radius"))
         if not 0 < radius <= CHART_RADIUS:
             raise StructuralError("radius must lie in (0, chart radius]")
-        same_algebra(self.transport.algebra, self.triple.algebra, "transport")
-        if self.transport.matrix_dim != self.triple.dim_v:
-            raise StructuralError("module transport has the wrong size")
+        same_algebra(self.rep.algebra, self.triple.algebra, "representation")
         set_frozen(self, radius=radius)
+
+    @cached_property
+    def transport(self) -> MatrixRep:
+        """The action matrices as a representation: rho_g =
+        transport.element(coords of g) = exp(act(c))."""
+        return MatrixRep(self.triple.algebra, self.triple.action.action_matrices)
 
     def shadows(self, v, reason: int = MODEL_RADIUS):
         """theta(v) of each vector of a stack (k, d), and the failures:
@@ -127,7 +131,6 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
     if rep is None:
         rep = adjoint_rep(triple.algebra)
     else:
-        same_algebra(rep.algebra, triple.algebra, "representation")
         rep_report = check_rep(rep)
         if not rep_report.passed:
             raise AxiomError("matrix-representation", rep_report.max_residual,
@@ -138,8 +141,7 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
         aug = check_relaxed_augmentation(RelaxedAugmentation(triple, h_basis))
         if not aug.passed:
             raise AxiomError("relaxed-augmentation", aug.max_residual, aug)
-    transport = MatrixRep(triple.algebra, triple.action.action_matrices)
-    return LocalRackModel(triple, rep, transport, h_basis, radius, cfg)
+    return LocalRackModel(triple, rep, h_basis, radius, cfg)
 
 
 def _act(model: LocalRackModel, R, v):

@@ -198,6 +198,17 @@ def test_bracket_closure_check():
         sl2, SubspaceBasis(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
 
 
+def test_a_nan_closure_distance_is_not_closed():
+    # at this scale [w, w] = 1e320 e_b - 1e320 e_b is inf - inf: a NaN
+    # distance, which the comparison with the tolerance must not pass
+    alg = lie_algebra(1e300 * catalog.nonabelian2().structure_constants)
+    sub = SubspaceBasis(2, [[1e10, 1e10]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = sub.vectors
+        assert np.isnan(sub.distance(brackets(alg.structure_constants, W, W)))
+        assert bracket_closure_check(alg, sub) is False
+
+
 def test_catalog_ideals_really_are_ideals():
     for name, ideal in catalog.IDEAL_CHOICES:
         alg = catalog.algebra_by_name(name)

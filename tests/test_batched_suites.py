@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import suite_oracle as oracle
 from leibrack import (ChartError, DomainError, EmbeddingTensor, GroupElement,
-                      MatrixRep, ModuleAction, RackPoint, StructuralError,
+                      LieLeibnizTriple, MatrixRep, ModuleAction, RackPoint,
+                      StructuralError,
                       SubspaceBasis, build_model, build_triple, catalog,
                       check_equivariance, check_local_group_set_laws,
                       check_local_rack_laws, ideal_triple, lie_algebra,
@@ -68,9 +69,10 @@ def zero_subalgebra_model():
 def transported_model(good, action_matrices):
     """``good`` with its module's transport built from other action
     matrices: the model the triple would give if those were its action."""
-    transport = MatrixRep(good.triple.algebra, action_matrices)
-    return LocalRackModel(good.triple, good.rep, transport, good.h_basis,
-                          good.radius, good.cfg)
+    alg, theta = good.triple.algebra, good.triple.theta
+    triple = LieLeibnizTriple(
+        alg, ModuleAction(alg, good.triple.dim_v, action_matrices), theta)
+    return LocalRackModel(triple, good.rep, good.h_basis, good.radius, good.cfg)
 
 
 def broken_model():
@@ -91,7 +93,7 @@ def off_span_model():
     good = scaled_sl2_model(30.0)
     R = 0.3 * np.random.default_rng(8).standard_normal((3, 3, 3))
     return LocalRackModel(good.triple, MatrixRep(good.triple.algebra, R),
-                          good.transport, good.h_basis, good.radius, good.cfg)
+                          good.h_basis, good.radius, good.cfg)
 
 
 def assert_same_report(batched, scalar, skips=None):

@@ -195,6 +195,63 @@ def test_help_still_exits_0(capsys):
     assert "--builtin" in capsys.readouterr().out
 
 
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    from leibrack import cli
+    assert main(["verify", "--builtin", "sl2-adjoint"]) == EXIT_PASS
+    made, init = [], cli._Parser.__init__
+
+    def counted(self, *args, **kw):
+        made.append(self)
+        init(self, *args, **kw)
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert main(["verify", "--builtin", "scaling:2.0"]) == EXIT_PASS
+    assert main(["verify", "--no-such-flag"]) == EXIT_STRUCTURAL
+    helps = []
+    for _ in range(2):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", "-h"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert made == [] and helps[0] == helps[1] and "--samples" in helps[0]
+
+
+@pytest.mark.parametrize("cmd", ["verify", "integrate"])
+@pytest.mark.parametrize("name", ["sl2-adjoint", "scaling:2.5",
+                                  "heisenberg-ideal"])
+def test_a_builtin_triple_is_checked_once(cmd, name, monkeypatch, capsys):
+    # a builtin is the unchecked triple of a crossed module, and the command
+    # checks it once, as it checks a spec file
+    from leibrack import cli, triples
+    calls, reports = [], triples.triple_reports
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return reports(*args, **kw)
+    monkeypatch.setattr(triples, "triple_reports", counted)
+    monkeypatch.setattr(cli, "triple_reports", counted)
+    argv = [cmd, "--builtin", name] + (["--samples", "20"] if cmd == "integrate"
+                                       else [])
+    assert main(argv) == EXIT_PASS
+    assert len(calls) == 1
+
+
+def test_a_corpus_crossed_module_row_checks_each_law_once(monkeypatch, capsys):
+    from leibrack import cli, racks
+    checked = {}
+    for name in ("check_group_crossed_module", "check_group_rack_triple"):
+        def counted(obj, check=getattr(racks, name), name=name):
+            checked.setdefault(name, []).append(obj)
+            return check(obj)
+        monkeypatch.setattr(racks, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["corpus", "--count", "0"]) == EXIT_PASS
+    # three conjugation crossed modules, the inclusion and the relaxed one
+    assert len(checked["check_group_crossed_module"]) == 5
+    for objects in checked.values():        # no object is checked twice
+        assert len({id(obj) for obj in objects}) == len(objects)
+
+
 def test_builtin_argument_errors(tmp_path):
     assert main(["verify", "--builtin", "no-such-system"]) == EXIT_STRUCTURAL
     assert main(["verify", "--builtin", "scaling:xyz"]) == EXIT_STRUCTURAL

@@ -197,6 +197,27 @@ def test_no_einsum_builds_a_four_index_table(path):
             if out is None or len(out) >= 4] == []
 
 
+def test_every_traced_name_resolves():
+    # bench/tracer.py wraps these names; a renamed or deleted one must show in
+    # the tier-1 tests, not only in the bench suite.  ROADMAP item 1 takes the
+    # three exempt names, gone from the package, out of the tracer.
+    import importlib
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text("utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    exempt = {("report", "merge_reports"), ("localgroup", "group_mul"),
+              ("localgroup", "group_inverse")}
+    missing = []
+    for module, path in sorted(set(targets) - exempt):
+        owner = importlib.import_module(f"leibrack.{module}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert len(targets) > 30 and missing == []
+
+
 def test_verify_does_not_load_scipy():
     script = ("import sys\n"
               "from leibrack.cli import main\n"

@@ -236,6 +236,39 @@ def test_broken_crossed_module_peiffer_named():
     assert err.value.law == "lie-crossed-module"
 
 
+def test_the_derived_bracket_is_not_a_constructor_argument():
+    t = scaling_triple(2.0)
+    with pytest.raises(TypeError):
+        LieLeibnizTriple(t.algebra, t.action, t.theta,
+                         derived_bracket=t.derived_bracket)
+
+
+def test_crossed_module_conversion_checks_each_law_once(monkeypatch):
+    # check_lie_crossed_module already evaluates the restriction and
+    # equivariance laws that check_relaxed_augmentation would repeat
+    from leibrack import triples
+    calls = []
+    monkeypatch.setattr(triples, "check_relaxed_augmentation",
+                        lambda *args, **kw: calls.append(args))
+    heis = catalog.heisenberg()
+    for cm in (identity_crossed_module(catalog.sl2()),
+               ideal_crossed_module(heis, catalog.ideal_subspace("heisenberg",
+                                                                 "plane")),
+               scaling_crossed_module(1.0), scaling_crossed_module(2.0)):
+        assert triple_from_crossed_module(cm).triple.dim_g == cm.n.dim
+    sl2 = catalog.sl2()
+    dead = LieAlgebraCrossedModule(sl2, sl2, np.eye(3),
+                                   ModuleAction(sl2, 3, np.zeros((3, 3, 3))))
+    cm = scaling_crossed_module(2.0)
+    off_image = LieAlgebraCrossedModule(cm.m, cm.n, cm.mu, cm.eta,
+                                        n_prime=SubspaceBasis(2, [[1.0, 0.0]]))
+    for broken in (dead, off_image):
+        with pytest.raises(AxiomError) as err:
+            triple_from_crossed_module(broken)
+        assert err.value.law == "lie-crossed-module"
+    assert calls == []
+
+
 def test_restriction_must_be_subalgebra_and_contain_image():
     cm = scaling_crossed_module(2.0)
     bad = LieAlgebraCrossedModule(cm.m, cm.n, cm.mu, cm.eta,
@@ -262,6 +295,17 @@ def test_random_family_unknown_name():
     from leibrack import StructuralError
     with pytest.raises(StructuralError):
         random_triple(0, "no-such-family")
+
+
+def test_random_triple_parameters_are_keywords_it_knows():
+    with pytest.raises(TypeError):          # a misspelt scale is no default
+        random_triple(1, "strict_from_ideal", algebra="sl2", ideal="full",
+                      scal=2.0)
+    with pytest.raises(TypeError):
+        random_triple(1, "strict_from_ideal", "sl2", "full")
+    tri = random_triple(1, "strict_from_ideal", algebra="sl2", ideal="full",
+                        scale=2.0)
+    assert np.array_equal(tri.theta.matrix, 2.0 * np.eye(3))
 
 
 def test_triple_reports_are_plain_data():

@@ -54,8 +54,8 @@ TYPES = {
     "DiffConfig": (DiffConfig, {"step": 1e-4, "scheme": "central"}),
     "RackPoint": (RackPoint, {"v": [0.1], "u": [0.0, 0.1]}),
     "LocalRackModel": (LocalRackModel, {
-        "triple": MODEL.triple, "rep": MODEL.rep, "transport": MODEL.transport,
-        "h_basis": MODEL.h_basis, "radius": MODEL.radius, "cfg": MODEL.cfg}),
+        "triple": MODEL.triple, "rep": MODEL.rep, "h_basis": MODEL.h_basis,
+        "radius": MODEL.radius, "cfg": MODEL.cfg}),
     "FiniteRack": (FiniteRack, {
         "size": 6, "op_table": conjugation_rack(S3).op_table, "basepoint": 0}),
     "FiniteGroup": (FiniteGroup, {
@@ -159,12 +159,14 @@ def test_a_fractional_index_is_rejected_not_truncated(make, name):
     (lambda: FiniteRack(2, [[0, True], [1, 0]]), "rack table"),
     (lambda: ModuleAction(NAB, 1, [[[2.0]], ((np.False_,),)]), "action matrices"),
     (lambda: DiffConfig(step=INF), "step"),
-    (lambda: LocalRackModel(MODEL.triple, MODEL.rep, MODEL.rep, MODEL.h_basis,
-                            MODEL.radius, MODEL.cfg), "transport"),
+    (lambda: LocalRackModel(MODEL.triple,
+                            MatrixRep(SL2, SL2.adjoint_action().action_matrices),
+                            MODEL.h_basis, MODEL.radius, MODEL.cfg),
+     "representation"),
 ], ids=["basepoint-string", "unit-none", "labels-none", "rep-string",
         "theta-string", "subspace-string", "step-string", "from-table-unit",
         "size-bool", "theta-nan", "theta-bool-in-list", "rack-bool-in-list",
-        "action-numpy-bool-in-tuple", "step-inf", "transport-wrong-size"])
+        "action-numpy-bool-in-tuple", "step-inf", "rep-other-algebra"])
 def test_a_malformed_value_is_a_structural_error_naming_it(make, name):
     with pytest.raises(StructuralError, match=name):
         make()
@@ -226,18 +228,21 @@ def test_the_inverse_table_takes_the_first_two_sided_inverse():
 
 
 def test_the_same_algebra_is_checked_by_structure_constants():
-    # equal dimension is not enough: heisenberg acting on itself is no sl2 action
+    # equal dimension is not enough: a faithful heisenberg representation is
+    # no sl2 representation, and the model itself rejects it
     model = build_model(build_triple(SL2, SL2.adjoint_action(),
                                      EmbeddingTensor(np.eye(3))))
     heis = catalog.heisenberg()
-    with pytest.raises(StructuralError, match="transport is over a different algebra"):
-        LocalRackModel(model.triple, model.rep,
-                       MatrixRep(heis, heis.adjoint_action().action_matrices),
+    with pytest.raises(StructuralError,
+                       match="representation is over a different algebra"):
+        LocalRackModel(model.triple,
+                       MatrixRep(heis, catalog.faithful_rep_matrices("heisenberg")),
                        model.h_basis, model.radius, model.cfg)
     twin = LieAlgebraData(3, SL2.basis_labels, SL2.structure_constants)
-    transport = MatrixRep(twin, twin.adjoint_action().action_matrices)
-    assert LocalRackModel(model.triple, model.rep, transport, model.h_basis,
-                          model.radius, model.cfg).transport.matrix_dim == 3
+    rep = MatrixRep(twin, twin.adjoint_action().action_matrices)
+    made = LocalRackModel(model.triple, rep, model.h_basis, model.radius,
+                          model.cfg)
+    assert made.rep is rep and made.transport.matrix_dim == 3
 
 
 def holds_bool_by_recursion(value) -> bool:
