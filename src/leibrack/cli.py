@@ -159,7 +159,8 @@ def algebra_from_doc(doc: dict, where: str = "lie_algebra") -> LieAlgebraData:
         seen.add((i, j, k))
         C[i, j, k] = _value(entry[3], field, float)
     labels = _read(doc, "labels", where, list, [f"e{i}" for i in range(dim)])
-    return _built(where, LieAlgebraData, dim, tuple(labels), C)
+    return _built(where, LieAlgebraData, dim, tuple(
+        _value(name, f"{where}.labels[{i}]", str) for i, name in enumerate(labels)), C)
 
 
 def triple_parts_from_doc(doc: dict, where: str = "") -> dict:
@@ -170,6 +171,10 @@ def triple_parts_from_doc(doc: dict, where: str = "") -> dict:
                            f"{at}lie_algebra")
     n, dim_v = alg.dim, _read(doc, "module.dim_v", where, int, low=1)
     config = _read(doc, "config", where, dict, {})
+    unknown = sorted(set(config) - set(CONFIG))
+    if unknown:
+        raise StructuralError(f"{at}config.{unknown[0]} is not a setting; "
+                              f"the settings are {', '.join(CONFIG)}")
     parts = {
         "algebra": alg, "rep": None, "h_basis": None, "morphism": None,
         "action": ModuleAction(alg, dim_v, _read(
@@ -293,8 +298,8 @@ def _verify_rack(triple: GroupRackTriple, fmt: str) -> int:
 
 
 def _verify_triple(parts: dict, tol: float, fmt: str) -> int:
-    alg, action, theta = parts["algebra"], parts["action"], parts["theta"]
-    alg_rep, mod_rep, tri_rep = triple_reports(alg, action, theta, tol)
+    triple = LieLeibnizTriple(parts["algebra"], parts["action"], parts["theta"])
+    alg_rep, mod_rep, tri_rep = triple_reports(triple, tol)
     passed = tri_rep.passed
     lines = [
         _check_line("lie algebra axioms", alg_rep),
@@ -306,13 +311,10 @@ def _verify_triple(parts: dict, tol: float, fmt: str) -> int:
                "triple": tri_rep.to_dict()}
 
     if passed:
-        triple = LieLeibnizTriple(alg, action, theta)
-        strict = tri_rep.info["strict"]
-        h = max_strictness_subalgebra(triple, tol)
-        lines.append(f"strict: {'yes' if strict else 'no'}")
-        lines.append(f"largest equivariant subalgebra: dim {h.dim} of {alg.dim}")
-        payload["strict"] = bool(strict)
-        payload["h_dim"] = int(h.dim)
+        strict, h = tri_rep.info["strict"], max_strictness_subalgebra(triple, tol)
+        lines += [f"strict: {'yes' if strict else 'no'}",
+                  f"largest equivariant subalgebra: dim {h.dim} of {triple.dim_g}"]
+        payload.update(strict=bool(strict), h_dim=int(h.dim))
 
         if parts["h_basis"] is not None:
             aug_rep = check_relaxed_augmentation(
@@ -324,15 +326,13 @@ def _verify_triple(parts: dict, tol: float, fmt: str) -> int:
         mor = parts["morphism"]
         if mor is not None:
             tgt = mor["target"]
-            tgt_rep = check_triple(tgt["algebra"], tgt["action"], tgt["theta"],
-                                   tol)
+            target = LieLeibnizTriple(tgt["algebra"], tgt["action"], tgt["theta"])
+            tgt_rep = triple_reports(target, tol)[-1]
             if not tgt_rep.passed:
                 lines.append(_check_line("morphism target triple", tgt_rep))
                 payload["morphism_target"] = tgt_rep.to_dict()
                 passed = False
             else:
-                target = LieLeibnizTriple(tgt["algebra"], tgt["action"],
-                                          tgt["theta"])
                 mor_rep = check_morphism(
                     TripleMorphism(triple, target, mor["phi"], mor["psi"]), tol)
                 lines.append(_check_line("morphism laws", mor_rep))

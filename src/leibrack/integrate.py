@@ -92,6 +92,7 @@ class LocalRackModel:
         if not 0 < radius <= CHART_RADIUS:
             raise StructuralError("radius must lie in (0, chart radius]")
         same_algebra(self.rep.algebra, self.triple.algebra, "representation")
+        RelaxedAugmentation(self.triple, self.h_basis)      # h_basis lies in g
         set_frozen(self, radius=radius)
 
     @cached_property

@@ -86,13 +86,6 @@ class Collector:
             self.violations.append(
                 Violation(law, tuple(int(i) for i in where), float(residual)))
 
-    def measure(self, law: str, where: tuple, residual: float, tol=None):
-        """Fold one residual into the maximum; record it when it exceeds
-        ``tol`` (the collector's tolerance by default)."""
-        self._fold(float(residual))
-        if residual > (self.tol if tol is None else tol):
-            self.add(law, where, residual)
-
     def scan(self, law: str, residuals):
         """A residual array: every entry above the tolerance fails at its
         index, in row-major order."""

@@ -22,6 +22,7 @@ seeded random generators used by the corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +55,10 @@ def derived_bracket_tensor(action: ModuleAction, theta: EmbeddingTensor) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class LieLeibnizTriple:
-    """A validated triple together with its derived Leibniz bracket.
-
-    Use :func:`build_triple` to construct one; the constructor itself only
-    enforces shape consistency and computes the derived bracket.
-    """
+    """A triple with its derived data, each computed once: the Leibniz
+    bracket at construction, the defect stack and its SVD on first use.
+    :func:`build_triple` returns a checked one; the constructor only checks
+    shapes."""
 
     algebra: LieAlgebraData
     action: ModuleAction
@@ -82,26 +82,38 @@ class LieLeibnizTriple:
     def dim_v(self) -> int:
         return self.action.dim_v
 
+    @cached_property
+    def defect_stack(self) -> np.ndarray:
+        """Defect matrices of all basis elements, shape (n, n, d), read-only."""
+        stack = _defect_stack(self.algebra, self.action, self.theta)
+        stack.flags.writeable = False
+        return stack
 
-def triple_reports(algebra: LieAlgebraData, action: ModuleAction,
-                   theta: EmbeddingTensor, tol: float = DEFAULT_TOL) -> tuple:
-    """The Lie algebra, module and :func:`check_triple` reports of raw
-    components, each law evaluated once; the components must fit together
-    as a :class:`LieLeibnizTriple`."""
-    derived = LieLeibnizTriple(algebra, action, theta).derived_bracket
-    alg_rep, mod_rep = check_lie_algebra(algebra, tol), check_module(action, tol)
+    @cached_property
+    def _defect_svd(self) -> tuple:
+        """Singular values and right singular vectors of a -> defect(a); none
+        if it overflowed, where LAPACK's SVD raises, returns NaN or hangs."""
+        L = self.defect_stack.reshape(self.dim_g, -1).T   # a column per element
+        if not np.isfinite(L).all():
+            return np.empty(0), L[:0]
+        return np.linalg.svd(L, full_matrices=False)[1:]
+
+
+def triple_reports(triple: LieLeibnizTriple, tol: float = DEFAULT_TOL) -> tuple:
+    """The Lie algebra, module and :func:`check_triple` reports of an
+    unchecked triple, each law evaluated once."""
+    alg, derived = triple.algebra, triple.derived_bracket
+    alg_rep, mod_rep = check_lie_algebra(alg, tol), check_module(triple.action, tol)
     col = Collector(tol)
     col.merge(alg_rep)
     col.merge(mod_rep)
 
     col.scan("embedding-intertwines-brackets", bracket_map_residuals(
-        derived.bracket_tensor, algebra.structure_constants, theta.matrix))
+        derived.bracket_tensor, alg.structure_constants, triple.theta.matrix))
     col.merge(check_leibniz(derived, tol))
-
-    stack = _defect_stack(algebra, action, theta)
     return alg_rep, mod_rep, col.report({
-        "strict": len(_equivariant_rows(stack, tol)) == algebra.dim,
-        "max_defect": float(np.max(np.abs(stack)))})
+        "strict": is_strict(triple, tol),
+        "max_defect": float(np.max(np.abs(triple.defect_stack)))})
 
 
 def check_triple(algebra: LieAlgebraData, action: ModuleAction,
@@ -115,17 +127,18 @@ def check_triple(algebra: LieAlgebraData, action: ModuleAction,
 
         theta([u, v]_V) = [theta(u), theta(v)]_g .
     """
-    return triple_reports(algebra, action, theta, tol)[-1]
+    return triple_reports(LieLeibnizTriple(algebra, action, theta), tol)[-1]
 
 
 def build_triple(algebra: LieAlgebraData, action: ModuleAction,
                  theta: EmbeddingTensor, tol: float = DEFAULT_TOL) -> LieLeibnizTriple:
-    """Validate components and assemble the triple; AxiomError on failure."""
-    report = check_triple(algebra, action, theta, tol)
+    """Validate components and return the checked triple; AxiomError on failure."""
+    triple = LieLeibnizTriple(algebra, action, theta)
+    report = triple_reports(triple, tol)[-1]
     if not report.passed:
         law = report.violations[0].law if report.violations else "triple-axioms"
         raise AxiomError(law, report.max_residual, report)
-    return LieLeibnizTriple(algebra, action, theta)
+    return triple
 
 
 def _defect_stack(algebra: LieAlgebraData, action: ModuleAction,
@@ -136,27 +149,22 @@ def _defect_stack(algebra: LieAlgebraData, action: ModuleAction,
         Th @ action.action_matrices
 
 
-def _equivariant_rows(stack: np.ndarray, tol: float) -> np.ndarray:
+def _equivariant_rows(triple: LieLeibnizTriple, tol: float) -> np.ndarray:
     """The one rule for h (strict: h = g): the right singular vectors of a ->
-    defect(a) with singular value <= ``tol``, none if the defect overflowed."""
-    L = stack.reshape(len(stack), -1).T     # columns indexed by basis elements
-    if not np.isfinite(L).all():
-        return L[:0]
-    _, s, Vt = np.linalg.svd(L, full_matrices=False)
+    defect(a) with singular value <= ``tol``."""
+    s, Vt = triple._defect_svd
     return Vt[s <= tol]
 
 
 def equivariance_defect(triple: LieLeibnizTriple, a) -> np.ndarray:
     """Matrix of v -> [a, theta(v)] - theta(a . v), shape (dim g, dim V);
     for a stack of rows a, one such matrix per row."""
-    return np.tensordot(np.asarray(a, float), _defect_stack(
-        triple.algebra, triple.action, triple.theta), axes=1)
+    return np.tensordot(np.asarray(a, float), triple.defect_stack, axes=1)
 
 
 def is_strict(triple: LieLeibnizTriple, tol: float = DEFAULT_TOL) -> bool:
     """True when the equivariant subalgebra is all of g."""
-    stack = _defect_stack(triple.algebra, triple.action, triple.theta)
-    return len(_equivariant_rows(stack, tol)) == triple.dim_g
+    return len(_equivariant_rows(triple, tol)) == triple.dim_g
 
 
 def max_strictness_subalgebra(triple: LieLeibnizTriple,
@@ -164,8 +172,7 @@ def max_strictness_subalgebra(triple: LieLeibnizTriple,
     """The largest subspace of g on which the defect map vanishes, by the
     rule that decides strictness.  It is always a subalgebra containing the
     image of the embedding tensor; both facts are re-verified."""
-    stack = _defect_stack(triple.algebra, triple.action, triple.theta)
-    basis = SubspaceBasis(triple.dim_g, _equivariant_rows(stack, tol))
+    basis = SubspaceBasis(triple.dim_g, _equivariant_rows(triple, tol))
     aug_report = check_relaxed_augmentation(
         RelaxedAugmentation(triple, basis), max(tol, 1e-7))
     if not aug_report.passed:
@@ -183,7 +190,7 @@ class RelaxedAugmentation:
 
     def __post_init__(self):
         if self.h_basis.ambient_dim != self.triple.dim_g:
-            raise StructuralError("subalgebra lives in a different ambient space")
+            raise StructuralError("h_basis lives in a different ambient space")
 
 
 def check_relaxed_augmentation(aug: RelaxedAugmentation,
@@ -195,8 +202,7 @@ def check_relaxed_augmentation(aug: RelaxedAugmentation,
     col.scan("contains-embedding-image", h.distance(triple.theta.matrix.T))
     col.scan("subalgebra-closure", h.distance(
         brackets(triple.algebra.structure_constants, h.vectors, h.vectors)))
-    stack = _defect_stack(triple.algebra, triple.action, triple.theta)
-    defects = h.vectors @ stack.reshape(triple.dim_g, -1)
+    defects = h.vectors @ triple.defect_stack.reshape(triple.dim_g, -1)
     col.scan("defect-vanishes", np.max(np.abs(defects), axis=1))
     return col.report({"h_dim": h.dim})
 
@@ -296,8 +302,7 @@ def check_lie_crossed_module(cm: LieAlgebraCrossedModule,
         scope = cm.n_prime.vectors
         if not bracket_closure_check(N, cm.n_prime, tol):
             col.add("restriction-subalgebra")
-        col.measure("restriction-contains-image", (),
-                    np.max(cm.n_prime.distance(mu.T)))
+        col.scan("restriction-contains-image", np.max(cm.n_prime.distance(mu.T)))
     else:
         scope = np.eye(N.dim)
 

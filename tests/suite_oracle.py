@@ -45,6 +45,13 @@ def _reason(exc: DomainError) -> str:
                 str(exc).startswith(message.split("{")[0]))
 
 
+def _measure(col: Collector, law: str, k: int, residual: float, tol=None):
+    """Sample k's residual of ``law``: folded into the maximum, and listed at
+    (k,) when it is above ``tol`` (the collector's tolerance by default)."""
+    res = np.array([residual], dtype=float)
+    col.tables((law, res > (col.tol if tol is None else tol), res), start=k)
+
+
 def _run_suite(samples: int, seed: int, tol: float, draw, trial, skips,
                **info) -> ValidityReport:
     """Draw the samples as ``draw(rng, samples)`` on one seeded RNG and run
@@ -90,7 +97,7 @@ def check_local_group_set_laws(model: LocalRackModel, samples: int = 200,
         p = model.point(v)
         onestep = local_action(model, group_mul(g1, g2, model.rep), p)
         twostep = local_action(model, g1, local_action(model, g2, p))
-        col.measure("group-set-composition", (k,), _gap(onestep, twostep))
+        _measure(col, "group-set-composition", k, _gap(onestep, twostep))
         fixed = local_action(model, ident, p)
         if not (np.array_equal(fixed.v, p.v) and np.array_equal(fixed.u, p.u)):
             col.add("unit-acts-trivially", (k,), _gap(fixed, p))
@@ -119,12 +126,12 @@ def check_local_rack_laws(model: LocalRackModel, samples: int = 200,
         yz = rack_product(model, y, z)
         xz = rack_product(model, x, z)
         lhs, rhs = rack_product(model, x, yz), rack_product(model, xy, xz)
-        col.measure("self-distributivity", (k,), _gap(lhs, rhs))
+        _measure(col, "self-distributivity", k, _gap(lhs, rhs))
 
         undone = local_action(
             model, group_inverse(embed_point(model, x), model.rep), xy)
-        col.measure("left-translation-undo", (k,),
-                    np.max(np.abs(undone.v - y.v)), _UNDO_TOL)
+        _measure(col, "left-translation-undo", k,
+                 np.max(np.abs(undone.v - y.v)), _UNDO_TOL)
 
         trivial = rack_product(model, base, y)
         if not np.array_equal(trivial.v, y.v):
@@ -158,8 +165,8 @@ def check_equivariance(model: LocalRackModel, samples: int = 200,
     def trial(col, k, xi, v):
         h, p = GroupElement.exp(model.rep, xi), model.point(v)
         moved = embed_point(model, local_action(model, h, p)).coords
-        col.measure("embedding-equivariance", (k,),
-                    np.max(np.abs(moved - _conjugate(model, h, p).coords)))
+        _measure(col, "embedding-equivariance", k,
+                 np.max(np.abs(moved - _conjugate(model, h, p).coords)))
 
     return _run_suite(samples if h_dim else 0, seed, tol, draw, trial, skips,
                       strict=h_dim == model.triple.dim_g, h_dim=int(h_dim))

@@ -25,7 +25,8 @@ from leibrack import (LeibnizAlgebraData, MatrixRep, ModuleAction,
                       check_rep, lie_algebra)
 from leibrack import algebra
 from leibrack.report import MAX_LISTED_VIOLATIONS, Collector, Violation
-from leibrack.triples import max_strictness_subalgebra, triple_reports
+from leibrack.triples import (LieLeibnizTriple, max_strictness_subalgebra,
+                              triple_reports)
 from test_algebra import (jacobi_table_by_loops, leibniz_table_by_loops,
                           module_table_by_loops)
 from test_stacked_recovery import gl_parts
@@ -134,7 +135,10 @@ def traced_peak(f, *args) -> int:
 
 def test_gl6_axiom_checks_hold_no_whole_four_index_table():
     # d = 36: one d^4 table of float64 alone is 12.8 MiB
+    # each check gets a fresh triple, so its defect stack and SVD are made
+    # under the trace
     triple, _ = gl_parts(6)
-    assert traced_peak(triple_reports, triple.algebra, triple.action,
-                       triple.theta) < 16 * 2 ** 20
-    assert traced_peak(max_strictness_subalgebra, triple) < 4 * 2 ** 20
+    parts = triple.algebra, triple.action, triple.theta
+    assert traced_peak(triple_reports, LieLeibnizTriple(*parts)) < 16 * 2 ** 20
+    assert traced_peak(max_strictness_subalgebra,
+                       LieLeibnizTriple(*parts)) < 4 * 2 ** 20

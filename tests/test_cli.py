@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from leibrack import catalog
 from leibrack.cli import (EXIT_AXIOM, EXIT_CAPABILITY, EXIT_PASS,
                           EXIT_STRUCTURAL, main)
 from leibrack.report import MAX_LISTED_VIOLATIONS
+from test_stacked_recovery import gl_parts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -236,6 +238,50 @@ def test_a_builtin_triple_is_checked_once(cmd, name, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def gl_doc(n: int, **extra) -> dict:
+    """The adjoint triple of gl(n) as a spec, with the natural representation."""
+    triple, rep = gl_parts(n)
+    C = triple.algebra.structure_constants
+    doc = {"lie_algebra": {"dim": n * n, "structure_constants": [
+               [int(i), int(j), int(k), float(C[i, j, k])]
+               for i, j, k in np.argwhere(C)]},
+           "module": {"dim_v": n * n,
+                      "action_matrices": triple.action.action_matrices.tolist()},
+           "theta": {"matrix": np.eye(n * n).tolist()},
+           "faithful_rep": {"matrices": rep.matrices.tolist()}}
+    doc.update(extra)
+    return doc
+
+
+@pytest.mark.parametrize("cmd,morphism,counts", [
+    ("verify", False, (1, 1, 1)), ("verify", True, (2, 2, 2)),
+    ("integrate", False, (1, 1, 1))])
+def test_each_triple_derives_its_data_once(cmd, morphism, counts, tmp_path,
+                                           monkeypatch, capsys):
+    # the derived bracket, the defect stack and its SVD, per triple built
+    from leibrack import triples
+    extra = {"morphism": {"target": gl_doc(3), "phi": np.eye(9).tolist(),
+                          "psi": np.eye(9).tolist()}} if morphism else {}
+    argv = [cmd, write_doc(tmp_path, "gl3.json", gl_doc(3, **extra))] + (
+        ["--samples", "5"] if cmd == "integrate" else [])
+    made = {"bracket": 0, "defect": 0, "svd": 0}
+
+    def counted(key, fn, caller=None):
+        def wrapper(*args, **kw):
+            if caller in (None, sys._getframe(1).f_globals["__name__"]):
+                made[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+    monkeypatch.setattr(triples, "derived_bracket_tensor",
+                        counted("bracket", triples.derived_bracket_tensor))
+    monkeypatch.setattr(triples, "_defect_stack",
+                        counted("defect", triples._defect_stack))
+    monkeypatch.setattr(np.linalg, "svd",
+                        counted("svd", np.linalg.svd, "leibrack.triples"))
+    assert main(argv) == EXIT_PASS
+    assert (made["bracket"], made["defect"], made["svd"]) == counts
+
+
 def test_a_corpus_crossed_module_row_checks_each_law_once(monkeypatch, capsys):
     from leibrack import cli, racks
     checked = {}
@@ -446,6 +492,15 @@ MALFORMED = [
                scaling_doc(1.0, h_basis={"vectors": [[0.0, 1.0]]}),
                "h_basis", "vectors", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
                case="h_basis.vectors/overfull"),
+    # a config key that is not a setting, and a label that is not a string
+    _malformed("integrate", "config.sample", scaling_doc(1.0, config={}),
+               "config", "sample", 3),
+    _malformed("verify", "config.Samples", scaling_doc(1.0, config={}),
+               "config", "Samples", 0),
+    _malformed("verify", "lie_algebra.labels[0]", scaling_doc(1.0),
+               "lie_algebra", "labels", [True, None]),
+    _malformed("verify", "lie_algebra.labels[1]", scaling_doc(1.0),
+               "lie_algebra", "labels", ["a", None]),
 ]
 
 

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, no module
 takes another module's underscore name, every name the package exports and
 every public method of an exported class is used outside the tests, no
-einsum builds a table of four or more indices, and ``verify`` and
-``integrate`` run without loading scipy.
+einsum builds a table of four or more indices, every function the benchmark
+tracer wraps resolves and takes the parameter its hook reads, and ``verify``
+and ``integrate`` run without loading scipy.
 
 No lint tool ships with the package, so this reads the sources with ``ast``.
 ``__init__.py`` is exempt: its imports are the package's re-exports.
@@ -11,6 +12,8 @@ No lint tool ships with the package, so this reads the sources with ``ast``.
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -197,25 +200,44 @@ def test_no_einsum_builds_a_four_index_table(path):
             if out is None or len(out) >= 4] == []
 
 
+def tracer_constant(name: str):
+    """The literal value of ``name`` in bench/tracer.py, read without
+    importing it; a ``frozenset({...})`` reads as its set."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text("utf-8"))
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == [name])
+    return ast.literal_eval(value.args[0] if isinstance(value, ast.Call) else value)
+
+
+def traced(module: str, path: str):
+    """The package object at ``module.path``, or None."""
+    owner = importlib.import_module(f"leibrack.{module}")
+    for attr in path.split("."):
+        owner = getattr(owner, attr, None)
+    return owner
+
+
 def test_every_traced_name_resolves():
     # bench/tracer.py wraps these names; a renamed or deleted one must show in
     # the tier-1 tests, not only in the bench suite.  ROADMAP item 1 takes the
     # three exempt names, gone from the package, out of the tracer.
-    import importlib
-    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text("utf-8"))
-    targets = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    targets = tracer_constant("TARGETS")
     exempt = {("report", "merge_reports"), ("localgroup", "group_mul"),
               ("localgroup", "group_inverse")}
-    missing = []
-    for module, path in sorted(set(targets) - exempt):
-        owner = importlib.import_module(f"leibrack.{module}")
-        for attr in path.split("."):
-            owner = getattr(owner, attr, None)
-        if not callable(owner):
-            missing.append(f"{module}.{path}")
+    missing = [f"{module}.{path}" for module, path in sorted(set(targets) - exempt)
+               if not callable(traced(module, path))]
     assert len(targets) > 30 and missing == []
+
+
+@pytest.mark.parametrize("group,param", [("SUITES", "samples"), ("STENCILS", "cfg")])
+def test_every_traced_hook_finds_its_parameter(group, param):
+    # the tracer counts samples off each suite call and stencil shrinks off
+    # each stencil's cfg; a renamed parameter must show here, not only as a
+    # "name(param)" entry in the traced run's missing list
+    names = sorted(tracer_constant(group))
+    lacking = [name for name in names if param not in inspect.signature(
+        traced(*name.split(".", 1))).parameters]
+    assert len(names) >= 2 and lacking == []
 
 
 def test_verify_does_not_load_scipy():

@@ -125,6 +125,25 @@ def test_build_triple_names_first_violated_law():
     assert "embedding-intertwines-brackets" in str(err.value)
 
 
+def test_build_triple_returns_the_triple_it_checked(monkeypatch):
+    # the stack and the SVD that decided the report are the triple's own,
+    # and the later readers of the triple reuse them
+    from leibrack import triples
+    checked, reports = [], triples.triple_reports
+
+    def spy(triple, tol=DEFAULT_TOL):
+        checked.append(triple)
+        return reports(triple, tol)
+    monkeypatch.setattr(triples, "triple_reports", spy)
+    triple = build_triple(*triples._scaling_parts(2.0))
+    assert checked == [triple]
+    stack, svd = triple.defect_stack, triple._defect_svd
+    assert not stack.flags.writeable
+    assert max_strictness_subalgebra(triple).dim == 1
+    assert np.array_equal(equivariance_defect(triple, np.eye(2)), stack)
+    assert triple.defect_stack is stack and triple._defect_svd is svd
+
+
 def test_relaxed_augmentation_positive_and_negative():
     triple = scaling_triple(2.0)
     good = RelaxedAugmentation(triple, SubspaceBasis(2, [[0.0, 1.0]]))
@@ -373,17 +392,14 @@ def ideal_action_by_loops(alg, sub):
 def relaxed_augmentation_by_loops(aug, tol=1e-9):
     triple, W = aug.triple, aug.h_basis.vectors
     col = Collector(tol)
-    for j in range(triple.dim_v):
-        col.measure("contains-embedding-image", (j,),
-                    distance_by_lstsq(W, triple.theta.matrix[:, j]))
-    for p, x in enumerate(W):
-        for q, y in enumerate(W):
-            col.measure("subalgebra-closure", (p, q),
-                        distance_by_lstsq(
-                            W, bracket_by_loops(triple.algebra, x, y)))
-    for p, x in enumerate(W):
-        col.measure("defect-vanishes", (p,),
-                    np.max(np.abs(equivariance_defect(triple, x))))
+    col.scan("contains-embedding-image",
+             [distance_by_lstsq(W, triple.theta.matrix[:, j])
+              for j in range(triple.dim_v)])
+    col.scan("subalgebra-closure",
+             [[distance_by_lstsq(W, bracket_by_loops(triple.algebra, x, y))
+               for y in W] for x in W])
+    col.scan("defect-vanishes",
+             [np.max(np.abs(equivariance_defect(triple, x))) for x in W])
     return col.report({"h_dim": aug.h_basis.dim})
 
 
@@ -419,23 +435,23 @@ def crossed_module_by_loops(cm, tol=1e-9):
         scope = cm.n_prime.vectors
         if not closure_by_loops(N, cm.n_prime, tol):
             col.add("restriction-subalgebra")
-        col.measure("restriction-contains-image", (), max(
+        col.scan("restriction-contains-image", max(
             distance_by_lstsq(scope, mu[:, j]) for j in range(M.dim)))
     else:
         scope = np.eye(N.dim)
     Bm = M.structure_constants
-    for p, x in enumerate(scope):
+
+    def derivation(x):
         E = act_by_loops(eta, x)
-        res = (np.einsum("abm,km->abk", Bm, E)
-               - np.einsum("ia,ibk->abk", E, Bm)
-               - np.einsum("jb,ajk->abk", E, Bm))
-        col.measure("action-by-derivations", (p,), np.max(np.abs(res)))
+        return np.abs(np.einsum("abm,km->abk", Bm, E)
+                      - np.einsum("ia,ibk->abk", E, Bm)
+                      - np.einsum("jb,ajk->abk", E, Bm))
 
     def equivariance(x):
         return np.abs(mu @ act_by_loops(eta, x) - N.ad(x) @ mu)
 
-    for p, x in enumerate(scope):
-        col.measure("equivariance", (p,), np.max(equivariance(x)))
+    col.scan("action-by-derivations", [np.max(derivation(x)) for x in scope])
+    col.scan("equivariance", [np.max(equivariance(x)) for x in scope])
     outside = Collector(tol)
     outside.scan("equivariance",
                  [np.max(equivariance(x), axis=0) for x in np.eye(N.dim)])

@@ -245,6 +245,16 @@ def test_the_same_algebra_is_checked_by_structure_constants():
     assert made.rep is rep and made.transport.matrix_dim == 3
 
 
+def test_the_model_subalgebra_lives_in_the_triples_algebra():
+    # a basis of R^3 is no subspace of the two-dimensional algebra; the model
+    # rejects it as RelaxedAugmentation does, naming h_basis
+    triple = scaling_triple(1.0)
+    rep = build_model(triple).rep
+    with pytest.raises(StructuralError, match="h_basis"):
+        LocalRackModel(triple, rep, SubspaceBasis(3, np.eye(3)), 0.3,
+                       DiffConfig())
+
+
 def holds_bool_by_recursion(value) -> bool:
     """The plain recursive definition of ``algebra._holds_bool``."""
     return type(value) in (bool, np.bool_) or type(value) in (list, tuple) \
