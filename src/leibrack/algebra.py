@@ -69,7 +69,11 @@ def frozen_array(values, shape=None, what="array", bound=None) -> np.ndarray:
     accepts any length; an empty input fits a shape with one such entry, as
     length 0.  Strings, objects and booleans are not numbers, also inside a
     list that NumPy would read as numbers."""
-    if _holds_bool(values):
+    try:
+        holds_bool = _holds_bool(values)
+    except RecursionError:
+        raise StructuralError(f"{what}: lists nested too deep") from None
+    if holds_bool:
         raise StructuralError(f"{what}: entries must be numbers")
     try:
         arr = np.asarray(values)

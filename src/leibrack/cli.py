@@ -71,6 +71,8 @@ def load_document(path: str) -> dict:
         raise StructuralError(
             f"parse error in {path} at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:    # not UTF-8, too deep
+        raise StructuralError(f"parse error in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise StructuralError(f"{path}: top level must be an object")
     return doc

@@ -50,7 +50,7 @@ import numpy as np
 
 from .algebra import SubspaceBasis, frozen_array, rows_per_block, same_algebra, \
     set_frozen
-from .errors import AxiomError, StructuralError
+from .errors import StructuralError
 from .localgroup import CHART_RADIUS, FAILURES, MODEL_RADIUS, MOVED, DiffConfig, \
     GroupElement, MatrixRep, adjoint_rep, chart_products, check_rep, \
     derivative_at_identity, failures, first_failure, log_matrix, \
@@ -132,16 +132,12 @@ def build_model(triple: LieLeibnizTriple, rep: MatrixRep | None = None,
     if rep is None:
         rep = adjoint_rep(triple.algebra)
     else:
-        rep_report = check_rep(rep)
-        if not rep_report.passed:
-            raise AxiomError("matrix-representation", rep_report.max_residual,
-                             rep_report)
+        check_rep(rep).require("matrix-representation")
     if h_basis is None:
         h_basis = max_strictness_subalgebra(triple)
     else:
-        aug = check_relaxed_augmentation(RelaxedAugmentation(triple, h_basis))
-        if not aug.passed:
-            raise AxiomError("relaxed-augmentation", aug.max_residual, aug)
+        check_relaxed_augmentation(RelaxedAugmentation(
+            triple, h_basis)).require("relaxed-augmentation")
     return LocalRackModel(triple, rep, h_basis, radius, cfg)
 
 

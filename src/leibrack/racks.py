@@ -261,13 +261,9 @@ def augmented_rack_from_crossed_module(cm: GroupCrossedModule) -> GroupRackTripl
     module the triple is still a genuine augmented rack because the image of
     the boundary map lies inside the restriction subgroup.
     """
-    cm_report = check_group_crossed_module(cm)
-    if not cm_report.passed:
-        raise AxiomError("group-crossed-module", cm_report.max_residual, cm_report)
+    check_group_crossed_module(cm).require("group-crossed-module")
     triple = GroupRackTriple(cm.n, cm.m.size, cm.eta, cm.mu, basepoint=cm.m.unit)
-    tr_report = check_group_rack_triple(triple)
-    if not tr_report.passed:
-        raise AxiomError("group-rack-triple", tr_report.max_residual, tr_report)
+    check_group_rack_triple(triple).require("group-rack-triple")
     return triple
 
 
@@ -289,8 +285,9 @@ def check_rack_triple_morphism(source: GroupRackTriple, target: GroupRackTriple,
 
     ``phi`` must already be a group homomorphism; a non-homomorphism is a
     precondition failure and raises StructuralError rather than producing a
-    failed report.  The induced rack-map property of psi is a consequence of
-    the other laws; it is re-verified and reported under ``derived-rack-map``.
+    failed report.  psi is then a map of the derived racks, a theorem that
+    is not evaluated (tests/test_theorems.py): psi(theta(x).y) =
+    phi(theta(x)).psi(y) = theta(psi(x)).psi(y).
     """
     phi = frozen_array(phi_table, (source.group.size,), "phi", target.group.size)
     psi = frozen_array(psi_table, (source.x_size,), "psi", target.x_size)
@@ -307,6 +304,4 @@ def check_rack_triple_morphism(source: GroupRackTriple, target: GroupRackTriple,
               target.theta_table[psi] != phi[source.theta_table])
     col.table("action-intertwined",
               psi[source.action_table] != target.action_table[phi][:, psi])
-    Ts, Tt = derived_rack(source).op_table, derived_rack(target).op_table
-    col.table("derived-rack-map", psi[Ts] != Tt[psi][:, psi])
     return col.report()

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import AxiomError
+
 MAX_LISTED_VIOLATIONS = 20
 
 
@@ -44,6 +46,12 @@ class ValidityReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+    def require(self, law: str) -> "ValidityReport":
+        """This report if it passed, else AxiomError naming ``law``."""
+        if not self.passed:
+            raise AxiomError(law, self.max_residual, self)
+        return self
 
     def to_dict(self) -> dict:
         return {

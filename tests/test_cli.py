@@ -387,6 +387,18 @@ def _malformed(cmd, field, doc, *path_and_value, case=None):
     return pytest.param(cmd, field, doc, id=case or field)
 
 
+def _raw(cmd, field, content: bytes, case):
+    """A row whose spec file holds the raw bytes ``content``, which no JSON
+    document can give."""
+    return pytest.param(cmd, field, content, id=case)
+
+
+def _deep(depth: int) -> bytes:
+    """The scaling spec with ``theta.matrix`` nested ``depth`` lists deep."""
+    text = json.dumps(scaling_doc(1.0, theta={"matrix": "@"}))
+    return text.replace('"@"', "[" * depth + "0" + "]" * depth).encode()
+
+
 NAN = float("nan")
 MALFORMED = [
     _malformed("verify", "x_size", rack_doc(), "x_size", "two"),
@@ -501,15 +513,24 @@ MALFORMED = [
                "lie_algebra", "labels", [True, None]),
     _malformed("verify", "lie_algebra.labels[1]", scaling_doc(1.0),
                "lie_algebra", "labels", ["a", None]),
+    # a file that is no JSON text, or that nests deeper than its reader goes,
+    # names the file; a field that does names the field
+    _raw("verify", "malformed.json", b"\xff\xfe{", "bytes-not-utf8"),
+    _raw("verify", "malformed.json", b"[" * 200000, "json-nested-too-deep"),
+    _raw("integrate", "theta.matrix", _deep(900), "theta.matrix/nested-too-deep"),
 ]
 
 
 @pytest.mark.parametrize("cmd,field,doc", MALFORMED)
 def test_malformed_spec_field_is_named(cmd, field, doc, tmp_path, capsys):
-    assert main([cmd, write_doc(tmp_path, "malformed.json", doc)]) == \
-        EXIT_STRUCTURAL
+    if isinstance(doc, bytes):
+        (tmp_path / "malformed.json").write_bytes(doc)
+    else:
+        write_doc(tmp_path, "malformed.json", doc)
+    assert main([cmd, str(tmp_path / "malformed.json")]) == EXIT_STRUCTURAL
     err = capsys.readouterr().err
     assert field in err
+    assert err.startswith("structural error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -416,9 +416,6 @@ def morphism_by_loops(mor, tol=1e-9):
         act[i] = psi @ act_by_loops(src.action, e) \
             - act_by_loops(tgt.action, phi @ e) @ psi
     col.scan("action-intertwined", act)
-    Bs, Bt = src.derived_bracket.bracket_tensor, tgt.derived_bracket.bracket_tensor
-    col.scan("derived-leibniz-morphism", np.einsum("uvm,am->uva", Bs, psi)
-             - np.einsum("au,bv,abk->uvk", psi, psi, Bt))
     return col.report()
 
 
