@@ -21,7 +21,7 @@ from .racks import (FiniteGroup, FiniteRack, GroupCrossedModule,
                     check_group, check_group_crossed_module,
                     check_group_rack_triple, check_rack,
                     check_rack_triple_morphism, conjugation_crossed_module,
-                    conjugation_rack, conjugation_triple, derived_rack)
+                    conjugation_rack, conjugation_triple)
 from .report import ValidityReport, Violation
 from .triples import (EmbeddingTensor, LieAlgebraCrossedModule,
                       LieLeibnizTriple, RelaxedAugmentation, TripleMorphism,

@@ -63,6 +63,11 @@ def _holds_bool(value) -> bool:
     return bool(kinds & {list, tuple}) and any(map(_holds_bool, value))
 
 
+def _depth(value) -> int:
+    """How many lists or tuples deep ``value`` nests."""
+    return 1 + max(map(_depth, value), default=0) if type(value) in (list, tuple) else 0
+
+
 def frozen_array(values, shape=None, what="array", bound=None) -> np.ndarray:
     """``values`` as a read-only copy: finite float64 numbers, or with
     ``bound`` int64 integers in [0, bound).  A ``None`` entry of ``shape``
@@ -70,15 +75,15 @@ def frozen_array(values, shape=None, what="array", bound=None) -> np.ndarray:
     length 0.  Strings, objects and booleans are not numbers, also inside a
     list that NumPy would read as numbers."""
     try:
-        holds_bool = _holds_bool(values)
+        if _holds_bool(values):
+            raise StructuralError(f"{what}: entries must be numbers")
+        arr = np.asarray(values)
     except RecursionError:
         raise StructuralError(f"{what}: lists nested too deep") from None
-    if holds_bool:
-        raise StructuralError(f"{what}: entries must be numbers")
-    try:
-        arr = np.asarray(values)
-    except ValueError:
-        raise StructuralError(f"{what}: rows must have equal lengths") from None
+    except ValueError:      # ragged rows, or more than NumPy's 64 dimensions
+        fault = "lists nested too deep" if _depth(values) > 64 else \
+            "rows must have equal lengths"
+        raise StructuralError(f"{what}: {fault}") from None
     if arr.dtype.kind not in "iuf":
         raise StructuralError(f"{what}: entries must be numbers")
     if shape is not None:

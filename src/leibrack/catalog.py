@@ -145,7 +145,7 @@ def ideal_subspace(name: str, ideal: str) -> SubspaceBasis:
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Z/n with addition, unit 0."""
-    return FiniteGroup.from_mul_table(np.add.outer(np.arange(n), np.arange(n)) % n)
+    return FiniteGroup(np.add.outer(np.arange(n), np.arange(n)) % n)
 
 
 def _keys(P: np.ndarray) -> np.ndarray:
@@ -173,7 +173,7 @@ def group_from_permutations(perms) -> FiniteGroup:
     mul = np.searchsorted(keys, products).clip(max=len(P) - 1)
     if np.any(keys[mul] != products):
         raise StructuralError("permutation set is not closed")
-    return FiniteGroup.from_mul_table(mul)
+    return FiniteGroup(mul)
 
 
 def group_from_generators(gens) -> FiniteGroup:
@@ -211,7 +211,7 @@ def quaternion8() -> FiniteGroup:
                      for s in (1, -1)])
     products = mats[:, None] @ mats[None, :]
     same = np.all(products[:, :, None] == mats, axis=(-2, -1))
-    return FiniteGroup.from_mul_table(np.argmax(same, axis=-1))
+    return FiniteGroup(np.argmax(same, axis=-1))
 
 
 def group_catalog() -> dict:

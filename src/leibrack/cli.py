@@ -89,6 +89,15 @@ CONFIG = {"step": (float, None, _POSITIVE),
           "tolerance": (float, None, _POSITIVE),
           "radius": (float, None, (lambda v: 0 < v <= CHART_RADIUS,
                                    f"in (0, {CHART_RADIUS}]"))}
+# the keys of a triple and a rack spec, and of each block by the key it is at
+TRIPLE = ("lie_algebra", "module", "theta", "faithful_rep", "h_basis",
+          "morphism", "config")
+RACK = ("group", "x_size", "action_table", "theta_table", "basepoint")
+BLOCKS = {"lie_algebra": ("dim", "structure_constants", "labels"),
+          "module": ("dim_v", "action_matrices"), "theta": ("matrix",),
+          "faithful_rep": ("matrices",), "h_basis": ("vectors",),
+          "morphism": ("target", "phi", "psi"), "config": tuple(CONFIG),
+          "group": ("size", "mul_table", "unit")}
 
 
 def _value(value, field: str, kind=None, low=1, rule=None, high=None):
@@ -114,18 +123,30 @@ def _value(value, field: str, kind=None, low=1, rule=None, high=None):
     return value
 
 
+def _fields(block: dict, where: str, fields):
+    """StructuralError naming a key of ``block`` not in ``fields``, if any."""
+    unknown = sorted(set(block) - set(fields))
+    if unknown:
+        raise StructuralError(f"{where}{unknown[0]} is not a field; "
+                              f"the fields are {', '.join(fields)}")
+
+
 def _read(block: dict, path: str, where: str = "", kind=None, default=None,
           low=1, high=None):
     """The entry at the dotted ``path`` in ``block`` through :func:`_value`,
     named ``where.path``; ``default`` when its last key is absent, which is an
-    error when no default is given.  Every block on the way is an object."""
+    error when no default is given.  Every block on the way is an object, and
+    a block of BLOCKS has no other keys."""
     *blocks, key = path.split(".")
     for name in blocks:
         block = _read(block, name, where, dict)
         where = f"{where}.{name}" if where else name
     if key in block:
-        return _value(block[key], f"{where}.{key}" if where else key, kind,
-                      low, high=high)
+        field = f"{where}.{key}" if where else key
+        value = _value(block[key], field, kind, low, high=high)
+        if kind is dict and key in BLOCKS:
+            _fields(value, field + ".", BLOCKS[key])
+        return value
     if default is None:
         raise StructuralError(f"{where or 'spec'}: missing key {key!r}")
     return default
@@ -169,14 +190,11 @@ def triple_parts_from_doc(doc: dict, where: str = "") -> dict:
     """Parse a triple specification whole into constructed components,
     the optional blocks and every ``config`` entry included."""
     at = f"{where}." if where else ""
+    _fields(doc, at, TRIPLE)
     alg = algebra_from_doc(_read(doc, "lie_algebra", where, dict),
                            f"{at}lie_algebra")
     n, dim_v = alg.dim, _read(doc, "module.dim_v", where, int, low=1)
     config = _read(doc, "config", where, dict, {})
-    unknown = sorted(set(config) - set(CONFIG))
-    if unknown:
-        raise StructuralError(f"{at}config.{unknown[0]} is not a setting; "
-                              f"the settings are {', '.join(CONFIG)}")
     parts = {
         "algebra": alg, "rep": None, "h_basis": None, "morphism": None,
         "action": ModuleAction(alg, dim_v, _read(
@@ -202,8 +220,9 @@ def triple_parts_from_doc(doc: dict, where: str = "") -> dict:
 
 
 def rack_triple_from_doc(doc: dict) -> GroupRackTriple:
+    _fields(doc, "", RACK)
     size = _read(doc, "group.size", kind=int, low=1)
-    group = _built("group.mul_table", FiniteGroup.from_mul_table,
+    group = _built("group.mul_table", FiniteGroup,
                    _read(doc, "group.mul_table", kind=(size, size)),
                    _read(doc, "group.unit", kind=int, default=0, low=0, high=size))
     return GroupRackTriple(group, _read(doc, "x_size", kind=int, low=1),

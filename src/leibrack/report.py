@@ -129,12 +129,10 @@ class Collector:
                 self.table(law, bad[i], *(res[i] for res in residuals),
                            lead=(start + i,))
 
-    def merge(self, report: ValidityReport, prefix: str = ""):
-        """Fold in a sub-check's report, renaming its laws with ``prefix``."""
+    def merge(self, report: ValidityReport):
+        """Fold in a sub-check's report."""
         self._fold(report.max_residual)
-        room = max(0, MAX_LISTED_VIOLATIONS - len(self.violations))
-        self.violations += [Violation(prefix + v.law, v.where, v.residual)
-                            for v in report.violations[:room]]
+        self.violations += report.violations[:MAX_LISTED_VIOLATIONS - len(self.violations)]
         self.failures += report.info.get("failures", len(report.violations))
 
     def report(self, info: dict | None = None) -> ValidityReport:

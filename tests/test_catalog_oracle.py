@@ -151,7 +151,7 @@ def oracle_from_permutations(perms) -> FiniteGroup:
             if compose(p, q) not in index:
                 raise StructuralError("permutation set is not closed")
             mul[i, j] = index[compose(p, q)]
-    return FiniteGroup.from_mul_table(mul)
+    return FiniteGroup(mul)
 
 
 def oracle_from_generators(gens) -> FiniteGroup:

@@ -518,6 +518,45 @@ MALFORMED = [
     _raw("verify", "malformed.json", b"\xff\xfe{", "bytes-not-utf8"),
     _raw("verify", "malformed.json", b"[" * 200000, "json-nested-too-deep"),
     _raw("integrate", "theta.matrix", _deep(900), "theta.matrix/nested-too-deep"),
+    # past NumPy's 64 dimensions, which is no ragged row
+    _raw("verify", "theta.matrix: lists nested too deep", _deep(100),
+         "theta.matrix/nested-100-deep"),
+    _raw("verify", "theta.matrix: lists nested too deep", _deep(400),
+         "theta.matrix/nested-400-deep"),
+    # a key that is not a field of its block, at the top level or in a block;
+    # each spec is otherwise valid
+    _malformed("verify", "thetas is not a field", rack_doc(), "thetas",
+               [0, 1, 2, 3, 4, 5], case="rack/thetas"),
+    _malformed("verify", "group.units is not a field", rack_doc(),
+               "group", "units", 0, case="group.units"),
+    _malformed("verify", "morphsm is not a field",
+               scaling_doc(1.0), "morphsm",
+               {"target": scaling_doc(1.0), "phi": np.eye(2).tolist(),
+                "psi": [[1.0]]}, case="morphsm"),
+    _malformed("integrate", "faithful_reps is not a field", scaling_doc(1.0),
+               "faithful_reps", {"matrices": [[[1.0, 0.0], [0.0, 0.0]],
+                                              [[0.0, 1.0], [0.0, 0.0]]]},
+               case="faithful_reps"),
+    _malformed("verify", "lie_algebra.label is not a field", scaling_doc(1.0),
+               "lie_algebra", "label", ["a", "b"], case="lie_algebra.label"),
+    _malformed("verify", "module.dimv is not a field", scaling_doc(1.0),
+               "module", "dimv", 1, case="module.dimv"),
+    _malformed("verify", "theta.matrices is not a field", scaling_doc(1.0),
+               "theta", "matrices", [[0.0], [1.0]], case="theta.matrices"),
+    _malformed("verify", "h_basis.vector is not a field",
+               scaling_doc(1.0, h_basis={"vectors": [[0.0, 1.0]]}),
+               "h_basis", "vector", [[0.0, 1.0]], case="h_basis.vector"),
+    _malformed("verify", "morphism.target.thetas is not a field",
+               scaling_doc(1.0, morphism={"target": scaling_doc(1.0),
+                                          "phi": np.eye(2).tolist(),
+                                          "psi": [[1.0]]}),
+               "morphism", "target", "thetas", {"matrix": [[0.0], [1.0]]},
+               case="morphism.target.thetas"),
+    _malformed("verify", "morphism.chi is not a field",
+               scaling_doc(1.0, morphism={"target": scaling_doc(1.0),
+                                          "phi": np.eye(2).tolist(),
+                                          "psi": [[1.0]]}),
+               "morphism", "chi", [[1.0]], case="morphism.chi"),
 ]
 
 

@@ -1,12 +1,11 @@
 """The README's law table names every law that a report of ``src/`` can
-list, and no other.
+list or a constructor enforces, and no other.
 
 The law names are read from the source with ``ast``: the first argument of
-``Collector.scan``, ``table`` and ``add`` and the first entry of each
-``tables`` tuple when it is a string, the law argument of ``scan_rows``,
-the law tuples that a suite's ``trial`` returns, and the laws of a report
-merged under a prefix (``derived-`` in ``check_group_rack_triple``).  Each
-law is credited to the top-level function whose body reports it.
+``Collector.scan``, ``table`` and ``add`` and of ``AxiomError``, and the
+first entry of each ``tables`` tuple, when it is a string; the law argument
+of ``scan_rows``; and the law tuples that a suite's ``trial`` returns.  Each
+law is credited to the top-level function or class whose body reports it.
 """
 
 from __future__ import annotations
@@ -25,48 +24,35 @@ def _text(node) -> str | None:
         isinstance(node.value, str) else None
 
 
-def _laws_in(function: ast.FunctionDef) -> tuple:
-    """The laws the body of ``function`` reports, and its ``(prefix,
-    checker)`` merges: a report of ``checker`` merged under ``prefix``."""
-    laws, merges, made = set(), [], {}
-    for node in ast.walk(function):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
-                and isinstance(node.value.func, ast.Name):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    made[target.id] = node.value.func.id
+def _laws_in(definition) -> set:
+    """The laws the body of a function or class ``definition`` reports."""
+    laws = set()
+    for node in ast.walk(definition):
         if isinstance(node, ast.FunctionDef) and node.name == "trial":
             laws |= {_text(t.elts[0]) for t in ast.walk(node)
                      if isinstance(t, ast.Tuple) and len(t.elts) == 4}
         if not isinstance(node, ast.Call) or not node.args:
             continue
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
-        if name in ("scan", "table", "add"):
+        if name in ("scan", "table", "add", "AxiomError"):
             laws.add(_text(node.args[0]))
         elif name == "tables":
             laws |= {_text(t.elts[0]) for t in node.args
                      if isinstance(t, ast.Tuple)}
         elif name == "scan_rows":
             laws.add(_text(node.args[1]))
-        elif name == "merge" and len(node.args) == 2:
-            merges.append((_text(node.args[1]), node.args[0].id))
-    return laws - {None}, [(prefix, made[arg]) for prefix, arg in merges]
+    return laws - {None}
 
 
 def reported_laws() -> dict:
-    """Each law name that a report can list -> the functions reporting it."""
-    own, merged = {}, {}
+    """Each law name that a report can list or a constructor enforces -> the
+    functions and classes reporting it."""
+    laws = defaultdict(set)
     for path in sorted((ROOT / "src" / "leibrack").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                own[node.name], merged[node.name] = _laws_in(node)
-    laws = defaultdict(set)
-    for function, names in own.items():
-        for law in names:
-            laws[law].add(function)
-        for prefix, checker in merged[function]:
-            for law in own[checker]:
-                laws[prefix + law].add(function)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for law in _laws_in(node):
+                    laws[law].add(node.name)
     return laws
 
 
@@ -83,10 +69,10 @@ def test_the_reader_finds_laws_of_every_kind():
     assert laws["jacobi"] == {"check_lie_algebra"}                  # scan_rows
     assert laws["peiffer"] == {"check_lie_crossed_module",
                                "check_group_crossed_module"}       # scan, table
-    assert laws["unit-law"] == {"check_group"}                     # tables
+    assert laws["action-bijective"] == {"check_group_crossed_module"}   # tables
     assert laws["samples-used"] == {"_run_suite"}                  # add
     assert laws["left-translation-undo"] == {"check_local_rack_laws"}   # trial
-    assert laws["derived-self-distributivity"] == {"check_group_rack_triple"}
+    assert laws["group-inverse-law"] == {"FiniteGroup"}            # AxiomError
 
 
 def test_the_readme_law_table_lists_every_reported_law():

@@ -13,7 +13,7 @@ from leibrack import (AxiomError, FiniteGroup, FiniteRack, GroupCrossedModule,
                       check_group_crossed_module, check_group_rack_triple,
                       check_rack, check_rack_triple_morphism,
                       conjugation_crossed_module, conjugation_rack,
-                      conjugation_triple, derived_rack)
+                      conjugation_triple)
 from leibrack import catalog
 from leibrack.examples import (inclusion_crossed_module_z3_s3,
                                relaxed_crossed_module_z3_s3)
@@ -63,9 +63,9 @@ def test_s3_structure():
     evens = {g for g in range(6) if _sign_of(s3, g) == 0}
     assert evens == {0, 3, 4}                  # identity plus two rotations
     for t in (1, 2, 5):                        # transpositions are involutions
-        assert s3.mul(t, t) == s3.unit
+        assert s3.mul_table[t, t] == s3.unit
     for r in (3, 4):
-        assert s3.mul(r, s3.mul(r, r)) == s3.unit
+        assert s3.mul_table[r, s3.mul_table[r, r]] == s3.unit
 
 
 def _sign_of(s3: FiniteGroup, g: int) -> int:
@@ -104,7 +104,7 @@ def test_group_missing_inverse_rejected():
     # min(i + j, 2) is associative with unit 0 but element 2 has no inverse
     M = np.minimum(np.add.outer(np.arange(3), np.arange(3)), 2)
     with pytest.raises(AxiomError) as err:
-        FiniteGroup.from_mul_table(M)
+        FiniteGroup(M)
     assert "group-inverse-law" in str(err.value)
 
 
@@ -113,13 +113,23 @@ def test_group_unit_out_of_range_is_a_structural_error():
     M = np.array(catalog.symmetric3().mul_table)
     for unit in (6, 7, -1):
         with pytest.raises(StructuralError, match="unit out of range"):
-            FiniteGroup.from_mul_table(M, unit)
+            FiniteGroup(M, unit)
 
 
 def test_group_associativity_violation_named():
+    # a changed unit entry loses an inverse pair: 5 is its own inverse in S3
     M = np.array(catalog.symmetric3().mul_table)
     M[5, 5] = 1 if M[5, 5] != 1 else 2
-    group = FiniteGroup(6, M, np.array(catalog.symmetric3().inverse_table))
+    with pytest.raises(AxiomError, match="group-inverse-law"):
+        FiniteGroup(M)
+    # two swapped entries of one row keep every inverse pair, but the table
+    # is no Latin square, so associativity fails
+    M = np.array(catalog.symmetric3().mul_table)
+    assert 0 not in M[1, [2, 3]]
+    M[1, [2, 3]] = M[1, [3, 2]]
+    group = FiniteGroup(M)
+    assert np.array_equal(group.inverse_table,
+                          catalog.symmetric3().inverse_table)
     report = check_group(group)
     assert not report.passed
     oracle = group_law_failures_by_loops(M)
@@ -136,13 +146,12 @@ def test_conjugation_triple_passes_and_is_strict(name):
     assert report.max_residual == 0.0
     assert report.info["strict"] is True
     assert report.info["equivariant_elements"] == list(range(group.size))
-    assert report.info["derived_rack_passed"] is True
 
 
 def test_derived_rack_of_conjugation_triple_is_conjugation():
     s3 = catalog.symmetric3()
     triple = conjugation_triple(s3)
-    assert np.array_equal(derived_rack(triple).op_table,
+    assert np.array_equal(triple.action_table[triple.theta_table],
                           conjugation_rack(s3).op_table)
 
 
@@ -169,7 +178,7 @@ def group_defect(triple: GroupRackTriple, g: int) -> list:
     theta(g.x)^-1 as group indices, by loops; constantly the unit exactly
     when g acts equivariantly."""
     G, th, act = triple.group, triple.theta_table, triple.action_table
-    return [G.mul(G.conj(g, th[x]), G.inv(th[act[g, x]]))
+    return [G.mul_table[G.conj(g, th[x]), G.inverse_table[th[act[g, x]]]]
             for x in range(triple.x_size)]
 
 
@@ -280,7 +289,7 @@ def test_non_integer_table_entries_are_structural_errors():
         with pytest.raises(StructuralError):
             FiniteRack(2, bad)
         with pytest.raises(StructuralError):
-            FiniteGroup.from_mul_table(bad)
+            FiniteGroup(bad)
     for bad in ([[0, 1], [1]], [[0, 1.5], [1, 0]]):
         with pytest.raises(StructuralError):
             FiniteRack(2, bad)
@@ -350,7 +359,7 @@ def rack_triple_by_loops(triple: GroupRackTriple) -> dict:
     for g in range(G.size):
         for h in range(G.size):
             for x in range(xs):
-                if act[G.mul(g, h), x] != act[g, act[h, x]]:
+                if act[G.mul_table[g, h], x] != act[g, act[h, x]]:
                     scan.record("group-set-composition", (g, h, x))
     if th[triple.basepoint] != G.unit:
         scan.record("basepoint-embeds-to-unit", (triple.basepoint,))
@@ -358,22 +367,20 @@ def rack_triple_by_loops(triple: GroupRackTriple) -> dict:
         for y in range(xs):
             if th[act[th[x], y]] != G.conj(th[x], th[y]):
                 scan.record("embedding-conjugation", (x, y))
-    derived = rack_by_loops(derived_rack(triple))
-    for v in derived["violations"]:
-        scan.record("derived-" + v["law"], v["where"])
-    scan.failures += derived["info"]["failures"] - len(derived["violations"])
+    for x in range(xs):
+        if act[th[x], triple.basepoint] != triple.basepoint:
+            scan.record("basepoint-fixed", (x,))
     equivariant = [g for g in range(G.size)
                    if all(G.conj(g, th[x]) == th[act[g, x]] for x in range(xs))]
     return scan.to_dict(strict=len(equivariant) == G.size,
-                        equivariant_elements=equivariant,
-                        derived_rack_passed=derived["passed"])
+                        equivariant_elements=equivariant)
 
 
 def crossed_module_by_loops(cm: GroupCrossedModule) -> dict:
     scan, M, N, mu, eta = LoopScan(), cm.m, cm.n, cm.mu, cm.eta
     for a in range(M.size):
         for b in range(M.size):
-            if mu[M.mul(a, b)] != N.mul(mu[a], mu[b]):
+            if mu[M.mul_table[a, b]] != N.mul_table[mu[a], mu[b]]:
                 scan.record("boundary-homomorphism", (a, b))
     for m in range(M.size):
         if eta[N.unit, m] != m:
@@ -381,14 +388,14 @@ def crossed_module_by_loops(cm: GroupCrossedModule) -> dict:
     for n1 in range(N.size):
         for n2 in range(N.size):
             for m in range(M.size):
-                if eta[N.mul(n1, n2), m] != eta[n1, eta[n2, m]]:
+                if eta[N.mul_table[n1, n2], m] != eta[n1, eta[n2, m]]:
                     scan.record("action-composition", (n1, n2, m))
     for n in range(N.size):
         if sorted(eta[n]) != list(range(M.size)):
             scan.record("action-bijective", (n,))
         for a in range(M.size):
             for b in range(M.size):
-                if eta[n, M.mul(a, b)] != M.mul(eta[n, a], eta[n, b]):
+                if eta[n, M.mul_table[a, b]] != M.mul_table[eta[n, a], eta[n, b]]:
                     scan.record("action-by-automorphisms", (n, a, b))
     scope = range(N.size)
     if cm.n_prime is not None:
@@ -396,10 +403,10 @@ def crossed_module_by_loops(cm: GroupCrossedModule) -> dict:
         if N.unit not in sub:
             scan.record("restriction-subgroup", (N.unit,))
         for a in sorted(sub):
-            if N.inv(a) not in sub:
+            if N.inverse_table[a] not in sub:
                 scan.record("restriction-subgroup", (a,))
             for b in sorted(sub):
-                if N.mul(a, b) not in sub:
+                if N.mul_table[a, b] not in sub:
                     scan.record("restriction-subgroup", (a, b))
         for m in range(M.size):
             if mu[m] not in sub:
@@ -425,7 +432,7 @@ def morphism_by_loops(source, target, phi, psi) -> dict:
     Gs, Gt = source.group, target.group
     for a in range(Gs.size):
         for b in range(Gs.size):
-            if phi[Gs.mul(a, b)] != Gt.mul(phi[a], phi[b]):
+            if phi[Gs.mul_table[a, b]] != Gt.mul_table[phi[a], phi[b]]:
                 raise StructuralError(
                     f"phi is not a group homomorphism at ({a}, {b})")
     scan = LoopScan()
@@ -481,7 +488,7 @@ def broken_system(n: int, family: str, kind: str):
     elif kind == "swapped-mul-entry":
         table = np.array(M.mul_table)
         table[1, 2], table[1, 3] = table[1, 3], table[1, 2]
-        M = FiniteGroup(M.size, table, M.inverse_table)
+        M = FiniteGroup(table)
         N = M if clean.n is clean.m else N    # also breaks phi = id
     elif kind == "rolled-action-row":
         eta[0] = np.roll(eta[0], 2)
@@ -542,6 +549,16 @@ def test_rack_triple_and_morphism_match_loop_oracle(n, family, kind):
     if kind == "swapped-mul-entry" and family == "conjugation":
         assert outcome(check_rack_triple_morphism, triple, clean, phi, psi) \
             .startswith("StructuralError: phi is not a group homomorphism")
+
+
+@pytest.mark.parametrize("n, family, kind", SYSTEMS)
+def test_rack_matches_loop_oracle(n, family, kind):
+    # the derived table x > y = theta(x).y of each broken triple, as a rack
+    triple = rack_triple_of(broken_system(n, family, kind)[0])
+    for basepoint in (None, triple.basepoint):
+        rack = FiniteRack(triple.x_size,
+                          triple.action_table[triple.theta_table], basepoint)
+        assert check_rack(rack).to_dict() == rack_by_loops(rack), basepoint
 
 
 def test_loop_oracle_inputs_reach_the_interleaved_laws():

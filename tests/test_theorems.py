@@ -27,29 +27,40 @@ random morphisms and corrupted tables:
 4. Crossed modules.  The embedding table of the triple (n, m, mu) is mu of
    the Peiffer table plus the boundary-homomorphism table, so the triple of
    a checked crossed module needs no check: its Leibniz law follows by 1.
+5. Group-rack triples.  With g = theta(x), h = theta(y) and g^-1 the
+   two-sided inverse every FiniteGroup has, composition alone gives
+   (g h g^-1).(g.z) = (g h).(g^-1.(g.z)) = (g h).z = g.(h.z), so the
+   conjugation identity makes the derived rack x > y = g.y self-distributive;
+   g^-1.(g.z) = z makes each row a bijection, and theta(p) = e makes p act
+   trivially.  Its basepoint-fixed law is independent and checked as such.
+   No associativity is used: the table may be any that constructs.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
+from functools import cache
+from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from leibrack import (EmbeddingTensor, GroupRackTriple, LeibnizAlgebraData,
+from leibrack import (AxiomError, EmbeddingTensor, FiniteGroup, FiniteRack,
+                      GroupRackTriple, LeibnizAlgebraData,
                       LieAlgebraCrossedModule, ModuleAction, TripleMorphism,
-                      algebra, catalog, check_lie_crossed_module,
-                      check_morphism, check_rack_triple_morphism,
-                      conjugation_triple, derived_rack, ideal_crossed_module,
-                      lie_algebra, triple_from_crossed_module)
+                      algebra, catalog, check_group, check_group_rack_triple,
+                      check_lie_crossed_module, check_morphism, check_rack,
+                      check_rack_triple_morphism, conjugation_triple,
+                      ideal_crossed_module, lie_algebra, racks,
+                      triple_from_crossed_module)
 from leibrack.algebra import (bracket_map_residuals, check_leibniz,
                               check_lie_algebra, check_module,
                               derivation_residuals)
 from leibrack.cli import EXIT_PASS, main
 from leibrack.triples import LieLeibnizTriple, derived_bracket_tensor
-from test_cli import gl_doc, write_doc
+from test_cli import gl_doc, rack_doc, write_doc
 from test_triples import (LAMBDA_GRID, base_crossed_module, base_triple,
                           crossed_module_in, dense_basis, triple_in)
 
@@ -227,7 +238,8 @@ def test_rack_triple_morphisms_map_the_derived_racks(name, src_how, tgt_how,
            "swapped": np.where(np.isin(phi, [1, 2]), 3 - phi, phi)}[psi_kind]
     emb_bad = target.theta_table[psi] != phi[source.theta_table]
     act_bad = psi[source.action_table] != target.action_table[phi][:, psi]
-    Ts, Tt = derived_rack(source).op_table, derived_rack(target).op_table
+    Ts = source.action_table[source.theta_table]       # the derived racks
+    Tt = target.action_table[target.theta_table]
     rack_map_bad = psi[Ts] != Tt[psi][:, psi]
     # exact: a failure of the consequence needs a failure of a premise
     assert not (rack_map_bad & ~emb_bad[:, None]
@@ -273,6 +285,149 @@ def test_the_crossed_module_laws_imply_the_embedding_law(case, seed, where,
 
 
 # ---------------------------------------------------------------------------
+# 5. the derived rack of a group-rack triple
+# ---------------------------------------------------------------------------
+
+def derived_table(triple: GroupRackTriple) -> np.ndarray:
+    """x > y = theta(x).y"""
+    return triple.action_table[triple.theta_table]
+
+
+@cache
+def lawful_actions(table: bytes, n: int, xs: int) -> np.ndarray:
+    """Every action of the table (unit 0) on range(xs) in which the unit acts
+    trivially and (gh).z = g.(h.z); with inverses, its rows are
+    permutations."""
+    M = np.frombuffer(table, dtype=np.int64).reshape(n, n)
+    perms = np.array(list(permutations(range(xs))))
+    acts = [np.concatenate([perms[:1], perms[list(rows)]])
+            for rows in product(range(len(perms)), repeat=n - 1)]
+    return np.array([A for A in acts if np.array_equal(A[M], A[:, A])])
+
+
+@st.composite
+def unital_tables(draw) -> FiniteGroup:
+    """A table with unit 0 that constructs, so each element has a two-sided
+    inverse; it need not be associative."""
+    kind = draw(st.sampled_from(["random", "catalog", "swapped"]))
+    if kind == "random":
+        n = draw(st.integers(1, 4))
+        M = np.add.outer(np.arange(n), np.zeros(n, int))
+        M[0], M[1:, 1:] = np.arange(n), np.reshape(draw(st.lists(
+            st.integers(0, n - 1), min_size=(n - 1) ** 2,
+            max_size=(n - 1) ** 2)), (n - 1, n - 1))
+    elif kind == "catalog":
+        M = GROUPS[draw(st.sampled_from(["z2", "z3", "z4", "s3"]))].mul_table
+    else:           # two entries of a row, neither in a unit column: no group,
+        M = np.array(GROUPS[draw(st.sampled_from(["z4", "s3"]))].mul_table)
+        a = draw(st.integers(1, len(M) - 1))     # but every inverse pair kept
+        b, c = draw(st.permutations(np.flatnonzero(M[a] * np.arange(len(M)))
+                                    .tolist()))[:2]
+        M[a, [b, c]] = M[a, [c, b]]
+    try:
+        return FiniteGroup(M)
+    except AxiomError:
+        reject()
+
+
+@st.composite
+def small_rack_triples(draw) -> GroupRackTriple:
+    """A group-rack triple over a small table: any action, or one that obeys
+    the action laws; any theta, or one sending the basepoint to the unit."""
+    G, xs = draw(unital_tables()), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        acts = lawful_actions(G.mul_table.tobytes(), G.size, xs)
+        act = acts[draw(st.integers(0, len(acts) - 1))]
+    else:
+        act = np.reshape(draw(st.lists(st.integers(0, xs - 1),
+                                       min_size=G.size * xs,
+                                       max_size=G.size * xs)), (G.size, xs))
+    theta = np.array(draw(st.lists(st.integers(0, G.size - 1), min_size=xs,
+                                   max_size=xs)))
+    p = draw(st.integers(0, xs - 1))
+    if draw(st.booleans()):
+        theta[p] = G.unit
+    return GroupRackTriple(G, xs, act, theta, p)
+
+
+def assert_derived_rack_theorem(triple: GroupRackTriple):
+    """Identity 5, exactly: each failure of a derived-rack law that the
+    triple's check does not evaluate needs a failure of a premise at the
+    indices the proof uses; so a triple that passes has a derived rack that
+    passes."""
+    G, act, th, p = triple.group, triple.action_table, triple.theta_table, \
+        triple.basepoint
+    M, inv, X = G.mul_table, G.inverse_table, np.arange(triple.x_size)
+    unit_bad = act[G.unit] != X                                     # over z
+    comp_bad = act[M] != act[:, act]                                # (g, h, z)
+    conj_bad = th[act[th]] != M[M[th[:, None], th], inv[th][:, None]]  # (x, y)
+    T = derived_table(triple)
+
+    g, h, z = th[:, None, None], th[None, :, None], X
+    undo_bad = comp_bad[inv[g], g, z] | unit_bad[z]    # g^-1.(g.z) != z
+    sd_bad = T[:, T] != T[T[:, :, None], T[:, None, :]]
+    premise = conj_bad[:, :, None] | comp_bad[M[g, h], inv[g], act[g, z]] | \
+        undo_bad | comp_bad[g, h, z]
+    assert not (sd_bad & ~premise).any()
+    bijective_bad = np.any(np.sort(T, axis=1) != X, axis=1)
+    assert not (bijective_bad & ~undo_bad[:, 0].any(axis=1)).any()
+    assert not ((T[p] != X) & ~((th[p] != G.unit) | unit_bad)).any()
+
+    if check_group_rack_triple(triple).passed:
+        assert check_rack(FiniteRack(triple.x_size, T, p)).passed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(triple=small_rack_triples())
+def test_a_passing_rack_triple_has_a_passing_derived_rack(triple):
+    assert_derived_rack_theorem(triple)
+
+
+def test_every_z2_triple_on_three_points_obeys_the_theorem():
+    # the unit acts trivially; the other element acts by any map, lawful or
+    # not, with any theta and basepoint
+    z2, counts = GROUPS["z2"], Counter()
+    for row, theta, p in product(product(range(3), repeat=3),
+                                 product(range(2), repeat=3), range(3)):
+        triple = GroupRackTriple(z2, 3, [(0, 1, 2), row], theta, p)
+        assert_derived_rack_theorem(triple)
+        counts[check_group_rack_triple(triple).passed] += 1
+    assert counts == Counter({False: 624, True: 24})
+
+
+def z2_swapping_0_and_2() -> GroupRackTriple:
+    """Z2 acting on {0, 1, 2} by swapping 0 and 2, theta = (0, 1, 0), p = 0:
+    every other law holds, but theta(1) = 1 moves the basepoint."""
+    return GroupRackTriple(GROUPS["z2"], 3, [[0, 1, 2], [2, 1, 0]], [0, 1, 0], 0)
+
+
+def test_the_derived_basepoint_fixed_law_is_independent():
+    triple = z2_swapping_0_and_2()
+    report = check_group_rack_triple(triple)
+    assert not report.passed and report.info["failures"] == 1
+    assert [(v.law, v.where) for v in report.violations] == \
+        [("basepoint-fixed", (1,))]
+    rack = check_rack(FiniteRack(3, derived_table(triple), 0))
+    assert [(v.law, v.where) for v in rack.violations] == \
+        [("basepoint-fixed", (1,))]
+    assert_derived_rack_theorem(triple)
+
+
+def test_without_the_basepoint_fixed_table_the_counterexample_passes(
+        monkeypatch):
+    # a check that drops its basepoint-fixed table passes a triple whose
+    # derived rack fails: the table is needed, not implied
+    class Mutant(racks.Collector):
+        def table(self, law, *args, **kwargs):
+            if law != "basepoint-fixed":
+                super().table(law, *args, **kwargs)
+    triple = z2_swapping_0_and_2()
+    assert not check_rack(FiniteRack(3, derived_table(triple), 0)).passed
+    monkeypatch.setattr(racks, "Collector", Mutant)
+    assert check_group_rack_triple(triple).passed
+
+
+# ---------------------------------------------------------------------------
 # the deleted re-checks stay deleted
 # ---------------------------------------------------------------------------
 
@@ -304,9 +459,16 @@ def test_a_rack_triple_morphism_builds_no_derived_rack():
     triple = conjugation_triple(GROUPS["a4"])
     phi = np.arange(triple.group.size)
     reports = []
-    counts = count_calls([derived_rack], lambda: reports.append(
+    counts = count_calls([FiniteRack.__post_init__], lambda: reports.append(
         check_rack_triple_morphism(triple, triple, phi, phi)))
     assert reports[0].passed and counts == Counter()
+
+
+def test_verify_of_a_rack_spec_runs_no_rack_check(tmp_path, capsys):
+    path, codes = write_doc(tmp_path, "s3.json", rack_doc()), []
+    counts = count_calls([check_rack, check_group, FiniteRack.__post_init__],
+                         lambda: codes.append(main(["verify", path])))
+    assert codes == [EXIT_PASS] and counts == Counter(check_group=1)
 
 
 def test_a_crossed_module_triple_is_checked_once():

@@ -58,11 +58,7 @@ TYPES = {
         "radius": MODEL.radius, "cfg": MODEL.cfg}),
     "FiniteRack": (FiniteRack, {
         "size": 6, "op_table": conjugation_rack(S3).op_table, "basepoint": 0}),
-    "FiniteGroup": (FiniteGroup, {
-        "size": 6, "mul_table": S3.mul_table, "inverse_table": S3.inverse_table,
-        "unit": 0}),
-    "FiniteGroup.from_mul_table": (FiniteGroup.from_mul_table, {
-        "mul_table": S3.mul_table, "unit": 0}),
+    "FiniteGroup": (FiniteGroup, {"mul_table": S3.mul_table, "unit": 0}),
     "GroupRackTriple": (GroupRackTriple, {
         "group": S3, "x_size": 6, "action_table": CONJ.action_table,
         "theta_table": CONJ.theta_table, "basepoint": 0}),
@@ -89,7 +85,7 @@ VALUES = st.one_of(
 
 
 def test_the_property_covers_every_value_argument():
-    assert len(CASES) == 37
+    assert len(CASES) == 33
     assert all(TYPES[name][0](**args) is not None
                for name, (_, args) in TYPES.items())
 
@@ -107,7 +103,7 @@ def test_a_replaced_value_raises_or_is_stored_exactly(case, value):
         except StructuralError:
             return
         except AxiomError:              # a well-formed table that is no group
-            assert name == "FiniteGroup.from_mul_table"
+            assert name == "FiniteGroup"
             assert key == "mul_table" or type(value) in (int, np.int64)
             return
     for field in INTEGER_FIELDS:
@@ -116,6 +112,9 @@ def test_a_replaced_value_raises_or_is_stored_exactly(case, value):
             assert not isinstance(given_value, bool), (name, field)
             assert isinstance(given_value, (int, np.integer)), (name, field)
             assert type(stored) is int and stored == given_value, (name, field)
+    if name == "FiniteGroup":           # derived, and stored the same way
+        assert type(made.size) is int and made.size == len(made.mul_table)
+        assert not made.inverse_table.flags.writeable
     if name == "GroupCrossedModule" and made.n_prime is not None:
         assert all(type(i) is int for i in made.n_prime)
         # an empty input of any depth is the empty subgroup (the array rule)
@@ -146,13 +145,13 @@ def test_a_fractional_index_is_rejected_not_truncated(make, name):
 @pytest.mark.parametrize("make,name", [
     (lambda: FiniteRack(6, conjugation_rack(S3).op_table, basepoint="a"),
      "basepoint"),
-    (lambda: FiniteGroup(6, S3.mul_table, S3.inverse_table, unit=None), "unit"),
+    (lambda: FiniteGroup(S3.mul_table, unit=None), "unit"),
     (lambda: LieAlgebraData(2, None, NAB.structure_constants), "basis labels"),
     (lambda: MatrixRep(SL2, "abc"), "representation matrices"),
     (lambda: EmbeddingTensor("x"), "embedding tensor"),
     (lambda: SubspaceBasis(3, "abc"), "subspace vectors"),
     (lambda: DiffConfig(step="a"), "step"),
-    (lambda: FiniteGroup.from_mul_table(S3.mul_table, unit=1.5), "unit"),
+    (lambda: FiniteGroup(S3.mul_table, unit=1.5), "unit"),
     (lambda: FiniteRack(True, [[0]]), "size"),
     (lambda: EmbeddingTensor([[NAN]]), "embedding tensor"),
     (lambda: EmbeddingTensor([[True], [1.0]]), "embedding tensor"),
@@ -218,7 +217,7 @@ def test_the_inverse_table_takes_the_first_two_sided_inverse():
     # 1 and 2 are both two-sided inverses of 1; the table is no group, but
     # the inverses are read the way a scan from index 0 reads them
     mul = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
-    assert FiniteGroup.from_mul_table(mul).inverse_table.tolist() == [0, 1, 1]
+    assert FiniteGroup(mul).inverse_table.tolist() == [0, 1, 1]
     for group in catalog.group_catalog().values():
         M = group.mul_table
         scan = [next(h for h in range(group.size)
