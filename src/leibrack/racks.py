@@ -3,10 +3,13 @@
 Everything here is table driven.  Each law is one boolean table over its
 index tuple, and a law that composes maps is one composition of tables:
 (gh).x = g.(h.x) is ``act[mul] == act[:, act]``, so a cubic law on S5 (order
-120, 1.7 million triples) is checked in milliseconds.  Discrete checks have
-no meaningful residual, so a failed instance is recorded with residual 1.0
-and the report's ``max_residual`` is 0.0 or 1.0; violations are listed in
-row-major order of each table.
+120, 1.7 million triples) is checked in milliseconds.  A cubic law gathers
+its values from a copy of the table in the smallest unsigned type that holds
+them (uint8 up to 256 points), while its indices stay the validated int64
+tables: one S5 table is then 1.7 MB, against 13.8 MB in int64.  Discrete
+checks have no meaningful residual, so a failed instance is recorded with
+residual 1.0 and the report's ``max_residual`` is 0.0 or 1.0; violations are
+listed in row-major order of each table.
 """
 
 from __future__ import annotations
@@ -127,8 +130,13 @@ def _unit_table(act, e):                    # over x: e.x != x
     return act[e] != np.arange(act.shape[1])
 
 
+def _narrow(table):                         # the same values, smallest unsigned type
+    return table.astype(np.min_scalar_type(table.max(initial=0)))
+
+
 def _composition_table(act, mul):           # over (g, h, x): (gh).x != g.(h.x)
-    return act[mul] != act[:, act]
+    a = _narrow(act)        # values 1.7 MB on S5, not 13.8; indices int64
+    return np.take(a, mul, axis=0) != np.take(a, act, axis=1)
 
 
 def _bijective_rows(act):                   # over g: x -> g.x is not onto
@@ -149,7 +157,9 @@ def check_rack(rack: FiniteRack) -> ValidityReport:
     col = Collector()
     T = rack.op_table
     col.table("left-translation-bijective", _bijective_rows(T))
-    col.table("self-distributivity", T[:, T] != T[T[:, :, None], T[:, None, :]])
+    t = _narrow(T)
+    col.table("self-distributivity",
+              np.take(t, T, axis=1) != t[T[:, :, None], T[:, None, :]])
     if rack.basepoint is not None:
         p = rack.basepoint
         col.table("basepoint-acts-trivially", _unit_table(T, p))
@@ -207,7 +217,8 @@ def check_group_crossed_module(cm: GroupCrossedModule) -> ValidityReport:
     col.table("action-composition", _composition_table(eta, Nm))
     col.tables(("action-bijective", _bijective_rows(eta)),
                ("action-by-automorphisms",
-                eta[:, Mm] != Mm[eta[:, :, None], eta[:, None, :]]))
+                np.take(_narrow(eta), Mm, axis=1)
+                != _narrow(Mm)[eta[:, :, None], eta[:, None, :]]))
 
     in_scope = np.ones(N.size, dtype=bool)
     if cm.n_prime is not None:

@@ -14,10 +14,11 @@ from leibrack import (AxiomError, FiniteGroup, FiniteRack, GroupCrossedModule,
                       check_rack, check_rack_triple_morphism,
                       conjugation_crossed_module, conjugation_rack,
                       conjugation_triple)
-from leibrack import catalog
+from leibrack import catalog, racks
 from leibrack.examples import (inclusion_crossed_module_z3_s3,
                                relaxed_crossed_module_z3_s3)
 from leibrack.report import MAX_LISTED_VIOLATIONS
+from test_blocked_laws import traced_peak
 
 
 def self_distributivity_failures_by_loops(T: np.ndarray) -> list:
@@ -568,3 +569,129 @@ def test_loop_oracle_inputs_reach_the_interleaved_laws():
     assert laws.index("action-bijective") < laws.index("action-by-automorphisms")
     assert laws.count("action-bijective") == 2
     assert report.info["failures"] > MAX_LISTED_VIOLATIONS
+
+
+# ---------------------------------------------------------------------------
+# the cubic laws gather their values from a copy of each table in the
+# smallest unsigned type: uint8 up to 256 points, uint16 up to 65536, uint32
+# beyond.  Each input below is checked clean and broken at sizes on both
+# sides of a boundary.  The broken copy exchanges the values 0 and size - 1
+# of one table row, or writes 0 where size - 1 belongs; at 257 and 65537
+# points the two are equal modulo 256 (and 65536), so a copy one type too
+# narrow would wrap them together and pass the broken input.
+# ---------------------------------------------------------------------------
+
+def int64_report(*laws, **info) -> dict:
+    """The report of discrete laws that fail only at the given index
+    tuples, listed law by law."""
+    scan = LoopScan()
+    for law, hits in laws:
+        for where in hits:
+            scan.record(law, where)
+    return scan.to_dict(**info)
+
+
+def reversal_triple(points: int, broken: bool) -> GroupRackTriple:
+    """Z2 acting on ``points`` points by x -> points - 1 - x, with the
+    trivial embedding; broken, the generator sends 0 to 0."""
+    act = np.stack([np.arange(points), np.arange(points)[::-1]])
+    if broken:
+        act[1, 0] = 0
+    return GroupRackTriple(catalog.cyclic_group(2), points, act,
+                           np.zeros(points, dtype=int))
+
+
+@pytest.mark.parametrize("points", [255, 256, 257])
+@pytest.mark.parametrize("broken", [False, True])
+def test_rack_triple_at_the_narrow_type_boundary(points, broken):
+    triple = reversal_triple(points, broken)
+    act, mul = triple.action_table, triple.group.mul_table
+    expected = int64_report(("group-set-composition",
+                             np.argwhere(act[mul] != act[:, act])),
+                            strict=True, equivariant_elements=[0, 1])
+    report = check_group_rack_triple(triple).to_dict()
+    assert report == expected
+    assert report["passed"] is not broken
+    assert report == rack_triple_by_loops(triple)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_composition_table_past_65536_points(broken):
+    # the whole triple check would also build its embedding-conjugation
+    # table over 65537^2 pairs, 4.3 GB of booleans, so only the composition
+    # law runs at this size
+    triple = reversal_triple(65537, broken)
+    act, mul = triple.action_table, triple.group.mul_table
+    bad = racks._composition_table(act, mul)
+    assert np.array_equal(bad, act[mul] != act[:, act])
+    assert np.argwhere(bad).tolist() == ([[1, 1, 65536]] if broken else [])
+
+
+def inversion_crossed_module(order: int, broken: bool) -> GroupCrossedModule:
+    """Z2 acting by inversion on the cyclic group of ``order``, with the
+    trivial boundary; broken, the generator exchanges the images of 0 and 1."""
+    eta = np.stack([np.arange(order), -np.arange(order) % order])
+    if broken:
+        eta[1, [0, 1]] = eta[1, [1, 0]]
+    return GroupCrossedModule(catalog.cyclic_group(order), catalog.cyclic_group(2),
+                              np.zeros(order, dtype=int), eta)
+
+
+@pytest.mark.parametrize("order", [256, 257])
+@pytest.mark.parametrize("broken", [False, True])
+def test_crossed_module_at_the_narrow_type_boundary(order, broken):
+    cm = inversion_crossed_module(order, broken)
+    eta, Mm, Nm = cm.eta, cm.m.mul_table, cm.n.mul_table
+    expected = int64_report(
+        ("action-composition", np.argwhere(eta[Nm] != eta[:, eta])),
+        ("action-by-automorphisms",
+         np.argwhere(eta[:, Mm] != Mm[eta[:, :, None], eta[:, None, :]])),
+        restricted=False, equivariance_failures_unrestricted=[])
+    report = check_group_crossed_module(cm).to_dict()
+    assert report == expected
+    assert report["passed"] is not broken
+    assert report == crossed_module_by_loops(cm)
+
+
+def dihedral_rack(points: int, broken: bool) -> FiniteRack:
+    """x > y = 2x - y mod ``points``; broken, the row of 0 exchanges the
+    images of 0 and 1."""
+    x = np.arange(points)
+    T = (2 * x[:, None] - x[None, :]) % points
+    if broken:
+        T[0, [0, 1]] = T[0, [1, 0]]
+    return FiniteRack(points, T)
+
+
+def self_distributivity_by_rows(T: np.ndarray):
+    """The failures of x > (y > z) == (x > y) > (x > z) in int64, one row of
+    x at a time, so that no whole cubic int64 table is held."""
+    for x in range(len(T)):
+        for y, z in np.argwhere(T[x, T] != T[T[x, :, None], T[x, None, :]]):
+            yield x, y, z
+
+
+@pytest.mark.parametrize("points", [256, 257])
+@pytest.mark.parametrize("broken", [False, True])
+def test_rack_at_the_narrow_type_boundary(points, broken):
+    rack = dihedral_rack(points, broken)
+    expected = int64_report(
+        ("self-distributivity", self_distributivity_by_rows(rack.op_table)),
+        pointed=False)
+    report = check_rack(rack).to_dict()
+    assert report == expected
+    assert report["passed"] is not broken
+
+
+CUBIC_CHECKS = [(check_group, lambda group: group),
+                (check_group_rack_triple, conjugation_triple),
+                (check_group_crossed_module, conjugation_crossed_module),
+                (check_rack, conjugation_rack)]
+
+
+@pytest.mark.parametrize("check, build", CUBIC_CHECKS,
+                         ids=[check.__name__ for check, _ in CUBIC_CHECKS])
+def test_s5_cubic_laws_hold_no_int64_table(check, build):
+    # 120^3 triples: one int64 table is 13.8 MB, a uint8 one 1.7 MB
+    system = build(symmetric_group(5))
+    assert traced_peak(check, system) < 8 * 2 ** 20
