@@ -19,9 +19,18 @@ the defining identities are checked by the ``check_*`` functions, which
 return a :class:`~leibrack.report.ValidityReport` instead of raising.  A
 three-index law is one residual array over all its basis tuples.  A
 four-index law (Jacobi, Leibniz, the module law) is a sum of matrix
-products, evaluated by :func:`scan_rows` in blocks of rows of its first
-index of at most _BLOCK entries, so no whole table of it is ever alive;
-either way violations are listed in row-major order at their global index.
+products, evaluated in blocks of rows of its first index of at most _BLOCK
+entries, so no whole table of it is ever alive.  The Leibniz identity is
+scanned row by row (:func:`scan_rows`).  Jacobi is evaluated once per
+cyclic orbit of its index tuple and the module law once per pair of
+indices (:func:`scan_boxes`): a block's products serve every rotation or
+order of its tuples, each summed in the order of its own tuple, so every
+residual is the one the whole table holds.  A block's sums come as boxes
+of the table, one at a time, each screened by its largest and smallest
+residual and searched only when it fails.  Either way violations are
+listed in row-major order at their global index: the orbit scans hand
+their failing entries to :meth:`Collector.entries` by position, which
+keeps the smallest positions.
 The brackets of whole stacks of vectors come from :func:`brackets`, and
 subspace membership from :meth:`SubspaceBasis.distance` on a stack.  All
 residuals are absolute and compared against a configurable tolerance
@@ -31,6 +40,7 @@ float64 noise).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,30 +253,118 @@ def scan_rows(col: Collector, law: str, rows: int, row_size: int, block):
         col.tables((law, res > col.tol, res), start=a)
 
 
+def scan_boxes(col: Collector, law: str, shape: tuple, boxes):
+    """Scan the residual table of ``law``, of ``shape``, into ``col`` from
+    ``boxes``: pairs ``(corner, residuals)``, the table's entries from the
+    index tuple ``corner`` on, which hold each entry of the table once.  A
+    box is screened by the largest and smallest of its residuals, a NaN
+    sticking, and searched for failing entries only when its largest
+    absolute residual exceeds the tolerance or is NaN."""
+    def failing():
+        for corner, res in boxes:
+            top = max(np.max(res, initial=0.0), -np.min(res, initial=0.0))
+            col.fold(float(top))
+            if top <= col.tol:
+                continue
+            res = np.abs(res)
+            at = np.nonzero(res > col.tol)
+            yield (np.ravel_multi_index([i + c for i, c in zip(at, corner)], shape),
+                   res[at])
+
+    col.entries(law, shape, failing())
+
+
+def workspace():
+    """``at(p, *shape)``: an array of ``shape`` in slot p, new on the slot's
+    first call and a view of that array after it, so the first call asks
+    for the most.  A scan's blocks shrink, so its first block's arrays hold
+    every later block's, and their pages are touched once per scan and not
+    once per block."""
+    slots = {}
+
+    def at(p, *shape):
+        size = math.prod(shape)
+        if p not in slots:
+            slots[p] = np.empty(size)
+        return slots[p][:size].reshape(shape)
+    return at
+
+
+def jacobi_boxes(C: np.ndarray):
+    """The Jacobi residuals [[i, j], k] + [[j, k], i] + [[k, i], j] of the
+    bracket C, as boxes of their (d, d, d, d) table, three for each block of
+    first-index rows i; a box lives until the next is drawn.  A block forms
+    the three products T(i, j, k) = [[i, j], k], T(j, k, i) and T(k, i, j)
+    for its rows i and all j, k from its first row on, and sums each
+    rotation of a tuple from them: the rows after the block at the first
+    index, then those with the first two indices after it, then its own
+    rows.  So each tuple comes from the block of its smallest index, and the
+    three rotations from one set of products, each sum in the order of its
+    own tuple.  Cyclic invariance holds for any bilinear bracket; C need not
+    be antisymmetric."""
+    d = len(C)
+    step = rows_per_block(d ** 3)
+    at = workspace()
+    for start in range(0, d, step):
+        stop = min(start + step, d)
+        k, m = stop - start, d - start
+        right = C[:, start:].reshape(d, m * d)
+        ijk = np.matmul(C[start:stop, start:].reshape(k * m, d), right,
+                        out=at(0, k * m, m * d)).reshape(k, m, m, d)
+        jki = np.matmul(C[start:, start:], C[:, start:stop].reshape(d, k * d),
+                        out=at(1, m, m, k * d)).reshape(m, m, k, d).transpose(2, 0, 1, 3)
+        kij = np.matmul(C[start:, start:stop].reshape(m * k, d), right,
+                        out=at(2, m * k, m * d)).reshape(m, k, m, d).transpose(1, 2, 0, 3)
+        if stop < d:
+            third = np.add(kij[:, :, k:], ijk[:, :, k:], out=at(3, k, m, m - k, d))
+            third += jki[:, :, k:]
+            yield (stop, start, start, 0), third.transpose(2, 0, 1, 3)     # (k, i, j)
+            second = np.add(jki[:, k:, k:], kij[:, k:, k:], out=at(3, k, m - k, m - k, d))
+            second += ijk[:, k:, k:]
+            yield (stop, stop, start, 0), second.transpose(1, 2, 0, 3)     # (j, k, i)
+        first = ijk
+        first += jki
+        first += kij
+        yield (start, start, start, 0), first                            # (i, j, k)
+
+
 def check_lie_algebra(alg: LieAlgebraData, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Antisymmetry and the Jacobi identity, checked on all basis tuples."""
     C, d = alg.structure_constants, alg.dim
     col = Collector(tol)
     col.scan("antisymmetry", C + np.swapaxes(C, 0, 1))
-    Cf, Cr = C.reshape(d * d, d), C.reshape(d, d * d)
-
-    def jacobi(s):      # [[i, j], k] + [[j, k], i] + [[k, i], j] for i in s
-        Ci, Cj = C[s], C[:, s]
-        k = len(Ci)
-        return ((Ci.reshape(k * d, d) @ Cr).reshape(k, d, d, d)
-                + (Cf @ Cj.reshape(d, k * d)).reshape(d, d, k, d).transpose(2, 0, 1, 3)
-                + (Cj.reshape(d * k, d) @ Cr).reshape(d, k, d, d).transpose(1, 2, 0, 3))
-
-    scan_rows(col, "jacobi", d, d ** 3, jacobi)
+    scan_boxes(col, "jacobi", (d,) * 4, jacobi_boxes(C))
     return col.report()
 
 
-def homomorphism_residuals(C: np.ndarray, A: np.ndarray, rows: slice) -> np.ndarray:
-    """sum_k C[i,j,k] A_k - (A_i A_j - A_j A_i) for i in ``rows`` and all j."""
+def homomorphism_boxes(C: np.ndarray, A: np.ndarray):
+    """The residuals sum_k C[i,j,k] A_k - (A_i A_j - A_j A_i) of the module
+    law, as boxes of their (n, n, m, m) table, two for each block of rows i:
+    row i from column ``start`` on, then column i below the block; a box
+    lives until the next is drawn.  Each pair's commutator is formed once,
+    for the block of its smaller index, and serves both orders:
+    x - y = -(y - x) exactly."""
     n, m = len(A), A.shape[1]
-    Ci, Ai = C[rows], A[rows, None]
-    want = (Ci.reshape(-1, n) @ A.reshape(n, m * m)).reshape(len(Ci), n, m, m)
-    return want - (Ai @ A[None] - A[None] @ Ai)
+    flat = A.reshape(n, m * m)
+    step = rows_per_block(A.size)
+    at = workspace()
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        k, rows = stop - start, A[start:stop, None]
+        comm = np.matmul(rows, A[None, start:], out=at(0, k, n - start, m, m))
+        row = at(1, *comm.shape)            # A_j A_i until it takes the sums
+        np.copyto(row[:, :k], comm[:, :k].swapaxes(0, 1))
+        np.matmul(A[None, stop:], rows, out=row[:, k:])
+        comm -= row
+        np.matmul(C[start:stop, start:].reshape(-1, n), flat, out=row.reshape(-1, m * m))
+        row -= comm
+        yield (start, start, 0, 0), row
+        if stop < n:
+            column = at(1, n - stop, k, m, m)
+            np.matmul(C[stop:, start:stop].reshape(-1, n), flat,
+                      out=column.reshape(-1, m * m))
+            column += comm[:, k:].swapaxes(0, 1)
+            yield (stop, start, 0, 0), column
 
 
 def derivation_residuals(B: np.ndarray, D: np.ndarray, rows: slice) -> np.ndarray:
@@ -285,8 +383,8 @@ def check_module(action: ModuleAction, tol: float = DEFAULT_TOL) -> ValidityRepo
     """A is a homomorphism: sum_k C[i,j,k] A_k = A_i A_j - A_j A_i."""
     C, A = action.algebra.structure_constants, action.action_matrices
     col = Collector(tol)
-    scan_rows(col, "module-homomorphism", len(A), A.size,
-              lambda s: homomorphism_residuals(C, A, s))
+    scan_boxes(col, "module-homomorphism", C.shape[:2] + A.shape[1:],
+               homomorphism_boxes(C, A))
     return col.report()
 
 

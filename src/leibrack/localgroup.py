@@ -45,7 +45,7 @@ from math import factorial, isqrt
 import numpy as np
 
 from .algebra import DEFAULT_TOL, LieAlgebraData, frozen_array, full_rank, \
-    homomorphism_residuals, scan_rows, set_frozen
+    homomorphism_boxes, scan_boxes, set_frozen
 from .errors import CapabilityError, ChartError, DomainError, MembershipError, \
     StructuralError
 from .report import Collector, ValidityReport
@@ -169,8 +169,8 @@ def check_rep(rep: MatrixRep, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Representation homomorphism law plus faithfulness (full-rank stack)."""
     C, A = rep.algebra.structure_constants, rep.matrices
     col = Collector(tol)
-    scan_rows(col, "representation-homomorphism", len(A), A.size,
-              lambda s: homomorphism_residuals(C, A, s))
+    scan_boxes(col, "representation-homomorphism", C.shape[:2] + A.shape[1:],
+               homomorphism_boxes(C, A))
     faithful, ratio = full_rank(rep.basis_stack, rep.algebra.dim)
     if not faithful:
         col.add("faithful")

@@ -190,7 +190,13 @@ def check_group_rack_triple(triple: GroupRackTriple) -> ValidityReport:
     if th[triple.basepoint] != G.unit:
         col.add("basepoint-embeds-to-unit", (triple.basepoint,))
     bad = _equivariance_table(G, act, th)
-    col.table("embedding-conjugation", bad[th])
+    # the (x, y) table is row th(x) of bad: list its first failing rows, and
+    # count the rest from bad's row sums, with no X x X table
+    per_row = np.count_nonzero(bad, axis=1)[th]
+    rows = np.flatnonzero(per_row)
+    for x in rows[:MAX_LISTED_VIOLATIONS]:
+        col.table("embedding-conjugation", bad[th[x]], lead=(x,))
+    col.failures += int(per_row[rows[MAX_LISTED_VIOLATIONS:]].sum())
     col.table("basepoint-fixed", act[th, triple.basepoint] != triple.basepoint)
     equivariant = np.flatnonzero(~bad.any(axis=1))
     return col.report({

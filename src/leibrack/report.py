@@ -6,7 +6,9 @@ worst residual and a bounded sample of offending index tuples so that large
 inputs cannot flood the caller.  Every checker fills one :class:`Collector`:
 it lists violations in the order they are found, up to
 MAX_LISTED_VIOLATIONS, counts failures, tracks the maximum residual, folds
-in the reports of sub-checks, and builds the final report.
+in the reports of sub-checks, and builds the final report.  A law whose
+failing entries arrive out of order gives them by position to
+:meth:`Collector.entries`, which lists them in row-major order.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ class Collector:
         self.failures = 0
         self.max_residual = 0.0
 
-    def _fold(self, residual: float):
+    def fold(self, residual: float):
+        """Fold ``residual`` into the maximum; a NaN sticks."""
         if self.max_residual == self.max_residual and \
                 not residual <= self.max_residual:
             self.max_residual = residual
@@ -89,7 +92,7 @@ class Collector:
     def add(self, law: str, where: tuple = (), residual: float = 1.0):
         """Record one failed instance of ``law``."""
         self.failures += 1
-        self._fold(float(residual))
+        self.fold(float(residual))
         if len(self.violations) < MAX_LISTED_VIOLATIONS:
             self.violations.append(
                 Violation(law, tuple(int(i) for i in where), float(residual)))
@@ -99,7 +102,7 @@ class Collector:
         index, in row-major order."""
         res = np.abs(np.asarray(residuals, dtype=float))
         if res.size:
-            self._fold(float(res.max()))
+            self.fold(float(res.max()))
             self.table(law, res > self.tol, res)
 
     def table(self, law: str, bad, residuals=None, lead: tuple = ()):
@@ -112,7 +115,7 @@ class Collector:
             self.add(law, lead + idx, 1.0 if residuals is None else residuals[idx])
         self.failures += max(0, hits.size - room)
         if hits.size and residuals is None:
-            self._fold(1.0)
+            self.fold(1.0)
 
     def tables(self, *laws, start: int = 0):
         """Several ``(law, bad)`` tables sharing their first axis, listed
@@ -123,15 +126,38 @@ class Collector:
         for _, bad, *residuals in laws:
             rows |= np.reshape(bad, (len(rows), -1)).any(axis=1)
             for res in residuals:
-                self._fold(float(np.max(res, initial=0.0)))
+                self.fold(float(np.max(res, initial=0.0)))
         for i in np.flatnonzero(rows):
             for law, bad, *residuals in laws:
                 self.table(law, bad[i], *(res[i] for res in residuals),
                            lead=(start + i,))
 
+    def entries(self, law: str, shape: tuple, found):
+        """Failing entries of ``law``'s table of ``shape``, found in any
+        order: ``found`` yields pairs of arrays, the row-major positions of
+        failing entries in the table and their residuals.  Every entry counts
+        as a failure, and the smallest positions are listed in row-major
+        order, as a row-major scan of the whole table lists them.  The
+        caller folds the table's maximum."""
+        room = max(0, MAX_LISTED_VIOLATIONS - len(self.violations))
+        kept, residuals = np.empty(0, dtype=np.intp), np.empty(0)
+        for where, res in found:
+            self.failures += len(where)
+            kept = np.concatenate((kept, where))
+            residuals = np.concatenate((residuals, res))
+            if len(kept) > room:
+                first = np.argpartition(kept, room)[:room]
+                kept, residuals = kept[first], residuals[first]
+        if not len(kept):
+            return
+        order = np.argsort(kept)
+        self.violations += [Violation(law, tuple(map(int, np.unravel_index(flat, shape))),
+                                      float(res))
+                            for flat, res in zip(kept[order], residuals[order])]
+
     def merge(self, report: ValidityReport):
         """Fold in a sub-check's report."""
-        self._fold(report.max_residual)
+        self.fold(report.max_residual)
         self.violations += report.violations[:MAX_LISTED_VIOLATIONS - len(self.violations)]
         self.failures += report.info.get("failures", len(report.violations))
 

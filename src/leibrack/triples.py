@@ -280,8 +280,9 @@ def check_lie_crossed_module(cm: LieAlgebraCrossedModule,
     """
     M, N, mu, eta = cm.m, cm.n, cm.mu, cm.eta
     col = Collector(tol)
-    for part in (check_lie_algebra(M, tol), check_lie_algebra(N, tol),
-                 check_module(eta, tol)):
+    lie_m = check_lie_algebra(M, tol)
+    lie_n = lie_m if N is M else check_lie_algebra(N, tol)
+    for part in (lie_m, lie_n, check_module(eta, tol)):
         col.merge(part)
 
     col.scan("boundary-homomorphism", bracket_map_residuals(

@@ -4,8 +4,9 @@ list or a constructor enforces, and no other.
 The law names are read from the source with ``ast``: the first argument of
 ``Collector.scan``, ``table`` and ``add`` and of ``AxiomError``, and the
 first entry of each ``tables`` tuple, when it is a string; the law argument
-of ``scan_rows``; and the law tuples that a suite's ``trial`` returns.  Each
-law is credited to the top-level function or class whose body reports it.
+of ``scan_rows`` and ``scan_boxes``; and the law tuples that a suite's
+``trial`` returns.  Each law is credited to the top-level function or class
+whose body reports it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _laws_in(definition) -> set:
         elif name == "tables":
             laws |= {_text(t.elts[0]) for t in node.args
                      if isinstance(t, ast.Tuple)}
-        elif name == "scan_rows":
+        elif name in ("scan_rows", "scan_boxes"):
             laws.add(_text(node.args[1]))
     return laws - {None}
 
@@ -66,7 +67,7 @@ def table_rows() -> dict:
 
 def test_the_reader_finds_laws_of_every_kind():
     laws = reported_laws()
-    assert laws["jacobi"] == {"check_lie_algebra"}                  # scan_rows
+    assert laws["jacobi"] == {"check_lie_algebra"}                  # scan_boxes
     assert laws["peiffer"] == {"check_lie_crossed_module",
                                "check_group_crossed_module"}       # scan, table
     assert laws["action-bijective"] == {"check_group_crossed_module"}   # tables

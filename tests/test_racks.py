@@ -627,6 +627,19 @@ def test_composition_table_past_65536_points(broken):
     assert np.argwhere(bad).tolist() == ([[1, 1, 65536]] if broken else [])
 
 
+@pytest.mark.parametrize("broken", [False, True])
+def test_whole_rack_triple_check_past_65536_points(broken):
+    # embedding-conjugation is read from the G x X equivariance table, so the
+    # check holds no table over pairs of points (65537^2 booleans, 4.3 GB)
+    triple = reversal_triple(65537, broken)
+    act, mul = triple.action_table, triple.group.mul_table
+    expected = int64_report(("group-set-composition",
+                             np.argwhere(act[mul] != act[:, act])),
+                            strict=True, equivariant_elements=[0, 1])
+    assert check_group_rack_triple(triple).to_dict() == expected
+    assert traced_peak(check_group_rack_triple, triple) < 64 * 2 ** 20
+
+
 def inversion_crossed_module(order: int, broken: bool) -> GroupCrossedModule:
     """Z2 acting by inversion on the cyclic group of ``order``, with the
     trivial boundary; broken, the generator exchanges the images of 0 and 1."""

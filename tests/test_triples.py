@@ -18,7 +18,7 @@ from leibrack import (AxiomError, EmbeddingTensor, LieAlgebraCrossedModule,
                       triple_from_crossed_module)
 from leibrack import (DEFAULT_TOL, StructuralError, bracket_closure_check,
                       catalog, check_lie_algebra, check_module)
-from leibrack.report import Collector
+from leibrack.report import MAX_LISTED_VIOLATIONS, Collector
 from leibrack.triples import _ideal_action
 
 LAMBDA_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
@@ -286,6 +286,32 @@ def test_crossed_module_conversion_checks_each_law_once(monkeypatch):
             triple_from_crossed_module(broken)
         assert err.value.law == "lie-crossed-module"
     assert calls == []
+
+
+def test_a_crossed_module_over_one_algebra_checks_it_once(monkeypatch):
+    # with m is n, the Lie algebra report is made once and merged twice; the
+    # report, failure count included, is the one of an equal twin of m
+    from leibrack import triples
+    rng = np.random.default_rng(3)
+    C = rng.integers(-1, 2, (4, 4, 4)).astype(float)
+    alg = lie_algebra(C - C.swapaxes(0, 1))          # Jacobi fails, often
+    same = LieAlgebraCrossedModule(alg, alg, np.eye(4), alg.adjoint_action())
+    twin = LieAlgebraCrossedModule(lie_algebra(alg.structure_constants), alg,
+                                   np.eye(4), alg.adjoint_action())
+    calls, counts = [], []
+    check, report = triples.check_lie_algebra, Collector.report
+    monkeypatch.setattr(triples, "check_lie_algebra",
+                        lambda a, tol: calls.append(a) or check(a, tol))
+    monkeypatch.setattr(Collector, "report", lambda self, info=None:
+                        counts.append(self.failures) or report(self, info))
+    apart = check_lie_crossed_module(twin)
+    failures = counts[-1]
+    assert len(calls) == 2
+    together = check_lie_crossed_module(same)
+    assert calls[2:] == [alg]
+    assert together.to_dict() == apart.to_dict()
+    assert counts[-1] == failures > 2 * MAX_LISTED_VIOLATIONS
+    assert any(v.law == "jacobi" for v in together.violations)
 
 
 def test_restriction_must_be_subalgebra_and_contain_image():
